@@ -57,7 +57,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  nvo list\n  nvo run --workload <name> --scheme <name> [--scale quick|standard|full] [--shards N] [--no-coalesce] [--json] [--stats-out <file>]\n  nvo run --trace <file.nvtr> --scheme <name>\n  nvo trace-gen --workload <name> --out <file.nvtr> [--scale ...]\n  nvo trace <workload> --scheme <name> [--scale ...] [--trace-out <file>] [--stats-out <file>] [--buffer-cap N] [--sample N]\n  nvo snapshots --workload <name> [--scale ...]\n  nvo diff --workload <name> --from <epoch> --to <epoch> [--scale ...]\n  nvo chaos <workload> --scheme nvoverlay|sw-undo [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--stress-backpressure] [--broken-recovery] [--out <file>] [--json]\n  nvo chaos <workload> --store [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--out <file>] [--json]\n  nvo profile <workload> [--scheme <name>] [--shards N] [--scale ...] [--out <file>] [--structural-out <file>] [--chrome <file>] [--json]\n  nvo serve <workload> [--sessions N] [--batches K] [--batch B] [--epochs all|latest|A..B] [--workers W] [--cache-cap C] [--subshards S] [--seed S] [--theta T] [--no-probes] [--scale ...] [--out <file>] [--stats-out <file>] [--json]\n  nvo query <workload> --key <byte-addr> [--epoch E|latest] [--scale ...]\n  nvo backup <workload> --store <dir> [--name <backup>] [--upto E] [--scale ...]\n  nvo restore --store <dir> [--name <backup>] [--verify]\n  nvo store <ls|rm|gc|validate> --store <dir> [--name <backup>] [--purge]\n  nvo perf [--jobs N] [--shards N] [--profile] [--serve] [--scale ...] [--out BENCH_perf.json] [--serve-out BENCH_serve.json] [--baseline <file>]"
+        "usage:\n  nvo list\n  nvo run --workload <name> --scheme <name> [--scale quick|standard|full] [--shards N] [--no-coalesce] [--json] [--stats-out <file>]\n  nvo run --trace <file.nvtr> --scheme <name>\n  nvo trace-gen --workload <name> --out <file.nvtr> [--scale ...]\n  nvo trace <workload> --scheme <name> [--scale ...] [--trace-out <file>] [--stats-out <file>] [--buffer-cap N] [--sample N]\n  nvo snapshots --workload <name> [--scale ...]\n  nvo diff --workload <name> --from <epoch> --to <epoch> [--scale ...]\n  nvo chaos <workload> --scheme nvoverlay|sw-undo [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--stress-backpressure] [--broken-recovery] [--out <file>] [--json]\n  nvo chaos <workload> --store [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--out <file>] [--json]\n  nvo profile <workload> [--scheme <name>] [--shards N] [--scale ...] [--out <file>] [--structural-out <file>] [--chrome <file>] [--json]\n  nvo serve <workload> [--sessions N] [--batches K] [--batch B] [--epochs all|latest|A..B] [--workers W] [--subshards S] [--seed S] [--theta T] [--no-probes] [--scale ...] [--out <file>] [--stats-out <file>] [--json]\n  nvo query <workload> --key <byte-addr> [--epoch E|latest] [--scale ...]\n  nvo backup <workload> --store <dir> [--name <backup>] [--upto E] [--scale ...]\n  nvo restore --store <dir> [--name <backup>] [--verify]\n  nvo store <ls|rm|gc|validate> --store <dir> [--name <backup>] [--purge]\n  nvo perf [--jobs N] [--shards N] [--profile] [--serve] [--scale ...] [--out BENCH_perf.json] [--serve-out BENCH_serve.json] [--baseline <file>]"
     );
     exit(2)
 }
@@ -739,7 +739,6 @@ fn serve_config_of(flags: &HashMap<String, String>) -> ServeConfig {
         ("batches", &mut cfg.batches),
         ("batch", &mut cfg.batch),
         ("workers", &mut cfg.workers),
-        ("cache-cap", &mut cfg.cache_cap),
         ("subshards", &mut cfg.subshards),
     ] {
         if let Some(v) = flags.get(flag) {
@@ -857,11 +856,10 @@ fn cmd_serve(flags: HashMap<String, String>) {
         r.errors.iter().map(|(_, v)| v).sum::<u64>(),
     );
     println!(
-        "  mapping cache: {:.1}% hits ({} hits / {} misses / {} evictions)",
-        100.0 * r.hit_rate(),
-        r.cache.hits,
-        r.cache.misses,
-        r.cache.evictions
+        "  epoch tables probed: {:.2} per query ({} over {} answers)",
+        r.fallthrough as f64 / r.answered.max(1) as f64,
+        r.fallthrough,
+        r.answered
     );
     println!(
         "  {:.0} queries/s ({:.3}s wall), digest {:016x}",
@@ -1608,9 +1606,8 @@ fn cmd_perf(flags: HashMap<String, String>) {
     // NVOverlay once, mount the durable state, and serve the default
     // scripted load at `jobs` workers and again at 1 worker. Gates:
     // the two reports must be byte-identical (worker-count
-    // determinism), and the zipfian load must keep the mapping-table
-    // cache at ≥90% hits. Writes `BENCH_serve.json` with queries/s,
-    // hit rate, and recoverable-epoch lag per workload; `--baseline`
+    // determinism). Writes `BENCH_serve.json` with queries/s and epoch
+    // tables probed per query for each workload; `--baseline`
     // additionally enforces `serve_queries_s` floors (>20% drop
     // fails), skipped on 1-way hosts like the other threaded floors.
     let serve_enabled = flags.contains_key("serve");
@@ -1629,10 +1626,8 @@ fn cmd_perf(flags: HashMap<String, String>) {
             ..scfg.clone()
         };
         let mut serve_identical = true;
-        let mut hit_rate_min = 1.0f64;
         let mut qps = vec![0.0f64; workloads.len()];
-        let mut hit_rates = vec![0.0f64; workloads.len()];
-        let mut lags = vec![0u64; workloads.len()];
+        let mut lookups = vec![0.0f64; workloads.len()];
         let mut answered = vec![0u64; workloads.len()];
         for (ti, trace) in par_traces.iter().enumerate() {
             let mut sys = NvOverlaySystem::new(&cfg);
@@ -1652,20 +1647,17 @@ fn cmd_perf(flags: HashMap<String, String>) {
             {
                 serve_identical = false;
             }
-            hit_rate_min = hit_rate_min.min(out.report.hit_rate());
             qps[ti] = out.queries_per_sec();
-            hit_rates[ti] = out.report.hit_rate();
-            lags[ti] = out.report.lag;
+            lookups[ti] = out.report.fallthrough as f64 / out.report.answered.max(1) as f64;
             answered[ti] = out.report.answered;
         }
         println!("  serve pass ({jobs} workers vs 1, default load):");
         for (ti, w) in workloads.iter().enumerate() {
             println!(
-                "    {:<12} {:>10.0} queries/s, {:>5.1}% cache hits, lag {} epochs",
+                "    {:<12} {:>10.0} queries/s, {:>6.2} tables probed per query",
                 w.name(),
                 qps[ti],
-                100.0 * hit_rates[ti],
-                lags[ti]
+                lookups[ti]
             );
         }
         println!(
@@ -1674,13 +1666,6 @@ fn cmd_perf(flags: HashMap<String, String>) {
         );
         if !serve_identical {
             eprintln!("SERVE: worker count changed the serve report");
-            serve_failed = true;
-        }
-        if hit_rate_min < 0.90 {
-            eprintln!(
-                "SERVE: mapping-table cache hit rate {:.1}% fell below the 90% floor",
-                100.0 * hit_rate_min
-            );
             serve_failed = true;
         }
         let table_of = |vals: &[f64]| {
@@ -1700,22 +1685,19 @@ fn cmd_perf(flags: HashMap<String, String>) {
                 .join(", ")
         };
         let serve_json = format!(
-            "{{\n  \"scale\": \"{:?}\",\n  \"workers\": {},\n  \"config\": {{\"sessions\": {}, \"batches\": {}, \"batch\": {}, \"cache_cap\": {}, \"subshards\": {}, \"seed\": {}, \"theta\": {:.4}, \"epochs\": \"{}\"}},\n  \"serve_queries_s\": {{{}}},\n  \"hit_rate\": {{{}}},\n  \"lag_epochs\": {{{}}},\n  \"answered\": {{{}}},\n  \"hit_rate_min\": {:.6},\n  \"outputs_identical\": {}\n}}\n",
+            "{{\n  \"scale\": \"{:?}\",\n  \"workers\": {},\n  \"config\": {{\"sessions\": {}, \"batches\": {}, \"batch\": {}, \"subshards\": {}, \"seed\": {}, \"theta\": {:.4}, \"epochs\": \"{}\"}},\n  \"serve_queries_s\": {{{}}},\n  \"lookups_per_query\": {{{}}},\n  \"answered\": {{{}}},\n  \"outputs_identical\": {}\n}}\n",
             scale,
             jobs,
             scfg.sessions,
             scfg.batches,
             scfg.batch,
-            scfg.cache_cap,
             scfg.subshards,
             scfg.seed,
             scfg.theta,
             scfg.epochs,
             table_of(&qps),
-            table_of(&hit_rates),
-            u64_table_of(&lags),
+            table_of(&lookups),
             u64_table_of(&answered),
-            hit_rate_min,
             serve_identical,
         );
         std::fs::write(&serve_out_path, serve_json).unwrap_or_else(|e| {

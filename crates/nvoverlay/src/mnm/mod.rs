@@ -22,7 +22,7 @@ pub mod pool;
 pub mod table;
 
 pub use buffer::{BufferOutcome, BufferedVersion, OmcBuffer};
-pub use omc::{Omc, OmcConfig, OmcStats, SnapshotRetention};
+pub use omc::{EpochReader, Omc, OmcConfig, OmcStats, SnapshotRetention};
 pub use pool::{NvmLoc, PagePool, PoolExhausted};
 pub use table::{InsertEffect, MasterTable, RadixTable};
 

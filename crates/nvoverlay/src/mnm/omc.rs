@@ -90,6 +90,35 @@ struct EpochState {
     compacted: bool,
 }
 
+impl EpochState {
+    /// The table per-epoch reads may use: retained and not compacted.
+    fn readable(&self) -> Option<&RadixTable> {
+        if self.compacted {
+            None
+        } else {
+            self.table.as_ref()
+        }
+    }
+}
+
+/// A zero-copy view of one epoch's retained mapping table on one OMC.
+///
+/// Obtained from [`Omc::epoch_reader`]; reads only versions captured in
+/// exactly that epoch (no fall-through).
+#[derive(Clone, Copy)]
+pub struct EpochReader<'a> {
+    omc: &'a Omc,
+    table: &'a RadixTable,
+}
+
+impl EpochReader<'_> {
+    /// The version of `line` captured in this epoch, if any.
+    #[inline]
+    pub fn get(&self, line: LineAddr) -> Option<Token> {
+        self.table.get(line).and_then(|loc| self.omc.read_loc(loc))
+    }
+}
+
 /// One Overlay Memory Controller.
 pub struct Omc {
     cfg: OmcConfig,
@@ -607,20 +636,24 @@ impl Omc {
     pub fn epochs(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
         self.epochs
             .iter()
-            .map(|(e, st)| (*e, st.table.is_some() && !st.compacted))
+            .map(|(e, st)| (*e, st.readable().is_some()))
+    }
+
+    /// A zero-copy reader over exactly `epoch`'s retained mapping table;
+    /// `None` when the epoch is reclaimed, compacted, or absent here.
+    pub fn epoch_reader(&self, epoch: u64) -> Option<EpochReader<'_>> {
+        let table = self.epochs.get(&epoch)?.readable()?;
+        Some(EpochReader { omc: self, table })
     }
 
     /// Iterates the versions captured in exactly `epoch` (its incremental
     /// delta), if the epoch's table is retained.
     pub fn epoch_delta(&self, epoch: u64) -> Option<impl Iterator<Item = (LineAddr, Token)> + '_> {
-        let st = self.epochs.get(&epoch)?;
-        if st.compacted {
-            return None;
-        }
-        let t = st.table.as_ref()?;
+        let r = self.epoch_reader(epoch)?;
         Some(
-            t.iter()
-                .filter_map(|(l, loc)| self.read_loc(loc).map(|tok| (l, tok))),
+            r.table
+                .iter()
+                .filter_map(move |(l, loc)| self.read_loc(loc).map(|tok| (l, tok))),
         )
     }
 

@@ -20,8 +20,9 @@
 //!    [`nvoverlay::QueryError`] rejections), flattens accepted queries
 //!    onto `omc_count × subshards` serving shards in canonical order,
 //!    and fans the shards across worker threads. Each shard answers its
-//!    queue serially through a private [`cache::EpochTableCache`] of
-//!    materialized per-epoch mapping tables (deterministic LRU).
+//!    queue serially by walking its OMC's retained per-epoch radix tables
+//!    in place ([`nvoverlay::mnm::EpochReader`]); nothing is copied or
+//!    cached.
 //! 4. [`report::ServeReport`] carries only worker-count-independent
 //!    values plus an FNV-1a answer digest, so `1 == 2 == 4 == 8` workers
 //!    is checkable with `cmp` — wall-clock throughput travels separately
@@ -64,14 +65,12 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod driver;
 pub mod report;
 pub mod server;
 pub mod view;
 
-pub use cache::{CacheStats, EpochTableCache};
 pub use driver::{EpochSelect, LoadPlan, Zipf};
-pub use report::{ServeReport, ShardReport};
+pub use report::{CacheStats, ServeReport, ShardReport};
 pub use server::{serve, ServeConfig, ServeOutcome};
 pub use view::{EpochDirectory, EpochView, Mount, MountError};

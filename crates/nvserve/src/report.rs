@@ -9,8 +9,34 @@
 //! separately (stdout / `BENCH_serve.json`), following the structural /
 //! wall-clock segregation the profiler established.
 
-use crate::cache::CacheStats;
 use nvsim::metrics::Registry;
+
+/// Hit/miss/eviction counters of the retired per-shard epoch-table cache.
+///
+/// Shards now read the OMCs' retained tables directly, so nothing is
+/// cached and every counter stays zero. Kept only because the benchmark
+/// package reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from a resident table.
+    pub hits: u64,
+    /// Lookups that had to materialize a table.
+    pub misses: u64,
+    /// Tables evicted to stay under a capacity bound.
+    pub evictions: u64,
+}
+
+impl CacheStats {
+    /// Hit fraction over all lookups (1.0 when there were none).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            1.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
 
 /// Per-shard slice of a serve run.
 #[derive(Debug, Clone, Copy)]
@@ -19,8 +45,6 @@ pub struct ShardReport {
     pub shard: usize,
     /// Queries this shard answered.
     pub queries: u64,
-    /// Its private epoch-table cache counters.
-    pub cache: CacheStats,
     /// Epoch tables consulted across all fall-through walks.
     pub fallthrough: u64,
 }
@@ -38,8 +62,6 @@ pub struct ServeReport {
     pub shards: usize,
     /// Shards per OMC.
     pub subshards: usize,
-    /// Epoch-table cache capacity per shard.
-    pub cache_cap: usize,
     /// Load seed.
     pub seed: u64,
     /// Epoch selection, rendered (`all` / `latest` / `lo..hi`).
@@ -72,7 +94,7 @@ pub struct ServeReport {
     pub answers_some: u64,
     /// Answers with no version at or before the epoch.
     pub answers_none: u64,
-    /// Cache counters summed over shards.
+    /// Always zero: nothing is cached (see [`CacheStats`]).
     pub cache: CacheStats,
     /// Epoch tables consulted across all walks.
     pub fallthrough: u64,
@@ -90,7 +112,7 @@ fn push_kv_u64(out: &mut String, indent: &str, key: &str, v: u64, comma: bool) {
 }
 
 impl ServeReport {
-    /// Overall cache hit fraction.
+    /// Overall cache hit fraction (always 1.0: no lookups are counted).
     pub fn hit_rate(&self) -> f64 {
         self.cache.hit_rate()
     }
@@ -117,7 +139,6 @@ impl ServeReport {
         push_kv_u64(&mut s, "    ", "batch", self.batch as u64, true);
         push_kv_u64(&mut s, "    ", "shards", self.shards as u64, true);
         push_kv_u64(&mut s, "    ", "subshards", self.subshards as u64, true);
-        push_kv_u64(&mut s, "    ", "cache_cap", self.cache_cap as u64, true);
         push_kv_u64(&mut s, "    ", "seed", self.seed, true);
         s.push_str(&format!("    \"epochs\": \"{}\"\n", self.epoch_select));
         s.push_str("  },\n");
@@ -149,30 +170,13 @@ impl ServeReport {
             push_kv_u64(&mut s, "    ", k, *v, i + 1 < self.errors.len());
         }
         s.push_str("  },\n");
-        s.push_str("  \"cache\": {\n");
-        push_kv_u64(&mut s, "    ", "hits", self.cache.hits, true);
-        push_kv_u64(&mut s, "    ", "misses", self.cache.misses, true);
-        push_kv_u64(&mut s, "    ", "evictions", self.cache.evictions, true);
-        push_kv_u64(
-            &mut s,
-            "    ",
-            "lines_materialized",
-            self.cache.lines_materialized,
-            true,
-        );
-        s.push_str(&format!("    \"hit_rate\": {:.6}\n", self.hit_rate()));
-        s.push_str("  },\n");
         s.push_str(&format!("  \"digest\": \"{:016x}\",\n", self.digest));
         s.push_str("  \"per_shard\": [\n");
         for (i, sh) in self.per_shard.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"shard\": {}, \"queries\": {}, \"hits\": {}, \"misses\": {}, \
-                 \"evictions\": {}, \"fallthrough\": {}}}{}\n",
+                "    {{\"shard\": {}, \"queries\": {}, \"fallthrough\": {}}}{}\n",
                 sh.shard,
                 sh.queries,
-                sh.cache.hits,
-                sh.cache.misses,
-                sh.cache.evictions,
                 sh.fallthrough,
                 if i + 1 < self.per_shard.len() {
                     ","
@@ -194,10 +198,6 @@ impl ServeReport {
         reg.set_counter(&format!("{prefix}.queries.some"), self.answers_some);
         reg.set_counter(&format!("{prefix}.queries.none"), self.answers_none);
         reg.set_counter(&format!("{prefix}.queries.fallthrough"), self.fallthrough);
-        reg.set_counter(&format!("{prefix}.cache.hits"), self.cache.hits);
-        reg.set_counter(&format!("{prefix}.cache.misses"), self.cache.misses);
-        reg.set_counter(&format!("{prefix}.cache.evictions"), self.cache.evictions);
-        reg.set_gauge(&format!("{prefix}.cache.hit_rate"), self.hit_rate());
         reg.set_counter(&format!("{prefix}.mount.rec_epoch"), self.rec_epoch);
         reg.set_counter(&format!("{prefix}.mount.lag"), self.lag);
         for (k, v) in &self.errors {
@@ -206,8 +206,6 @@ impl ServeReport {
         for sh in &self.per_shard {
             let p = format!("{prefix}.shard.{:03}", sh.shard);
             reg.set_counter(&format!("{p}.queries"), sh.queries);
-            reg.set_counter(&format!("{p}.cache.hits"), sh.cache.hits);
-            reg.set_counter(&format!("{p}.cache.misses"), sh.cache.misses);
         }
     }
 }
@@ -223,7 +221,6 @@ mod tests {
             batch: 4,
             shards: 2,
             subshards: 1,
-            cache_cap: 8,
             seed: 42,
             epoch_select: "all".to_string(),
             rec_epoch: 9,
@@ -244,35 +241,18 @@ mod tests {
             answered: 20,
             answers_some: 18,
             answers_none: 2,
-            cache: CacheStats {
-                hits: 30,
-                misses: 10,
-                evictions: 2,
-                lines_materialized: 50,
-            },
+            cache: CacheStats::default(),
             fallthrough: 40,
             digest: 0xdead_beef,
             per_shard: vec![
                 ShardReport {
                     shard: 0,
                     queries: 12,
-                    cache: CacheStats {
-                        hits: 20,
-                        misses: 5,
-                        evictions: 1,
-                        lines_materialized: 25,
-                    },
                     fallthrough: 22,
                 },
                 ShardReport {
                     shard: 1,
                     queries: 8,
-                    cache: CacheStats {
-                        hits: 10,
-                        misses: 5,
-                        evictions: 1,
-                        lines_materialized: 25,
-                    },
                     fallthrough: 18,
                 },
             ],
@@ -286,9 +266,10 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("{\n"));
         assert!(a.ends_with("}\n"));
-        assert!(a.contains("\"hit_rate\": 0.750000"));
+        assert!(a.contains("\"fallthrough\": 40\n"));
         assert!(a.contains("\"digest\": \"00000000deadbeef\""));
         assert!(a.contains("\"epoch_zero\": 1,"));
+        assert!(!a.contains("cache"), "nothing is cached, so no cache block");
         // Balanced braces/brackets.
         let opens = a.matches('{').count();
         let closes = a.matches('}').count();
@@ -297,12 +278,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_publishes_cache_counters() {
+    fn metrics_publishes_query_counters() {
         let mut reg = Registry::new();
         sample().metrics_into(&mut reg, "serve");
-        assert_eq!(reg.counter("serve.cache.hits"), Some(30));
-        assert_eq!(reg.counter("serve.cache.misses"), Some(10));
+        assert_eq!(reg.counter("serve.queries.fallthrough"), Some(40));
+        assert_eq!(reg.counter("serve.cache.hits"), None);
         assert_eq!(reg.counter("serve.errors.epoch_zero"), Some(1));
         assert_eq!(reg.counter("serve.shard.001.queries"), Some(8));
+    }
+
+    #[test]
+    fn hit_rate_reads_one_without_lookups() {
+        assert_eq!(sample().hit_rate(), 1.0);
+        let mixed = CacheStats {
+            hits: 1,
+            misses: 1,
+            evictions: 0,
+        };
+        assert_eq!(mixed.hit_rate(), 0.5);
     }
 }

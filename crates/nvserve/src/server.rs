@@ -5,21 +5,21 @@
 //! into per-shard queues in canonical `(session, batch, key)` order. The
 //! shard count is fixed by the mount (`omc_count × subshards`) and is
 //! **independent of the worker count**: worker `w` of `W` processes
-//! shards `w, w+W, w+2W, …`, each shard serially in queue order with its
-//! own private [`EpochTableCache`]. Results are merged in ascending shard
-//! order, so answers, cache statistics, and the report digest are
-//! byte-identical for 1, 2, 4, or 8 workers — only wall-clock time
-//! changes.
+//! shards `w, w+W, w+2W, …`, each shard serially in queue order. Results
+//! are merged in ascending shard order, so answers, counters, and the
+//! report digest are byte-identical for 1, 2, 4, or 8 workers — only
+//! wall-clock time changes.
 //!
 //! A query `GET key AS OF epoch E` answers exactly like
 //! `Mnm::time_travel`: fall through the retained epoch tables from `E`
 //! downward (reclaimed or compacted epochs are transparently skipped),
 //! returning the first mapped version, or `None` when the line has no
-//! version at or before `E`.
+//! version at or before `E`. Each shard reads its OMC's retained radix
+//! tables in place through [`nvoverlay::mnm::EpochReader`]s resolved once
+//! per call; nothing is copied or cached.
 
-use crate::cache::{CacheStats, EpochTableCache};
 use crate::driver::{EpochSelect, LoadPlan};
-use crate::report::{ServeReport, ShardReport};
+use crate::report::{CacheStats, ServeReport, ShardReport};
 use crate::view::Mount;
 use nvoverlay::QueryError;
 use nvsim::{LineAddr, Token};
@@ -36,7 +36,8 @@ pub struct ServeConfig {
     /// Worker threads (clamped to the shard count; must not change any
     /// output other than wall-clock time).
     pub workers: usize,
-    /// Epoch tables each shard may keep resident.
+    /// Ignored: shards read the retained epoch tables directly and cache
+    /// nothing. Kept for callers that still set it.
     pub cache_cap: usize,
     /// Serving shards per OMC.
     pub subshards: usize,
@@ -74,10 +75,10 @@ struct Query {
     epoch: u64,
 }
 
-/// What one shard produced: answers in its queue order, plus counters.
+/// What one shard produced: answers in its queue order, plus the number
+/// of epoch tables its walks probed.
 struct ShardOut {
     answers: Vec<Option<Token>>,
-    cache: CacheStats,
     fallthrough: u64,
 }
 
@@ -182,7 +183,7 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
     let started = std::time::Instant::now();
     if workers <= 1 {
         for (ix, queue) in queues.iter().enumerate() {
-            outs[ix] = Some(run_shard(mount, ix, queue, cfg.cache_cap));
+            outs[ix] = Some(run_shard(mount, ix, queue));
         }
     } else {
         let queues_ref = &queues;
@@ -193,7 +194,7 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
                         let mut mine = Vec::new();
                         let mut ix = w;
                         while ix < shard_count {
-                            mine.push((ix, run_shard(mount, ix, &queues_ref[ix], cfg.cache_cap)));
+                            mine.push((ix, run_shard(mount, ix, &queues_ref[ix])));
                             ix += workers;
                         }
                         mine
@@ -247,17 +248,14 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
         }
     }
 
-    let mut cache = CacheStats::default();
     let mut fallthrough = 0u64;
     let mut per_shard = Vec::with_capacity(shard_count);
     for (ix, out) in outs.iter().enumerate() {
         let out = out.as_ref().expect("shard ran");
-        cache.merge(&out.cache);
         fallthrough += out.fallthrough;
         per_shard.push(ShardReport {
             shard: ix,
             queries: out.answers.len() as u64,
-            cache: out.cache,
             fallthrough: out.fallthrough,
         });
     }
@@ -269,7 +267,6 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
         batch: cfg.batch,
         shards: shard_count,
         subshards: mount.subshards(),
-        cache_cap: cfg.cache_cap,
         seed: cfg.seed,
         epoch_select: cfg.epochs.to_string(),
         rec_epoch: dir.recoverable(),
@@ -289,7 +286,7 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
         answered,
         answers_some,
         answers_none,
-        cache,
+        cache: CacheStats::default(),
         fallthrough,
         digest,
         per_shard,
@@ -301,17 +298,29 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
     }
 }
 
-/// Serves one shard's queue serially with a private epoch-table cache.
-fn run_shard(mount: &Mount<'_>, shard: usize, queue: &[Query], cache_cap: usize) -> ShardOut {
-    let mut cache = EpochTableCache::new(cache_cap);
+/// Serves one shard's queue serially, reading its OMC's retained epoch
+/// tables in place.
+///
+/// `readers[i]` views the directory's `i`-th epoch on this shard's OMC
+/// (`None` where that OMC reclaimed, compacted, or never had it), so a
+/// walk over `dir().through(E)` is a reverse scan of a prefix. Every
+/// directory epoch visited counts toward `fallthrough`, readable or not.
+fn run_shard(mount: &Mount<'_>, shard: usize, queue: &[Query]) -> ShardOut {
+    let omc = &mount.mnm().omcs()[shard / mount.subshards()];
+    let readers: Vec<_> = mount
+        .dir()
+        .epochs()
+        .iter()
+        .map(|&(e, _)| omc.epoch_reader(e))
+        .collect();
     let mut answers = Vec::with_capacity(queue.len());
     let mut fallthrough = 0u64;
     for q in queue {
+        let visible = &readers[..mount.dir().through(q.epoch).len()];
         let mut ans = None;
-        for &(e, _) in mount.dir().through(q.epoch).iter().rev() {
+        for r in visible.iter().rev() {
             fallthrough += 1;
-            let table = cache.table(e, || mount.materialize(e, shard));
-            if let Some(&tok) = table.get(&q.line) {
+            if let Some(tok) = r.and_then(|r| r.get(q.line)) {
                 ans = Some(tok);
                 break;
             }
@@ -320,7 +329,6 @@ fn run_shard(mount: &Mount<'_>, shard: usize, queue: &[Query], cache_cap: usize)
     }
     ShardOut {
         answers,
-        cache: *cache.stats(),
         fallthrough,
     }
 }
@@ -329,7 +337,7 @@ fn run_shard(mount: &Mount<'_>, shard: usize, queue: &[Query], cache_cap: usize)
 mod tests {
     use super::*;
     use crate::driver;
-    use nvoverlay::mnm::{Mnm, OmcConfig};
+    use nvoverlay::mnm::{Mnm, OmcConfig, SnapshotRetention};
     use nvsim::nvm::Nvm;
 
     fn built(epochs: u64, lines: u64) -> Mnm {
@@ -389,7 +397,6 @@ mod tests {
                             line,
                             epoch: batch.epoch,
                         }],
-                        4,
                     )
                     .answers[0];
                     assert_eq!(got, want, "line {line:?} @ {}", batch.epoch);
@@ -444,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_only_load_hits_cache_hard() {
+    fn latest_only_load_walks_from_the_head() {
         let m = built(8, 64);
         let mount = Mount::new(&m, 2).unwrap();
         let cfg = ServeConfig {
@@ -455,6 +462,137 @@ mod tests {
         let plan = driver::plan(&mount, &cfg).unwrap();
         let out = serve(&mount, &plan, &cfg);
         assert_eq!(out.report.answered, out.report.enqueued);
-        assert!(out.report.cache.hit_rate() > 0.9, "{:?}", out.report.cache);
+        // Every walk probes at least the head table; nothing is cached.
+        assert!(out.report.fallthrough >= out.report.answered);
+        assert_eq!(out.report.cache, CacheStats::default());
+        assert_eq!(out.report.hit_rate(), 1.0);
+    }
+
+    /// Serves every line at every epoch up to the newest one seen (one
+    /// `run_shard` call per shard) and checks, per OMC and epoch, that the
+    /// served answer equals `Mnm::time_travel`, that `epoch_reader` exists
+    /// exactly when `epochs()` flags the epoch readable there, and that it
+    /// agrees with `epoch_delta` line for line. Returns, per epoch, the
+    /// readable flag on each OMC (`false` when reclaimed or absent).
+    fn check_direct_reads(m: &Mnm, lines: &[LineAddr]) -> Vec<Vec<bool>> {
+        let mount = Mount::new(m, 2).unwrap();
+        let top = m.max_epoch_seen();
+        let mut queues = vec![Vec::new(); mount.shards()];
+        for &line in lines {
+            for epoch in 1..=top {
+                queues[mount.shard_of(line)].push(Query { line, epoch });
+            }
+        }
+        for (shard, queue) in queues.iter().enumerate() {
+            let out = run_shard(&mount, shard, queue);
+            for (q, got) in queue.iter().zip(&out.answers) {
+                let want = m.time_travel(q.line, q.epoch);
+                assert_eq!(*got, want, "line {:?} @ {}", q.line, q.epoch);
+            }
+        }
+        (1..=top)
+            .map(|e| {
+                m.omcs()
+                    .iter()
+                    .map(|omc| {
+                        let flag = omc.epochs().any(|(x, readable)| x == e && readable);
+                        let reader = omc.epoch_reader(e);
+                        assert_eq!(reader.is_some(), flag, "epoch {e}");
+                        match (reader, omc.epoch_delta(e)) {
+                            (Some(r), Some(delta)) => {
+                                let delta: std::collections::HashMap<u64, Token> =
+                                    delta.map(|(l, t)| (l.raw(), t)).collect();
+                                for &l in lines {
+                                    assert_eq!(r.get(l), delta.get(&l.raw()).copied());
+                                }
+                            }
+                            (None, None) => {}
+                            _ => panic!("epoch_reader and epoch_delta disagree at {e}"),
+                        }
+                        flag
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn direct_reads_skip_epochs_dropped_after_merge() {
+        let mut m = Mnm::new(
+            2,
+            1,
+            OmcConfig {
+                pool_pages: 64,
+                retention: SnapshotRetention::DropMerged,
+                ..OmcConfig::default()
+            },
+        );
+        let mut n = Nvm::new(4, 400, 200, 8, 100_000);
+        // Four lines in each of pages 0..4: even pages route to OMC 0,
+        // odd pages to OMC 1, which only sees even epochs.
+        let lines: Vec<LineAddr> = (0..16).map(|i| LineAddr::new(i * 16)).collect();
+        for e in 1..=8u64 {
+            for &l in &lines {
+                if (l.raw() / 16 + e) % 3 != 0 && (m.route(l) == 0 || e % 2 == 0) {
+                    m.receive_version(&mut n, 0, l, 1000 * e + l.raw(), e);
+                }
+            }
+        }
+        // rec-epoch 4: epochs 1..=4 merge and drop their tables, 5..=8
+        // stay readable wherever they were written.
+        m.report_min_ver(&mut n, 0, nvsim::VdId(0), 5);
+        assert_eq!(m.rec_epoch(), 4);
+        let flags = check_direct_reads(&m, &lines);
+        assert!(flags[..4].iter().flatten().all(|&f| !f), "merged → dropped");
+        assert!(
+            flags
+                .iter()
+                .any(|f| f.contains(&true) && f.contains(&false)),
+            "some epoch is readable on one OMC only: {flags:?}"
+        );
+    }
+
+    #[test]
+    fn direct_reads_survive_compaction() {
+        let mut m = Mnm::new(
+            2,
+            1,
+            OmcConfig {
+                pool_pages: 4,
+                compaction_threshold: 0.5,
+                grow_pages: 4,
+                ..OmcConfig::default()
+            },
+        );
+        let mut n = Nvm::new(4, 400, 200, 8, 100_000);
+        // OMC 0 rewrites half of pages 0 and 2 every epoch and merges as
+        // it goes, so its tiny pool compacts; OMC 1 writes page 1 once.
+        let hot: Vec<LineAddr> = (0..64).chain(128..192).map(LineAddr::new).collect();
+        let cold: Vec<LineAddr> = (64..80).map(LineAddr::new).collect();
+        for &l in &cold {
+            m.receive_version(&mut n, 0, l, l.raw(), 1);
+        }
+        for e in 1..=10u64 {
+            for &l in &hot {
+                if e == 1 || (l.raw() + e) % 2 == 0 {
+                    m.receive_version(&mut n, 0, l, 1000 * e + l.raw(), e);
+                }
+            }
+            if e > 1 {
+                m.report_min_ver(&mut n, 0, nvsim::VdId(0), e);
+            }
+        }
+        m.finish(&mut n, 0, 10);
+        let (o0, o1) = (m.omcs()[0].stats(), m.omcs()[1].stats());
+        assert!(o0.compactions > 0 && o0.compaction_copies > 0, "{o0:?}");
+        assert_eq!(o1.compactions, 0, "{o1:?}");
+        let lines: Vec<LineAddr> = hot.iter().chain(&cold).copied().collect();
+        let flags = check_direct_reads(&m, &lines);
+        assert!(
+            flags
+                .iter()
+                .any(|f| f.contains(&true) && f.contains(&false)),
+            "some epoch is readable on one OMC only: {flags:?}"
+        );
     }
 }

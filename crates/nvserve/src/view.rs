@@ -274,10 +274,13 @@ impl<'a> Mount<'a> {
         omc * self.subshards + (lane as usize % self.subshards)
     }
 
-    /// Materializes `shard`'s slice of `epoch`'s incremental delta as a
+    /// Copies `shard`'s slice of `epoch`'s incremental delta into a
     /// lookup table (empty when the epoch is unreadable there, matching
     /// `Omc::time_travel`'s transparent fall-through past reclaimed or
     /// compacted epochs).
+    ///
+    /// An inspection helper: serving never calls it, as shards read the
+    /// retained tables in place through `Omc::epoch_reader`.
     pub fn materialize(&self, epoch: u64, shard: usize) -> FastMap<LineAddr, Token> {
         let omc = shard / self.subshards;
         match self.mnm.omcs()[omc].epoch_delta(epoch) {
