@@ -1,9 +1,9 @@
 //! Overlay mapping tables (paper §V-C, Fig 9/10).
 //!
-//! Both table kinds share one radix-tree shape over the 48-bit physical
-//! address: four inner levels indexed by 9 bits each (bits 47–12, the page
-//! number, exactly like x86-64 page tables) and a 64-entry leaf level
-//! indexed by bits 11–6 (the line within the page):
+//! Both table kinds share one *modelled* radix-tree shape over the 48-bit
+//! physical address: four inner levels indexed by 9 bits each (bits
+//! 47–12, the page number, exactly like x86-64 page tables) and a
+//! 64-entry leaf level indexed by bits 11–6 (the line within the page):
 //!
 //! * the **per-epoch table** `M_E` is volatile (DRAM) and tracks the
 //!   versions produced in epoch E;
@@ -15,9 +15,22 @@
 //! Node sizes match Fig 10: inner nodes are 512×8 B = 4 KiB; leaf nodes
 //! are 64×8 B = 512 B, giving the 12.5 % theoretical metadata floor the
 //! paper reports against in Fig 13.
+//!
+//! ## Host representation vs. the modelled tree
+//!
+//! The host layout is not the modelled one. §V-E time-travel reads fall
+//! through up to hundreds of per-epoch tables per query, and a pointer
+//! tree costs five dependent loads per table. So [`RadixTable`] finds a
+//! page's leaf with one probe of a page-number hash index, and keeps the
+//! modelled inner nodes only as a set of level-tagged index prefixes.
+//! Node counts, [`InsertEffect`]s, `size_bytes` and leaf occupancy are
+//! those of the pointer tree, which never frees a node (a leaf emptied by
+//! [`RadixTable::remove_if`] stays), so Fig 13 and the NVM metadata bytes
+//! do not depend on the host layout.
 
 use super::pool::NvmLoc;
 use nvsim::addr::LineAddr;
+use nvsim::fastmap::FastMap;
 use std::fmt;
 
 /// Entries per inner radix node (9 index bits).
@@ -28,6 +41,12 @@ pub const LEAF_FANOUT: usize = 64;
 pub const INNER_NODE_BYTES: u64 = (INNER_FANOUT * 8) as u64;
 /// Bytes per leaf node when persisted (64 × 8 B).
 pub const LEAF_NODE_BYTES: u64 = (LEAF_FANOUT * 8) as u64;
+
+/// Page-number bits the tree indexes (address bits 47–12); higher bits
+/// alias, as they would in a 48-bit table walk.
+const PAGE_BITS: u32 = 36;
+/// Index bits per inner level.
+const LEVEL_BITS: u32 = 9;
 
 /// Encodes a mapping entry as the 8-byte word persisted in `M_master`:
 /// bit 0 is the valid bit, bits 1–6 the page slot, bits 7–38 the overlay
@@ -55,47 +74,13 @@ pub fn decode_loc(word: u64) -> Option<NvmLoc> {
     })
 }
 
-struct Inner<T> {
-    children: Vec<Option<T>>,
-}
+type Leaf = [Option<NvmLoc>; LEAF_FANOUT];
 
-impl<T> Inner<T> {
-    fn new() -> Self {
-        Self {
-            children: (0..INNER_FANOUT).map(|_| None).collect(),
-        }
-    }
-}
-
-struct Leaf {
-    lines: Vec<Option<NvmLoc>>,
-    used: u32,
-}
-
-impl Leaf {
-    fn new() -> Self {
-        Self {
-            lines: vec![None; LEAF_FANOUT],
-            used: 0,
-        }
-    }
-}
-
-type L4 = Inner<Box<Leaf>>;
-type L3 = Inner<Box<L4>>;
-type L2 = Inner<Box<L3>>;
-type L1 = Inner<Box<L2>>;
-
-/// Index decomposition of a line address into the five radix levels.
-fn split(line: LineAddr) -> [usize; 5] {
-    let a = line.base().raw();
-    [
-        ((a >> 39) & 0x1FF) as usize,
-        ((a >> 30) & 0x1FF) as usize,
-        ((a >> 21) & 0x1FF) as usize,
-        ((a >> 12) & 0x1FF) as usize,
-        ((a >> 6) & 0x3F) as usize,
-    ]
+/// Splits a line address into its page number (the four inner-level
+/// indices, bits 47–12) and its slot in the page's leaf (bits 11–6).
+fn split(line: LineAddr) -> (u64, usize) {
+    let raw = line.raw();
+    ((raw >> 6) & ((1 << PAGE_BITS) - 1), (raw & 0x3F) as usize)
 }
 
 /// Counters describing one insert's effect on the persisted tree.
@@ -110,12 +95,18 @@ pub struct InsertEffect {
     pub displaced: Option<NvmLoc>,
 }
 
-/// The shared five-level radix tree mapping lines to NVM locations.
+/// The shared five-level radix tree mapping lines to NVM locations (see
+/// the module docs for how it is held in host memory).
 pub struct RadixTable {
-    root: L1,
+    /// Open-addressing index of `(page + 1, position in leaves)` slots,
+    /// zero keys empty. At most half full: most probes of a time-travel
+    /// walk are for unmapped pages, and those scan to an empty slot.
+    index: Vec<(u64, u32)>,
+    leaves: Vec<Leaf>,
+    /// The modelled inner nodes below the root, keyed by their index
+    /// prefix tagged with its depth (1–3 indices from the root).
+    inner: FastMap<u64, ()>,
     entries: u64,
-    inner_nodes: u64,
-    leaf_nodes: u64,
 }
 
 impl Default for RadixTable {
@@ -128,53 +119,80 @@ impl RadixTable {
     /// An empty table (the root inner node exists from the start).
     pub fn new() -> Self {
         Self {
-            root: Inner::new(),
+            index: vec![(0, 0); 8],
+            leaves: Vec::new(),
+            inner: FastMap::new(),
             entries: 0,
-            inner_nodes: 1,
-            leaf_nodes: 0,
         }
+    }
+
+    /// The slot of `index` holding `page`, or the empty slot where it
+    /// would go.
+    #[inline]
+    fn slot_of(index: &[(u64, u32)], page: u64) -> usize {
+        let mask = index.len() - 1;
+        // Fibonacci hashing: the product's top bits spread neighbouring
+        // pages across the index.
+        let shift = 64 - index.len().trailing_zeros();
+        let mut i = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while index[i].0 != page + 1 && index[i].0 != 0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The position in `leaves` of `page`'s leaf, if the page is mapped.
+    #[inline]
+    fn leaf_of(&self, page: u64) -> Option<usize> {
+        let (key, leaf) = self.index[Self::slot_of(&self.index, page)];
+        (key != 0).then_some(leaf as usize)
+    }
+
+    /// Opens an empty leaf for the unmapped `page`, returning its position.
+    fn open_leaf(&mut self, page: u64) -> usize {
+        let leaf = self.leaves.len();
+        if (leaf + 1) * 2 > self.index.len() {
+            let grown = vec![(0, 0); self.index.len() * 2];
+            for entry in std::mem::replace(&mut self.index, grown) {
+                if entry.0 != 0 {
+                    let slot = Self::slot_of(&self.index, entry.0 - 1);
+                    self.index[slot] = entry;
+                }
+            }
+        }
+        let slot = Self::slot_of(&self.index, page);
+        self.index[slot] = (page + 1, leaf as u32);
+        self.leaves.push([None; LEAF_FANOUT]);
+        leaf
     }
 
     /// Maps `line` to `loc`, returning what the insert did to the tree.
     pub fn insert(&mut self, line: LineAddr, loc: NvmLoc) -> InsertEffect {
-        let [i1, i2, i3, i4, i5] = split(line);
+        let (page, slot) = split(line);
         let mut fx = InsertEffect::default();
-
-        let l2 = self.root.children[i1].get_or_insert_with(|| {
-            fx.nodes_created += 1;
-            fx.entry_writes += 1;
-            Box::new(Inner::new())
-        });
-        let l3 = l2.children[i2].get_or_insert_with(|| {
-            fx.nodes_created += 1;
-            fx.entry_writes += 1;
-            Box::new(Inner::new())
-        });
-        let l4 = l3.children[i3].get_or_insert_with(|| {
-            fx.nodes_created += 1;
-            fx.entry_writes += 1;
-            Box::new(Inner::new())
-        });
-        let leaf = l4.children[i4].get_or_insert_with(|| {
-            fx.nodes_created += 1;
-            fx.entry_writes += 1;
-            Box::new(Leaf::new())
-        });
-        // Inner node count bookkeeping (nodes_created counts both kinds;
-        // the leaf is the last created if any).
-        if fx.nodes_created > 0 {
-            // Determine how many of the created nodes were inner: all but
-            // possibly the leaf.
-            let leaf_created = leaf.used == 0 && leaf.lines.iter().all(Option::is_none);
-            let inner_created = fx.nodes_created - u64::from(leaf_created);
-            self.inner_nodes += inner_created;
-            self.leaf_nodes += u64::from(leaf_created);
-        }
-
-        fx.displaced = leaf.lines[i5].replace(loc);
+        let leaf = match self.leaf_of(page) {
+            Some(leaf) => leaf,
+            None => {
+                // A new leaf, plus every missing inner node on its path,
+                // deepest first. Nodes are never freed, so the first node
+                // found present has all its ancestors too.
+                fx.nodes_created = 1;
+                for depth in (1..=3u32).rev() {
+                    let prefix = page >> (LEVEL_BITS * (4 - depth));
+                    let key = (u64::from(depth) << PAGE_BITS) | prefix;
+                    if self.inner.insert(key, ()).is_some() {
+                        break;
+                    }
+                    fx.nodes_created += 1;
+                }
+                // Each new node costs one pointer write in its parent.
+                fx.entry_writes = fx.nodes_created;
+                self.open_leaf(page)
+            }
+        };
+        fx.displaced = self.leaves[leaf][slot].replace(loc);
         fx.entry_writes += 1; // the leaf entry itself
         if fx.displaced.is_none() {
-            leaf.used += 1;
             self.entries += 1;
         }
         fx
@@ -185,22 +203,13 @@ impl RadixTable {
     /// stale entry can alias into a reused page). Returns whether an
     /// entry was removed.
     pub fn remove_if(&mut self, line: LineAddr, loc: NvmLoc) -> bool {
-        let [i1, i2, i3, i4, i5] = split(line);
-        let Some(l2) = self.root.children[i1].as_mut() else {
+        let (page, slot) = split(line);
+        let Some(leaf) = self.leaf_of(page) else {
             return false;
         };
-        let Some(l3) = l2.children[i2].as_mut() else {
-            return false;
-        };
-        let Some(l4) = l3.children[i3].as_mut() else {
-            return false;
-        };
-        let Some(leaf) = l4.children[i4].as_mut() else {
-            return false;
-        };
-        if leaf.lines[i5] == Some(loc) {
-            leaf.lines[i5] = None;
-            leaf.used -= 1;
+        let entry = &mut self.leaves[leaf][slot];
+        if *entry == Some(loc) {
+            *entry = None;
             self.entries -= 1;
             true
         } else {
@@ -209,15 +218,10 @@ impl RadixTable {
     }
 
     /// Looks up the mapping for `line`.
+    #[inline]
     pub fn get(&self, line: LineAddr) -> Option<NvmLoc> {
-        let [i1, i2, i3, i4, i5] = split(line);
-        self.root.children[i1].as_ref()?.children[i2]
-            .as_ref()?
-            .children[i3]
-            .as_ref()?
-            .children[i4]
-            .as_ref()?
-            .lines[i5]
+        let (page, slot) = split(line);
+        self.leaves[self.leaf_of(page)?][slot]
     }
 
     /// Number of mapped lines.
@@ -232,64 +236,39 @@ impl RadixTable {
 
     /// Total size of the tree if persisted (Fig 13's metric).
     pub fn size_bytes(&self) -> u64 {
-        self.inner_nodes * INNER_NODE_BYTES + self.leaf_nodes * LEAF_NODE_BYTES
+        self.inner_nodes() * INNER_NODE_BYTES + self.leaf_nodes() * LEAF_NODE_BYTES
     }
 
-    /// Inner node count.
+    /// Inner node count (the root included).
     pub fn inner_nodes(&self) -> u64 {
-        self.inner_nodes
+        1 + self.inner.len() as u64
     }
 
     /// Leaf node count.
     pub fn leaf_nodes(&self) -> u64 {
-        self.leaf_nodes
+        self.leaves.len() as u64
     }
 
     /// Average fraction of leaf slots in use (Fig 13's occupancy analysis).
     pub fn leaf_occupancy(&self) -> f64 {
-        if self.leaf_nodes == 0 {
+        if self.leaves.is_empty() {
             return 0.0;
         }
-        self.entries as f64 / (self.leaf_nodes * LEAF_FANOUT as u64) as f64
+        self.entries as f64 / (self.leaf_nodes() * LEAF_FANOUT as u64) as f64
     }
 
     /// Iterates all `(line, loc)` mappings in address order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, NvmLoc)> + '_ {
-        self.root
-            .children
-            .iter()
-            .enumerate()
-            .filter_map(|(i1, c)| c.as_ref().map(|c| (i1, c)))
-            .flat_map(|(i1, l2)| {
-                l2.children
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(i2, c)| c.as_ref().map(|c| (i1, i2, c)))
-            })
-            .flat_map(|(i1, i2, l3)| {
-                l3.children
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(i3, c)| c.as_ref().map(|c| (i1, i2, i3, c)))
-            })
-            .flat_map(|(i1, i2, i3, l4)| {
-                l4.children
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(i4, c)| c.as_ref().map(|c| (i1, i2, i3, i4, c)))
-            })
-            .flat_map(|(i1, i2, i3, i4, leaf)| {
-                leaf.lines.iter().enumerate().filter_map(move |(i5, l)| {
-                    l.map(|loc| {
-                        let a = ((i1 as u64) << 39)
-                            | ((i2 as u64) << 30)
-                            | ((i3 as u64) << 21)
-                            | ((i4 as u64) << 12)
-                            | ((i5 as u64) << 6);
-                        (LineAddr::new(a >> 6), loc)
-                    })
+        let mut pages: Vec<(u64, u32)> = self.index.iter().filter(|s| s.0 != 0).copied().collect();
+        pages.sort_unstable();
+        pages.into_iter().flat_map(move |(key, leaf)| {
+            self.leaves[leaf as usize]
+                .iter()
+                .enumerate()
+                .filter_map(move |(slot, loc)| {
+                    loc.map(|loc| (LineAddr::new(((key - 1) << 6) | slot as u64), loc))
                 })
-            })
+        })
     }
 }
 
@@ -297,8 +276,8 @@ impl fmt::Debug for RadixTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RadixTable")
             .field("entries", &self.entries)
-            .field("inner_nodes", &self.inner_nodes)
-            .field("leaf_nodes", &self.leaf_nodes)
+            .field("inner_nodes", &self.inner_nodes())
+            .field("leaf_nodes", &self.leaf_nodes())
             .field("size_bytes", &self.size_bytes())
             .finish()
     }

@@ -97,6 +97,7 @@ impl std::error::Error for JsonError {}
 /// [`JsonError`] on malformed input or trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -127,6 +128,7 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -236,13 +238,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the &str input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -334,6 +337,42 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn multibyte_utf8_survives_between_escapes() {
+        let v = parse("{\"ключ\": \"é\\n日本\\t🦀 x\\\"\"}").unwrap();
+        let JsonValue::Object(pairs) = &v else {
+            panic!("not an object")
+        };
+        assert_eq!(pairs[0].0, "ключ");
+        assert_eq!(pairs[0].1.as_str(), Some("é\n日本\t🦀 x\""));
+    }
+
+    #[test]
+    fn every_escape_decodes() {
+        let doc = r#""\"\\\/\b\f\n\r\tAé日""#;
+        assert_eq!(
+            parse(doc).unwrap().as_str(),
+            Some("\"\\/\u{8}\u{c}\n\r\tAé日")
+        );
+        assert!(parse(r#""\x""#).is_err(), "unknown escape");
+        assert!(parse(r#""\u00g1""#).is_err(), "bad hex");
+        assert!(parse(r#""\u00""#).is_err(), "truncated \\u");
+        assert!(parse("\"\\").is_err(), "escape at end of input");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2 MiB of mixed one- and multi-byte text with periodic escapes:
+        // re-validating the rest of the input per character would take
+        // ~10^12 byte checks here.
+        let chunk = "abcdefgé日\\n";
+        let body = chunk.repeat((2 << 20) / chunk.len());
+        let v = parse(&format!("[\"{body}\"]")).unwrap();
+        let s = v.as_array().unwrap()[0].as_str().unwrap();
+        assert_eq!(s, body.replace("\\n", "\n"));
+        assert!(s.len() >= 1 << 20);
     }
 
     #[test]

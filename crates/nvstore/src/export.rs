@@ -115,15 +115,7 @@ impl SnapshotExport {
             .filter(|&&(e, _)| e <= upto)
             .cloned()
             .collect();
-        let mut master_map: std::collections::BTreeMap<u64, u64> =
-            std::collections::BTreeMap::new();
-        for (epoch, lines) in &deltas {
-            if *epoch <= rec_epoch {
-                for &(l, t) in lines {
-                    master_map.insert(l, t);
-                }
-            }
-        }
+        let master = fall_through(&deltas, rec_epoch);
         SnapshotExport {
             rec_epoch,
             max_epoch_seen: upto,
@@ -131,7 +123,7 @@ impl SnapshotExport {
             vds: self.vds,
             pool_pages: self.pool_pages,
             deltas,
-            master: master_map.into_iter().collect(),
+            master,
             contexts: self
                 .contexts
                 .iter()
@@ -188,6 +180,31 @@ impl SnapshotExport {
         }
         Ok((mnm, nvm))
     }
+}
+
+/// The master image that last-writer-wins fall-through over `deltas`
+/// yields at `rec_epoch`: every line written by a delta of epoch
+/// `<= rec_epoch`, holding the token of the latest such delta (later in
+/// `deltas` wins; within one delta, later in its list wins), sorted by
+/// line. A stable sort keeps writers of one line in delta order, so the
+/// last of each run is the winner.
+pub(crate) fn fall_through(deltas: &[(u64, Vec<(u64, u64)>)], rec_epoch: u64) -> Vec<(u64, u64)> {
+    let mut lines: Vec<(u64, u64)> = deltas
+        .iter()
+        .filter(|(epoch, _)| *epoch <= rec_epoch)
+        .flat_map(|(_, lines)| lines.iter().copied())
+        .collect();
+    lines.sort_by_key(|&(line, _)| line);
+    // `dedup_by` hands (later, kept): fold each later writer into the
+    // kept head of its run.
+    lines.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
+    lines
 }
 
 #[cfg(test)]
@@ -254,6 +271,33 @@ mod tests {
                 restored.read_master(LineAddr::new(l)),
                 mnm.time_travel(LineAddr::new(l), 2)
             );
+        }
+    }
+
+    #[test]
+    fn fall_through_keeps_the_last_writer() {
+        // Seeded deltas over a few lines, so most lines are rewritten
+        // across epochs and within one; checked against a map model.
+        let mut rng = nvsim::rng::Rng64::seed_from_u64(0xFA11);
+        for _ in 0..32 {
+            let deltas: Vec<(u64, Vec<(u64, u64)>)> = (1..=rng.gen_range(1u64..8))
+                .map(|e| {
+                    let n = rng.gen_range(0usize..12);
+                    (
+                        e,
+                        (0..n)
+                            .map(|_| (rng.gen_range(0u64..10), rng.gen_u64()))
+                            .collect(),
+                    )
+                })
+                .collect();
+            let rec = rng.gen_range(0u64..9);
+            let mut model = std::collections::BTreeMap::new();
+            for (_, lines) in deltas.iter().filter(|(e, _)| *e <= rec) {
+                model.extend(lines.iter().copied());
+            }
+            let want: Vec<(u64, u64)> = model.into_iter().collect();
+            assert_eq!(fall_through(&deltas, rec), want);
         }
     }
 

@@ -35,7 +35,7 @@
 //! the newest manifest still finds its layer bytes.
 
 use crate::error::StoreError;
-use crate::export::SnapshotExport;
+use crate::export::{fall_through, SnapshotExport};
 use crate::io::{IoError, StoreIo};
 use crate::layer::{fnv1a, Layer, LayerId, LayerKind, LayerPayload};
 use crate::manifest::{BackupEntry, LayerMeta, Manifest, MANIFEST_SCHEMA};
@@ -493,20 +493,7 @@ impl<I: StoreIo> Store<I> {
         // Anti-hybrid cross-check: the master image must equal
         // fall-through over the recoverable deltas. Layers stitched
         // from two different snapshots cannot pass this.
-        let mut derived: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        for (epoch, lines) in &deltas {
-            if *epoch <= entry.rec_epoch {
-                for &(l, t) in lines {
-                    derived.insert(l, t);
-                }
-            }
-        }
-        if derived.len() != master.len()
-            || !derived
-                .iter()
-                .zip(&master)
-                .all(|((dl, dt), (ml, mt))| dl == ml && dt == mt)
-        {
+        if fall_through(&deltas, entry.rec_epoch) != master {
             return Err(chain_err(
                 entry.master,
                 "master image diverges from delta-chain fall-through".to_string(),
@@ -697,6 +684,64 @@ mod tests {
         assert_eq!(again.new_layers, 0);
         assert_eq!(again.new_bytes, 0);
         assert_eq!(store.restore("head2").unwrap(), full);
+    }
+
+    #[test]
+    fn restore_refuses_a_master_layer_from_another_snapshot() {
+        use crate::io::StoreIo as _;
+        let mut store = Store::open(MemIo::new()).unwrap();
+        let s = snap(1..=4, 3);
+        let other = snap(1..=4, 2);
+        assert_ne!(s.master, other.master);
+        store.backup("a", &s).unwrap();
+        store.backup("b", &other).unwrap();
+        let a = store.manifest().backup("a").unwrap().clone();
+        let b = store.manifest().backup("b").unwrap().clone();
+        // Point a's manifest entry at `master`, moving one reference.
+        let stitch = |store: &mut Store<MemIo>, master: LayerId| {
+            let mut next = store.manifest.clone();
+            for (id, meta) in &mut next.layers {
+                meta.refs += u64::from(*id == master);
+                meta.refs -= u64::from(*id == a.master);
+            }
+            next.backups[0].master = master;
+            store.commit(next).unwrap();
+            Store::open(store.io.clone()).unwrap().restore("a")
+        };
+
+        // b's master layer as stored: its chain is b's, not a's.
+        let mut swapped = Store::open(store.io.clone()).unwrap();
+        assert!(matches!(
+            stitch(&mut swapped, b.master),
+            Err(StoreError::Checksum { .. })
+        ));
+
+        // b's master image re-sealed onto a's chain: every checksum and
+        // parent link verifies, so only the fall-through check can see
+        // the hybrid.
+        let grafted = Layer {
+            kind: LayerKind::Master,
+            epoch: s.rec_epoch,
+            parent: a.deltas.last().map(|&(_, id)| id),
+            payload: LayerPayload::Lines(other.master.clone()),
+        };
+        let id = grafted.id();
+        store.io.write(&layer_path(id), &grafted.encode()).unwrap();
+        let meta = LayerMeta {
+            kind: LayerKind::Master,
+            epoch: s.rec_epoch,
+            parent: grafted.parent,
+            bytes: grafted.encode().len() as u64,
+            refs: 0,
+        };
+        let at = store.manifest.layers.partition_point(|&(lid, _)| lid < id);
+        store.manifest.layers.insert(at, (id, meta));
+        match stitch(&mut store, id) {
+            Err(StoreError::Checksum { detail, .. }) => {
+                assert!(detail.contains("fall-through"), "{detail}")
+            }
+            other => panic!("grafted master restored: {other:?}"),
+        }
     }
 
     #[test]

@@ -81,6 +81,80 @@ fn radix_table_matches_model() {
     }
 }
 
+/// Differential test of the radix table against the tree it models: a
+/// `BTreeMap` line → location plus the distinct index prefixes of every
+/// line ever mapped (nodes are never freed, so a prefix, once present,
+/// stays a node). Every insert's effect, every node count, the Fig 13
+/// size metric and the iteration order must agree, on address mixes
+/// that share and split paths at every level — the top index bit (byte
+/// address bit 47) included — with rewrites and removals of live lines.
+#[test]
+fn radix_table_tree_accounting_matches_model() {
+    use std::collections::{BTreeMap, BTreeSet};
+    const TOP: u64 = 1 << 42; // lines in the 48-bit space
+    let mut rng = Rng64::seed_from_u64(0x0B);
+    for _ in 0..CASES {
+        let mut table = RadixTable::new();
+        let mut model: BTreeMap<u64, NvmLoc> = BTreeMap::new();
+        // Node identities: (depth, prefix) with depth 1–3 the inner
+        // nodes below the root and depth 4 the leaves.
+        let mut nodes: BTreeSet<(u32, u64)> = BTreeSet::new();
+        let mut used: Vec<u64> = Vec::new();
+        for _ in 0..rng.gen_range(1usize..400) {
+            let line = match rng.gen_range(0u8..5) {
+                0 if !used.is_empty() => used[rng.gen_range(0..used.len())],
+                0 | 1 => rng.gen_range(0u64..1 << 12),
+                2 => TOP - 1 - rng.gen_range(0u64..1 << 12),
+                3 => rng.gen_range(0u64..TOP),
+                _ => (rng.gen_range(0u64..1 << 9) << 33) | rng.gen_range(0u64..64),
+            };
+            let loc = NvmLoc {
+                page: rng.gen_range(0u32..8),
+                slot: rng.gen_range(0u8..4),
+            };
+            let l = LineAddr::new(line);
+            match rng.gen_range(0u8..4) {
+                0 => {
+                    // Half the removals name the live location.
+                    let live = model.get(&line).copied().filter(|_| rng.gen_bool(0.5));
+                    let loc = live.unwrap_or(loc);
+                    let removed = model.get(&line) == Some(&loc);
+                    if removed {
+                        model.remove(&line);
+                    }
+                    assert_eq!(table.remove_if(l, loc), removed, "remove_if {line:#x}");
+                }
+                1 => assert_eq!(table.get(l), model.get(&line).copied(), "get {line:#x}"),
+                _ => {
+                    let created = (1..=4u32)
+                        .filter(|&depth| nodes.insert((depth, line >> (6 + 9 * (4 - depth)))))
+                        .count() as u64;
+                    let fx = table.insert(l, loc);
+                    assert_eq!(fx.displaced, model.insert(line, loc), "displaced {line:#x}");
+                    assert_eq!(fx.nodes_created, created, "nodes created by {line:#x}");
+                    assert_eq!(fx.entry_writes, created + 1, "entry writes of {line:#x}");
+                    used.push(line);
+                }
+            }
+            let leaves = nodes.iter().filter(|&&(depth, _)| depth == 4).count() as u64;
+            let inner = 1 + nodes.len() as u64 - leaves;
+            assert_eq!((table.inner_nodes(), table.leaf_nodes()), (inner, leaves));
+            assert_eq!(table.size_bytes(), inner * 4096 + leaves * 512);
+            assert_eq!(table.len(), model.len() as u64);
+        }
+        let listed: Vec<(u64, NvmLoc)> = table.iter().map(|(l, v)| (l.raw(), v)).collect();
+        let want: Vec<(u64, NvmLoc)> = model.iter().map(|(&l, &v)| (l, v)).collect();
+        assert_eq!(listed, want, "iter lists every mapping in address order");
+        let slots = (table.leaf_nodes() * 64) as f64;
+        let occupancy = if slots == 0.0 {
+            0.0
+        } else {
+            model.len() as f64 / slots
+        };
+        assert_eq!(table.leaf_occupancy(), occupancy);
+    }
+}
+
 /// The page pool never double-allocates, never loses pages, and its
 /// bitmap agrees with a reference model.
 #[test]
