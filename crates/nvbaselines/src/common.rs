@@ -1,8 +1,9 @@
 //! Shared plumbing for the baseline schemes.
 
-use nvsim::addr::CoreId;
+use nvsim::addr::{CoreId, LineAddr};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
+use nvsim::fastmap::FastHashMap;
 use nvsim::hierarchy::{Hierarchy, HierarchyEvent};
 use nvsim::nvm::Nvm;
 use nvsim::stats::SystemStats;
@@ -124,6 +125,52 @@ impl std::fmt::Debug for BaselineCore {
     }
 }
 
+/// The lines a software or shadow scheme must flush at the next epoch
+/// boundary, in first-store order.
+///
+/// A line leaves the set early when it is persisted mid-epoch (HW
+/// Shadow's LLC write-back); its slot becomes a tombstone, so removal is
+/// O(1) and a line dirtied again afterwards joins at the end — the order
+/// a `Vec::retain` + `push` would give, without the O(set) rescan.
+#[derive(Debug, Default)]
+pub(crate) struct WriteSet {
+    order: Vec<Option<LineAddr>>,
+    slot: FastHashMap<LineAddr, usize>,
+}
+
+impl WriteSet {
+    /// Records a store; only a line's first store since it last left the
+    /// set takes a place in the order.
+    pub(crate) fn insert(&mut self, line: LineAddr) {
+        if let std::collections::hash_map::Entry::Vacant(v) = self.slot.entry(line) {
+            v.insert(self.order.len());
+            self.order.push(Some(line));
+        }
+    }
+
+    /// Drops a line from the set; returns whether it was present.
+    pub(crate) fn remove(&mut self, line: LineAddr) -> bool {
+        match self.slot.remove(&line) {
+            Some(i) => {
+                self.order[i] = None;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Empties the set, returning its lines in order.
+    pub(crate) fn take(&mut self) -> Vec<LineAddr> {
+        self.slot.clear();
+        self.order.drain(..).flatten().collect()
+    }
+
+    /// Lines currently in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.slot.len()
+    }
+}
+
 /// Size in bytes of one undo/redo log entry (paper §VII-B: "each log
 /// entry takes 72 bytes (64B data + 8B address tag)").
 pub const LOG_ENTRY_BYTES: u64 = 72;
@@ -133,3 +180,52 @@ pub const DATA_BYTES: u64 = 64;
 
 /// Size of one mapping-table entry write.
 pub const TABLE_ENTRY_BYTES: u64 = 8;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nvsim::rng::Rng64;
+
+    #[test]
+    fn write_set_orders_like_retain_and_push() {
+        let l = LineAddr::new;
+        let mut ws = WriteSet::default();
+        for n in [1, 2, 3, 4] {
+            ws.insert(l(n));
+        }
+        ws.insert(l(2)); // already present: keeps its place
+        assert!(ws.remove(l(3)), "evicted only");
+        assert!(ws.remove(l(1)));
+        ws.insert(l(1)); // evicted, then dirtied again: joins at the end
+        assert!(!ws.remove(l(9)));
+        assert_eq!(ws.len(), 3);
+        assert_eq!(ws.take(), vec![l(2), l(4), l(1)]);
+        assert_eq!(ws.len(), 0);
+        assert!(ws.take().is_empty());
+    }
+
+    #[test]
+    fn write_set_matches_vec_model_under_seeded_traffic() {
+        let mut rng = Rng64::seed_from_u64(0x5E7);
+        let mut ws = WriteSet::default();
+        let mut model: Vec<LineAddr> = Vec::new();
+        for step in 0..20_000 {
+            let line = LineAddr::new(rng.gen_range(0..64u64));
+            match rng.gen_range(0..10u32) {
+                0..=5 => {
+                    ws.insert(line);
+                    if !model.contains(&line) {
+                        model.push(line);
+                    }
+                }
+                6..=8 => {
+                    let present = model.contains(&line);
+                    model.retain(|l| *l != line);
+                    assert_eq!(ws.remove(line), present, "step {step}");
+                }
+                _ => assert_eq!(ws.take(), std::mem::take(&mut model), "step {step}"),
+            }
+            assert_eq!(ws.len(), model.len(), "step {step}");
+        }
+    }
+}

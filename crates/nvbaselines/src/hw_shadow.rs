@@ -14,7 +14,7 @@
 //! Shadow writes *less* than NVOverlay on L2-thrashing workloads like
 //! kmeans (Fig 12).
 
-use crate::common::{BaselineCore, DATA_BYTES, TABLE_ENTRY_BYTES};
+use crate::common::{BaselineCore, WriteSet, DATA_BYTES, TABLE_ENTRY_BYTES};
 use nvoverlay::mnm::{NvmLoc, RadixTable};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
@@ -27,8 +27,7 @@ use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
 /// The ThyNVM-like hardware shadow-paging scheme.
 pub struct HwShadow {
     core: BaselineCore,
-    write_set: Vec<LineAddr>,
-    in_set: FastHashMap<LineAddr, ()>,
+    write_set: WriteSet,
     table: RadixTable,
     shadow_flip: FastHashMap<LineAddr, bool>,
     committed_image: FastHashMap<LineAddr, Token>,
@@ -45,8 +44,7 @@ impl HwShadow {
     pub fn new_shared(cfg: std::sync::Arc<SimConfig>) -> Self {
         Self {
             core: BaselineCore::new_shared(cfg),
-            write_set: Vec::new(),
-            in_set: FastHashMap::default(),
+            write_set: WriteSet::default(),
             table: RadixTable::new(),
             shadow_flip: FastHashMap::default(),
             committed_image: FastHashMap::default(),
@@ -65,8 +63,7 @@ impl HwShadow {
     }
 
     fn commit_epoch(&mut self, now: Cycle) -> Cycle {
-        let lines = std::mem::take(&mut self.write_set);
-        self.in_set.clear();
+        let lines = self.write_set.take();
         // Background data persistence: overlapped with execution; the
         // writes occupy NVM banks but impose no synchronous stall.
         for &line in &lines {
@@ -117,9 +114,7 @@ impl HwShadow {
         for e in events.iter().copied() {
             match e {
                 HierarchyEvent::StoreCommitted { line, .. } => {
-                    if self.in_set.insert(line, ()).is_none() {
-                        self.write_set.push(line);
-                    }
+                    self.write_set.insert(line);
                 }
                 HierarchyEvent::EpochTrigger { .. } => {
                     stall += self.commit_epoch(now + stall);
@@ -141,9 +136,7 @@ impl HwShadow {
                     // The line's current value is persistent; drop it from
                     // the pending set so the boundary does not rewrite it
                     // unless it is dirtied again.
-                    if self.in_set.remove(&line).is_some() {
-                        self.write_set.retain(|l| *l != line);
-                    }
+                    self.write_set.remove(line);
                 }
                 HierarchyEvent::L2Writeback { .. } => {}
             }

@@ -10,7 +10,7 @@
 //! all cores (the Fig 11 "SW Shadow" bar, slightly better than SW
 //! Logging).
 
-use crate::common::{BaselineCore, DATA_BYTES, TABLE_ENTRY_BYTES};
+use crate::common::{BaselineCore, WriteSet, DATA_BYTES, TABLE_ENTRY_BYTES};
 use nvoverlay::mnm::{NvmLoc, RadixTable};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
@@ -23,8 +23,7 @@ use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
 /// The software shadow-paging scheme.
 pub struct SwShadow {
     core: BaselineCore,
-    write_set: Vec<LineAddr>,
-    in_set: FastHashMap<LineAddr, ()>,
+    write_set: WriteSet,
     /// The persistent shadow mapping table (same radix shape as
     /// NVOverlay's master table, which the paper also charges 8-byte
     /// entry writes for).
@@ -45,8 +44,7 @@ impl SwShadow {
     pub fn new_shared(cfg: std::sync::Arc<SimConfig>) -> Self {
         Self {
             core: BaselineCore::new_shared(cfg),
-            write_set: Vec::new(),
-            in_set: FastHashMap::default(),
+            write_set: WriteSet::default(),
             table: RadixTable::new(),
             shadow_flip: FastHashMap::default(),
             committed_image: FastHashMap::default(),
@@ -66,8 +64,7 @@ impl SwShadow {
 
     fn commit_epoch(&mut self, now: Cycle) -> Cycle {
         let mut done = now;
-        let lines = std::mem::take(&mut self.write_set);
-        self.in_set.clear();
+        let lines = self.write_set.take();
         // Phase 1: barriered data writes to shadow locations.
         for &line in &lines {
             let (token, _) = self.core.hier.clwb(line);
@@ -113,9 +110,7 @@ impl SwShadow {
         for e in events.iter().copied() {
             match e {
                 HierarchyEvent::StoreCommitted { line, .. } => {
-                    if self.in_set.insert(line, ()).is_none() {
-                        self.write_set.push(line);
-                    }
+                    self.write_set.insert(line);
                 }
                 HierarchyEvent::EpochTrigger { .. } => {
                     stall += self.commit_epoch(now + stall);

@@ -10,7 +10,7 @@
 //! behind barriers while all cores stall. This is the 2×–23× slowdown bar
 //! of Fig 11 and the ≈2× write amplification of Fig 12.
 
-use crate::common::{BaselineCore, DATA_BYTES, LOG_ENTRY_BYTES};
+use crate::common::{BaselineCore, WriteSet, DATA_BYTES, LOG_ENTRY_BYTES};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
@@ -25,8 +25,7 @@ use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
 pub struct SwUndoLogging {
     core: BaselineCore,
     /// Lines dirtied this epoch (the library's write set).
-    write_set: Vec<LineAddr>,
-    in_set: FastHashMap<LineAddr, ()>,
+    write_set: WriteSet,
     /// Undo log of the current epoch: (line, pre-image) — used for
     /// functional recovery verification.
     undo_log: Vec<(LineAddr, Token)>,
@@ -45,8 +44,7 @@ impl SwUndoLogging {
     pub fn new_shared(cfg: std::sync::Arc<SimConfig>) -> Self {
         Self {
             core: BaselineCore::new_shared(cfg),
-            write_set: Vec::new(),
-            in_set: FastHashMap::default(),
+            write_set: WriteSet::default(),
             undo_log: Vec::new(),
             committed_image: FastHashMap::default(),
             epochs_committed: 0,
@@ -79,14 +77,13 @@ impl SwUndoLogging {
         // every already-accepted undo-log entry is durable, or a crash
         // mid-flush could leave new data with no pre-image to roll back.
         let mut done = self.core.nvm.persist_horizon().max(now);
-        let lines = std::mem::take(&mut self.write_set);
+        let lines = self.write_set.take();
         TraceScope::new(Track::Scheme).emit(
             EventKind::EpochFlush,
             now,
             self.epochs_committed,
             lines.len() as u64,
         );
-        self.in_set.clear();
         for line in lines {
             let (token, _dirty) = self.core.hier.clwb(line);
             let t = self
@@ -157,9 +154,7 @@ impl SwUndoLogging {
                         stall += t.sync_stall(now);
                         self.undo_log.push((line, old_token));
                     }
-                    if self.in_set.insert(line, ()).is_none() {
-                        self.write_set.push(line);
-                    }
+                    self.write_set.insert(line);
                 }
                 HierarchyEvent::EpochTrigger { .. } => {
                     stall += self.commit_epoch(now + stall);

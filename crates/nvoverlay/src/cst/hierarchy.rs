@@ -1219,46 +1219,40 @@ impl VersionedHierarchy {
     /// Runs the VD's tag walker: every unpersisted dirty version older
     /// than the VD's current epoch is handed to the OMC (returned) and
     /// marked persisted. Returns `(versions, min_ver)`, `min_ver` being
-    /// the smallest absolute epoch still unpersisted afterwards (the VD's
-    /// current epoch when nothing older remains).
+    /// the smallest absolute epoch still unpersisted afterwards.
+    ///
+    /// The L2 and then each of the VD's L1s is walked once, in place, in
+    /// tag-walk order. Whatever the walk leaves unpersisted is tagged with
+    /// the current epoch, so `min_ver` is the VD's current epoch (checked
+    /// against a rescan in debug builds).
     pub fn tag_walk(&mut self, vd: VdId) -> (Vec<VersionOut>, u64) {
         let cur_tag = self.epoch_tag(vd);
         let cur_abs = self.vd_abs[vd.index()];
         let mut out = Vec::new();
-
-        let l2_old: Vec<LineAddr> =
-            self.l2s[vd.index()].lines_where(|_, m| m.unpersisted_version() && m.oid != cur_tag);
-        for line in l2_old {
-            let m = self.l2s[vd.index()].peek_mut(line).expect("listed");
-            m.persisted = true;
-            let (t, oid) = (m.token, m.oid);
-            out.push(VersionOut {
-                line,
-                token: t,
-                abs_epoch: crate::epoch::reconstruct_abs(oid, cur_abs),
-                reason: EvictReason::TagWalk,
-            });
-        }
-        // The hardware walker is L2-level; the VD's few L1s are probed too
+        let mut walk = |arr: &mut CacheArray<VLine>| {
+            for (line, m) in arr.iter_mut() {
+                if m.unpersisted_version() && m.oid != cur_tag {
+                    m.persisted = true;
+                    out.push(VersionOut {
+                        line,
+                        token: m.token,
+                        abs_epoch: crate::epoch::reconstruct_abs(m.oid, cur_abs),
+                        reason: EvictReason::TagWalk,
+                    });
+                }
+            }
+        };
+        walk(&mut self.l2s[vd.index()]);
+        // The hardware walker is L2-level; the VD's few L1s are walked too
         // so min-ver is exact (see DESIGN.md §6).
         for c in self.local_cores(vd) {
-            let ci = c as usize;
-            let l1_old: Vec<LineAddr> =
-                self.l1s[ci].lines_where(|_, m| m.unpersisted_version() && m.oid != cur_tag);
-            for line in l1_old {
-                let m = self.l1s[ci].peek_mut(line).expect("listed");
-                m.persisted = true;
-                let (t, oid) = (m.token, m.oid);
-                out.push(VersionOut {
-                    line,
-                    token: t,
-                    abs_epoch: crate::epoch::reconstruct_abs(oid, cur_abs),
-                    reason: EvictReason::TagWalk,
-                });
-            }
+            walk(&mut self.l1s[c as usize]);
         }
-        let min_ver = self.min_unpersisted(vd).unwrap_or(cur_abs);
-        (out, min_ver)
+        debug_assert!(
+            self.min_unpersisted(vd).is_none_or(|m| m == cur_abs),
+            "the walk left an older version unpersisted"
+        );
+        (out, cur_abs)
     }
 
     /// Smallest absolute epoch of any unpersisted version in the VD.
@@ -1286,7 +1280,8 @@ impl VersionedHierarchy {
 
     /// Final drain: advances every VD one epoch and persists *all*
     /// unpersisted versions (including current-epoch ones). Dirty data
-    /// also goes home to DRAM. Returns the persisted versions.
+    /// also goes home to DRAM. Returns the persisted versions. Each
+    /// array is walked once, in place, in tag-walk order.
     pub fn drain(&mut self) -> Vec<VersionOut> {
         let mut out = Vec::new();
         for vdix in 0..self.l2s.len() {
@@ -1303,25 +1298,29 @@ impl VersionedHierarchy {
             }));
             debug_assert_eq!(self.min_unpersisted(vd), None, "drain walked everything");
         }
-        for core in 0..self.l1s.len() {
-            let vd = VdId(core as u16 / self.cfg.cores_per_vd);
-            let dirty: Vec<LineAddr> = self.l1s[core].lines_where(|_, m| m.state.is_dirty());
-            for line in dirty {
-                let m = *self.l1s[core].peek(line).expect("listed");
-                let l2 = self.l2s[vd.index()].peek_mut(line).expect("inclusion");
-                if m.oid.at_least(l2.oid) {
-                    l2.token = m.token;
-                    l2.oid = m.oid;
-                    l2.state = MesiState::M;
-                    l2.persisted = true;
+        let cores_per_vd = self.cfg.cores_per_vd as usize;
+        for (core, l1) in self.l1s.iter_mut().enumerate() {
+            let l2 = &mut self.l2s[core / cores_per_vd];
+            for (line, m) in l1.iter_mut() {
+                if !m.state.is_dirty() {
+                    continue;
                 }
-                self.l1s[core].peek_mut(line).expect("listed").state = MesiState::E;
+                let l2m = l2.peek_mut(line).expect("inclusion");
+                if m.oid.at_least(l2m.oid) {
+                    l2m.token = m.token;
+                    l2m.oid = m.oid;
+                    l2m.state = MesiState::M;
+                    l2m.persisted = true;
+                }
+                m.state = MesiState::E;
             }
         }
-        for vdix in 0..self.l2s.len() {
-            let dirty: Vec<LineAddr> = self.l2s[vdix].lines_where(|_, m| m.state.is_dirty());
-            for line in dirty {
-                let m = self.l2s[vdix].peek_mut(line).expect("listed");
+        let slices = self.cfg.llc_slices as u64;
+        for l2 in &mut self.l2s {
+            for (line, m) in l2.iter_mut() {
+                if !m.state.is_dirty() {
+                    continue;
+                }
                 m.state = if m.state == MesiState::O {
                     MesiState::S
                 } else {
@@ -1332,8 +1331,7 @@ impl VersionedHierarchy {
                 // authoritative (a dirty LLC copy can survive an E-grant
                 // fetch that was silently upgraded, and must not regress
                 // the DRAM image in the pass below).
-                let s = self.slice_of(line);
-                if let Some(c) = self.llc[s].peek_mut(line) {
+                if let Some(c) = self.llc[(line.raw() % slices) as usize].peek_mut(line) {
                     c.token = t;
                     c.oid = oid;
                     c.dirty = false;
@@ -1343,15 +1341,14 @@ impl VersionedHierarchy {
                     .update_oid(line, oid.raw(), |a, b| Epoch(a).newer_than(Epoch(b)));
             }
         }
-        for s in 0..self.llc.len() {
-            let dirty: Vec<LineAddr> = self.llc[s].lines_where(|_, m| m.dirty);
-            for line in dirty {
-                let m = self.llc[s].peek_mut(line).expect("listed");
-                m.dirty = false;
-                let (t, oid) = (m.token, m.oid);
-                self.dram.write(line, t);
-                self.dram
-                    .update_oid(line, oid.raw(), |a, b| Epoch(a).newer_than(Epoch(b)));
+        for slice in &mut self.llc {
+            for (line, m) in slice.iter_mut() {
+                if m.dirty {
+                    m.dirty = false;
+                    self.dram.write(line, m.token);
+                    self.dram
+                        .update_oid(line, m.oid.raw(), |a, b| Epoch(a).newer_than(Epoch(b)));
+                }
             }
         }
         out
@@ -1918,5 +1915,186 @@ mod tests {
                 .all(|x| !(x.line == LineAddr::new(4) && x.abs_epoch == 1)),
             "persisted version re-emitted: {v:?}"
         );
+    }
+
+    // ---- Seeded differential walks -----------------------------------
+    //
+    // `tag_walk` and `drain` against brute-force scans (the list-then-
+    // re-probe algorithms, with min-ver from a full rescan) on twin
+    // hierarchies fed the same seeded stream: same versions in the same
+    // order, same min-ver, same cache/DRAM state afterwards.
+
+    const UNIVERSE: u64 = 400;
+
+    fn dump(h: &VersionedHierarchy) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (i, c) in h.l1s.iter().enumerate() {
+            for (l, m) in c.iter() {
+                let _ = writeln!(out, "L1[{i}] {l} {m:?}");
+            }
+        }
+        for (i, c) in h.l2s.iter().enumerate() {
+            for (l, m) in c.iter() {
+                let _ = writeln!(out, "L2[{i}] {l} {m:?}");
+            }
+        }
+        for (i, c) in h.llc.iter().enumerate() {
+            for (l, m) in c.iter() {
+                let _ = writeln!(out, "LLC[{i}] {l} {m:?}");
+            }
+        }
+        for n in 0..UNIVERSE {
+            let l = LineAddr::new(n);
+            let _ = writeln!(out, "{l} dram {} {:?}", h.dram.peek(l), h.dram.oid(l));
+        }
+        let _ = writeln!(out, "epochs {:?} dram writes {}", h.vd_abs, h.dram.writes());
+        out
+    }
+
+    fn scan_tag_walk(h: &mut VersionedHierarchy, vd: VdId) -> (Vec<VersionOut>, u64) {
+        let cur_tag = h.epoch_tag(vd);
+        let cur_abs = h.vd_abs[vd.index()];
+        let mut out = Vec::new();
+        let mut arrays: Vec<&mut CacheArray<VLine>> = vec![&mut h.l2s[vd.index()]];
+        let cpv = h.cfg.cores_per_vd as usize;
+        arrays.extend(h.l1s[vd.index() * cpv..][..cpv].iter_mut());
+        for arr in arrays {
+            for line in arr.lines_where(|_, m| m.unpersisted_version() && m.oid != cur_tag) {
+                let m = arr.peek_mut(line).unwrap();
+                m.persisted = true;
+                out.push(VersionOut {
+                    line,
+                    token: m.token,
+                    abs_epoch: crate::epoch::reconstruct_abs(m.oid, cur_abs),
+                    reason: EvictReason::TagWalk,
+                });
+            }
+        }
+        (out, h.min_unpersisted(vd).unwrap_or(cur_abs))
+    }
+
+    fn scan_drain(h: &mut VersionedHierarchy) -> Vec<VersionOut> {
+        let mut out = Vec::new();
+        for vdix in 0..h.l2s.len() {
+            let vd = VdId(vdix as u16);
+            let to = h.vd_abs[vdix] + 1;
+            h.advance_epoch(vd, to, AdvanceCause::Finish);
+            let (walked, _) = scan_tag_walk(h, vd);
+            out.extend(walked.into_iter().map(|v| VersionOut {
+                reason: EvictReason::Drain,
+                ..v
+            }));
+        }
+        for core in 0..h.l1s.len() {
+            for line in h.l1s[core].lines_where(|_, m| m.state.is_dirty()) {
+                let m = *h.l1s[core].peek(line).unwrap();
+                let vd = core / h.cfg.cores_per_vd as usize;
+                let l2 = h.l2s[vd].peek_mut(line).unwrap();
+                if m.oid.at_least(l2.oid) {
+                    (l2.token, l2.oid, l2.state, l2.persisted) =
+                        (m.token, m.oid, MesiState::M, true);
+                }
+                h.l1s[core].peek_mut(line).unwrap().state = MesiState::E;
+            }
+        }
+        let newer = |a: u16, b: u16| Epoch(a).newer_than(Epoch(b));
+        for vdix in 0..h.l2s.len() {
+            for line in h.l2s[vdix].lines_where(|_, m| m.state.is_dirty()) {
+                let m = h.l2s[vdix].peek_mut(line).unwrap();
+                m.state = if m.state == MesiState::O {
+                    MesiState::S
+                } else {
+                    MesiState::E
+                };
+                let (t, oid) = (m.token, m.oid);
+                let s = h.slice_of(line);
+                if let Some(c) = h.llc[s].peek_mut(line) {
+                    (c.token, c.oid, c.dirty) = (t, oid, false);
+                }
+                h.dram.write(line, t);
+                h.dram.update_oid(line, oid.raw(), newer);
+            }
+        }
+        for s in 0..h.llc.len() {
+            for line in h.llc[s].lines_where(|_, m| m.dirty) {
+                let m = h.llc[s].peek_mut(line).unwrap();
+                m.dirty = false;
+                let (t, oid) = (m.token, m.oid);
+                h.dram.write(line, t);
+                h.dram.update_oid(line, oid.raw(), newer);
+            }
+        }
+        out
+    }
+
+    fn differential_walks(protocol: nvsim::config::Protocol, seed: u64) {
+        let cfg = SimConfig::builder()
+            .cores(8, 2)
+            .l1(1024, 2, 4)
+            .l2(4096, 4, 8)
+            .llc(16 * 1024, 4, 30, 2)
+            .epoch_size_stores(150)
+            .protocol(protocol)
+            .build()
+            .unwrap();
+        let mut h = VersionedHierarchy::new(&cfg, CstConfig::default());
+        let mut twin = VersionedHierarchy::new(&cfg, CstConfig::default());
+        let mut rng = nvsim::rng::Rng64::seed_from_u64(seed);
+        let mut walked = 0;
+        for step in 0..6_000u64 {
+            let core = CoreId(rng.gen_range(0..8u16));
+            let line = if rng.gen_bool(0.7) {
+                rng.gen_range(0..48u64)
+            } else {
+                rng.gen_range(0..UNIVERSE)
+            };
+            let op = if rng.gen_bool(0.5) {
+                MemOp::Store
+            } else {
+                MemOp::Load
+            };
+            let a = h.access(core, op, addr(line), step + 1);
+            assert_eq!(a, twin.access(core, op, addr(line), step + 1));
+            assert_eq!(h.take_events(), twin.take_events(), "step {step}");
+            match rng.gen_range(0..30u32) {
+                0..=2 => {
+                    let vd = VdId(rng.gen_range(0..4u16));
+                    let got = h.tag_walk(vd);
+                    assert_eq!(got, scan_tag_walk(&mut twin, vd), "walk at step {step}");
+                    walked += got.0.len();
+                }
+                3 => {
+                    let vd = VdId(rng.gen_range(0..4u16));
+                    h.advance_epoch_explicit(vd, AdvanceCause::ExplicitMark);
+                    twin.advance_epoch_explicit(vd, AdvanceCause::ExplicitMark);
+                    assert_eq!(h.take_events(), twin.take_events());
+                }
+                _ => {}
+            }
+            if step % 500 == 0 {
+                assert_eq!(dump(&h), dump(&twin), "state diverged at step {step}");
+            }
+        }
+        assert!(walked > 50, "walks had work ({walked})");
+        let drained = h.drain();
+        assert!(!drained.is_empty());
+        assert_eq!(drained, scan_drain(&mut twin));
+        assert_eq!(h.take_events(), twin.take_events());
+        assert_eq!(dump(&h), dump(&twin));
+    }
+
+    #[test]
+    fn walks_match_brute_force_scans_mesi() {
+        for seed in [1, 2, 3] {
+            differential_walks(nvsim::config::Protocol::Mesi, seed);
+        }
+    }
+
+    #[test]
+    fn walks_match_brute_force_scans_moesi() {
+        for seed in [1, 2, 3] {
+            differential_walks(nvsim::config::Protocol::Moesi, seed);
+        }
     }
 }

@@ -142,6 +142,13 @@ impl<T> CacheArray<T> {
         self.probe(line).is_some()
     }
 
+    /// The flat slot index of a resident line: the key
+    /// [`CacheArray::iter_slots`] visits it under. Walkers use it to merge
+    /// per-line side data from another array into one in-order pass.
+    pub fn slot_of(&self, line: LineAddr) -> Option<usize> {
+        self.probe(line)
+    }
+
     /// Inserts a line as MRU, returning the evicted LRU victim if the set
     /// was full.
     ///
@@ -225,27 +232,35 @@ impl<T> CacheArray<T> {
 
     /// Iterates all resident lines (tag-walk order: set by set).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
+        self.iter_slots().map(|(_, l, m)| (l, m))
+    }
+
+    /// [`CacheArray::iter`] with each line's flat slot index; indices
+    /// ascend, so the slot index orders lines exactly as a tag walk does.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, LineAddr, &T)> {
         self.set_len.iter().enumerate().flat_map(move |(s, &len)| {
             let base = s * self.ways;
             (base..base + len as usize)
-                .map(move |i| (self.tags[i], self.metas[i].as_ref().expect("live slot")))
+                .map(move |i| (i, self.tags[i], self.metas[i].as_ref().expect("live slot")))
         })
     }
 
-    /// Mutable iteration over all resident lines.
+    /// Mutable iteration over all resident lines, in [`CacheArray::iter`]
+    /// order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut T)> {
         let ways = self.ways;
-        let tags = &self.tags;
-        let set_len = &self.set_len;
-        self.metas.iter_mut().enumerate().filter_map(move |(i, m)| {
-            let s = i / ways;
-            let slot = i % ways;
-            if slot < set_len[s] as usize {
-                Some((tags[i], m.as_mut().expect("live slot")))
-            } else {
-                None
-            }
-        })
+        self.tags
+            .chunks(ways)
+            .zip(self.metas.chunks_mut(ways))
+            .zip(&self.set_len)
+            .flat_map(|((tags, metas), &len)| {
+                let live = len as usize;
+                tags[..live].iter().copied().zip(
+                    metas[..live]
+                        .iter_mut()
+                        .map(|m| m.as_mut().expect("live slot")),
+                )
+            })
     }
 
     /// Number of resident lines.
@@ -400,6 +415,26 @@ mod tests {
         let mut got: Vec<(u64, u8)> = c.iter().map(|(l, m)| (l.raw(), *m)).collect();
         got.sort_unstable();
         assert_eq!(got, vec![(1, 12), (2, 13)]);
+    }
+
+    #[test]
+    fn slot_indices_follow_walk_order() {
+        let mut c: CacheArray<u8> = CacheArray::new(4, 3);
+        for i in 0..20u64 {
+            c.insert(line(i * 7 % 23), i as u8);
+        }
+        let gone = c.iter().next().map(|(l, _)| l).unwrap();
+        assert!(c.remove(gone).is_some());
+        let slots: Vec<(usize, LineAddr)> = c.iter_slots().map(|(i, l, _)| (i, l)).collect();
+        assert!(slots.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+        for &(i, l) in &slots {
+            assert_eq!(c.slot_of(l), Some(i));
+        }
+        let walk: Vec<LineAddr> = c.iter().map(|(l, _)| l).collect();
+        let walk_mut: Vec<LineAddr> = c.iter_mut().map(|(l, _)| l).collect();
+        assert_eq!(walk, slots.iter().map(|&(_, l)| l).collect::<Vec<_>>());
+        assert_eq!(walk, walk_mut);
+        assert_eq!(c.slot_of(gone), None);
     }
 
     #[test]

@@ -177,6 +177,12 @@ impl Directory {
         self.entries.remove(&line);
     }
 
+    /// Every tracked line with its entry (unspecified order; for
+    /// invariant checks).
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &DirEntry)> {
+        self.entries.iter().map(|(l, e)| (*l, e))
+    }
+
     /// Number of tracked lines.
     pub fn len(&self) -> usize {
         self.entries.len()

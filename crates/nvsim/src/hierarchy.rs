@@ -207,12 +207,14 @@ impl Hierarchy {
 
     /// Advances one VD's epoch and resets its store budget.
     pub fn advance_epoch(&mut self, vd: VdId) {
+        self.debug_validate();
         self.vd_epoch[vd.index()] += 1;
         self.store_counts[vd.index()] = 0;
     }
 
     /// Advances all VDs to a common next epoch (global-epoch schemes).
     pub fn advance_all_epochs(&mut self) {
+        self.debug_validate();
         let next = self.vd_epoch.iter().copied().max().unwrap_or(0) + 1;
         for e in &mut self.vd_epoch {
             *e = next;
@@ -916,26 +918,42 @@ impl Hierarchy {
         }
     }
 
-    /// All dirty lines of `vd`'s L2 matching `pred` (L2 tag walk). The L1s
-    /// are probed so the newest data is reported.
+    /// All dirty lines of `vd`'s L2 matching `pred` (L2 tag walk), in the
+    /// L2's tag-walk order. A dirty L1 copy holds the newest data, so it
+    /// is reported in place of the L2's (the highest dirty core wins).
+    ///
+    /// The VD's dirty L1 lines are gathered once, keyed by the L2 slot
+    /// that inclusion gives them, and merged into a single pass over the
+    /// L2, so no L2 line probes the L1s.
     pub fn dirty_l2_lines(
         &self,
         vd: VdId,
         mut pred: impl FnMut(LineAddr, EpochId) -> bool,
     ) -> Vec<DirtyLine> {
+        let l2 = &self.l2s[vd.index()];
+        let mut l1_dirty: Vec<(usize, Token, EpochId)> = Vec::new();
+        for c in self.local_cores(vd) {
+            for (l, m) in self.l1s[c as usize].iter() {
+                if m.state.is_dirty() {
+                    let slot = l2
+                        .slot_of(l)
+                        .expect("inclusion: L2 must hold every L1 line");
+                    l1_dirty.push((slot, m.token, m.oid));
+                }
+            }
+        }
+        // Stable: within one slot the cores stay ascending, last one wins.
+        l1_dirty.sort_by_key(|&(slot, _, _)| slot);
+        let mut l1_dirty = l1_dirty.into_iter().peekable();
         let mut out = Vec::new();
-        for (l, m) in self.l2s[vd.index()].iter() {
+        for (slot, l, m) in l2.iter_slots() {
             let mut token = m.token;
             let mut oid = m.oid;
             let mut dirty = m.state.is_dirty();
-            for c in self.local_cores(vd) {
-                if let Some(lm) = self.l1s[c as usize].peek(l) {
-                    if lm.state.is_dirty() {
-                        token = lm.token;
-                        oid = lm.oid;
-                        dirty = true;
-                    }
-                }
+            while let Some((_, t, o)) = l1_dirty.next_if(|&(s, _, _)| s == slot) {
+                token = t;
+                oid = o;
+                dirty = true;
             }
             if dirty && pred(l, oid) {
                 out.push(DirtyLine {
@@ -1000,86 +1018,61 @@ impl Hierarchy {
         let mut token = self.dram.peek(line);
         let mut dirty = false;
         let s = self.slice_of(line);
-        let llc_holds = match self.llc[s].peek(line) {
-            Some(m) => {
-                if m.dirty {
-                    token = m.token;
-                    dirty = true;
-                }
-                true
-            }
-            None => false,
-        };
-        // The discovery scan records which caches hold the line (typical
-        // flushes touch one VD) so the clean pass below probes only those
-        // instead of re-scanning the whole machine. Machines wider than
-        // the mask clean by full re-scan.
-        let masked = self.l2s.len() <= 128 && self.l1s.len() <= 128;
-        let mut l2_mask: u128 = 0;
-        let mut l1_mask: u128 = 0;
-        for (i, l2) in self.l2s.iter().enumerate() {
-            if let Some(m) = l2.peek(line) {
-                if masked {
-                    l2_mask |= 1 << i;
-                }
-                if m.state.is_dirty() {
-                    token = m.token;
-                    dirty = true;
-                }
+        if let Some(m) = self.llc[s].peek(line) {
+            if m.dirty {
+                token = m.token;
+                dirty = true;
             }
         }
-        for (i, l1) in self.l1s.iter().enumerate() {
-            if let Some(m) = l1.peek(line) {
-                if masked {
-                    l1_mask |= 1 << i;
-                }
-                if m.state.is_dirty() {
-                    token = m.token;
-                    dirty = true;
+        // The directory names exactly the VDs whose L2 holds the line
+        // (checked by `assert_directory_exact`), and L1s are inclusive in
+        // their VD's L2, so only those caches are probed: the holders'
+        // L2s, then their L1s, each ascending — the order a scan of the
+        // whole machine would meet the copies in.
+        let holders = self.dir.entry(line).map(|e| e.sharers());
+        for vd in holders.into_iter().flatten() {
+            let m = self.l2s[vd as usize]
+                .peek(line)
+                .expect("directory sharers hold the line");
+            if m.state.is_dirty() {
+                token = m.token;
+                dirty = true;
+            }
+        }
+        for vd in holders.into_iter().flatten() {
+            for c in self.local_cores(VdId(vd)) {
+                if let Some(m) = self.l1s[c as usize].peek(line) {
+                    if m.state.is_dirty() {
+                        token = m.token;
+                        dirty = true;
+                    }
                 }
             }
         }
         // Clean every copy and fold the newest data into all of them.
-        if llc_holds {
-            let m = self.llc[s].peek_mut(line).expect("probed above");
+        if let Some(m) = self.llc[s].peek_mut(line) {
             m.dirty = false;
             m.token = token;
         }
-        let clean_l2 = |l2: &mut CacheArray<L2Line>| {
-            if let Some(m) = l2.peek_mut(line) {
-                if m.state.is_dirty() {
-                    // Owned copies stay shared after cleaning.
-                    m.state = if m.state == MesiState::O {
-                        MesiState::S
-                    } else {
-                        MesiState::E
-                    };
+        for vd in holders.into_iter().flatten() {
+            let m = self.l2s[vd as usize].peek_mut(line).expect("probed above");
+            if m.state.is_dirty() {
+                // Owned copies stay shared after cleaning.
+                m.state = if m.state == MesiState::O {
+                    MesiState::S
+                } else {
+                    MesiState::E
+                };
+            }
+            m.token = token;
+            for c in self.local_cores(VdId(vd)) {
+                if let Some(m) = self.l1s[c as usize].peek_mut(line) {
+                    if m.state.is_dirty() {
+                        m.state = MesiState::E;
+                    }
+                    m.token = token;
                 }
-                m.token = token;
             }
-        };
-        let clean_l1 = |l1: &mut CacheArray<L1Line>| {
-            if let Some(m) = l1.peek_mut(line) {
-                if m.state.is_dirty() {
-                    m.state = MesiState::E;
-                }
-                m.token = token;
-            }
-        };
-        if masked {
-            while l2_mask != 0 {
-                let i = l2_mask.trailing_zeros() as usize;
-                l2_mask &= l2_mask - 1;
-                clean_l2(&mut self.l2s[i]);
-            }
-            while l1_mask != 0 {
-                let i = l1_mask.trailing_zeros() as usize;
-                l1_mask &= l1_mask - 1;
-                clean_l1(&mut self.l1s[i]);
-            }
-        } else {
-            self.l2s.iter_mut().for_each(clean_l2);
-            self.l1s.iter_mut().for_each(clean_l1);
         }
         if dirty {
             self.dram.write(line, token);
@@ -1088,35 +1081,43 @@ impl Hierarchy {
     }
 
     /// Flushes every dirty line in the hierarchy to DRAM and returns them
-    /// (newest copy each). Used at the end of a run.
+    /// (newest copy each). Used at the end of a run. Each array is walked
+    /// once, in place, in tag-walk order.
     pub fn drain_dirty(&mut self) -> Vec<DirtyLine> {
+        self.debug_validate();
         let mut out: Vec<DirtyLine> = Vec::new();
+        let cores_per_vd = self.cfg.cores_per_vd as usize;
+        let slices = self.cfg.llc_slices as u64;
         // L1 dirty lines fold into L2s first.
-        for core in 0..self.l1s.len() {
-            let vd = VdId(core as u16 / self.cfg.cores_per_vd);
-            let dirty: Vec<LineAddr> = self.l1s[core].lines_where(|_, m| m.state.is_dirty());
-            for l in dirty {
-                let meta = *self.l1s[core].peek(l).expect("listed");
-                self.l1_writeback(vd, l, meta);
-                let m = self.l1s[core].peek_mut(l).expect("listed");
-                m.state = MesiState::E;
+        for (core, l1) in self.l1s.iter_mut().enumerate() {
+            let l2 = &mut self.l2s[core / cores_per_vd];
+            for (l, m) in l1.iter_mut() {
+                if m.state.is_dirty() {
+                    let l2m = l2
+                        .peek_mut(l)
+                        .expect("inclusion: L2 must hold every L1 line");
+                    l2m.token = m.token;
+                    l2m.oid = m.oid;
+                    l2m.state = MesiState::M;
+                    m.state = MesiState::E;
+                }
             }
         }
         // L2 dirty lines. Any LLC copy of the same line is reconciled:
         // the owning VD's data is authoritative (a stale dirty LLC copy
         // can survive an E-grant fetch that was silently upgraded).
-        for vdix in 0..self.l2s.len() {
-            let dirty: Vec<LineAddr> = self.l2s[vdix].lines_where(|_, m| m.state.is_dirty());
-            for l in dirty {
-                let m = self.l2s[vdix].peek_mut(l).expect("listed");
+        for l2 in &mut self.l2s {
+            for (l, m) in l2.iter_mut() {
+                if !m.state.is_dirty() {
+                    continue;
+                }
                 m.state = if m.state == MesiState::O {
                     MesiState::S
                 } else {
                     MesiState::E
                 };
                 let (t, oid) = (m.token, m.oid);
-                let s = self.slice_of(l);
-                if let Some(c) = self.llc[s].peek_mut(l) {
+                if let Some(c) = self.llc[(l.raw() % slices) as usize].peek_mut(l) {
                     c.token = t;
                     c.oid = oid;
                     c.dirty = false;
@@ -1130,21 +1131,67 @@ impl Hierarchy {
             }
         }
         // Remaining LLC dirty lines.
-        for s in 0..self.llc.len() {
-            let dirty: Vec<LineAddr> = self.llc[s].lines_where(|_, m| m.dirty);
-            for l in dirty {
-                let m = self.llc[s].peek_mut(l).expect("listed");
-                m.dirty = false;
-                let (t, oid) = (m.token, m.oid);
-                self.dram.write(l, t);
-                out.push(DirtyLine {
-                    line: l,
-                    token: t,
-                    oid,
-                });
+        for slice in &mut self.llc {
+            for (l, m) in slice.iter_mut() {
+                if m.dirty {
+                    m.dirty = false;
+                    self.dram.write(l, m.token);
+                    out.push(DirtyLine {
+                        line: l,
+                        token: m.token,
+                        oid: m.oid,
+                    });
+                }
             }
         }
         out
+    }
+
+    /// Checks the two facts the directory-guided flush relies on, in
+    /// O(cache contents): the directory's sharers of a line are exactly
+    /// the VDs whose L2 holds it, and every L1 copy sits in its own VD's
+    /// L2 (inclusion).
+    ///
+    /// # Panics
+    /// On the first violation, with the line's full state.
+    pub fn assert_directory_exact(&self) {
+        for (vd, l2) in self.l2s.iter().enumerate() {
+            for (l, _) in l2.iter() {
+                assert!(
+                    self.dir.entry(l).is_some_and(|e| e.is_sharer(vd as u16)),
+                    "L2[{vd}] holds {l} but the directory does not list VD {vd}: {}",
+                    self.debug_line_state(l)
+                );
+            }
+        }
+        for (l, e) in self.dir.iter() {
+            for vd in e.sharers() {
+                assert!(
+                    self.l2s[vd as usize].contains(l),
+                    "the directory lists VD {vd} for {l} but its L2 does not hold it: {}",
+                    self.debug_line_state(l)
+                );
+            }
+        }
+        for (core, l1) in self.l1s.iter().enumerate() {
+            let vd = core / self.cfg.cores_per_vd as usize;
+            for (l, _) in l1.iter() {
+                assert!(
+                    self.l2s[vd].contains(l),
+                    "inclusion: L1[{core}] holds {l} outside L2[{vd}]: {}",
+                    self.debug_line_state(l)
+                );
+            }
+        }
+    }
+
+    /// Runs [`Hierarchy::assert_directory_exact`] at epoch boundaries and
+    /// before the final drain in builds with `debug_assertions` (every
+    /// `cargo test`); compiles to nothing in release builds.
+    #[inline]
+    fn debug_validate(&self) {
+        #[cfg(debug_assertions)]
+        self.assert_directory_exact();
     }
 
     /// Debug: human-readable state of every copy of `line`.
@@ -1486,6 +1533,272 @@ mod tests {
         assert_eq!(old[0].line, LineAddr::new(11));
         h.clean_llc_line(old[0].line);
         assert!(h.dirty_llc_lines(|_, oid| oid < 2).is_empty());
+    }
+
+    // ---- Seeded differential walks -----------------------------------
+    //
+    // Each walk/flush helper is checked against a brute-force scan that
+    // probes every L1, L2 and LLC (the pre-directory algorithms), on twin
+    // hierarchies driven by the same seeded access stream: same return
+    // values, same order, and the same cache/DRAM state afterwards.
+
+    const UNIVERSE: u64 = 400;
+
+    fn diff_cfg(protocol: crate::config::Protocol) -> SimConfig {
+        SimConfig::builder()
+            .cores(8, 2)
+            .l1(1024, 2, 4)
+            .l2(4096, 4, 8)
+            .llc(16 * 1024, 4, 30, 2)
+            .epoch_size_stores(1_000_000)
+            .protocol(protocol)
+            .build()
+            .unwrap()
+    }
+
+    /// Every copy of every line plus the DRAM image and directory.
+    fn dump(h: &Hierarchy) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (i, c) in h.l1s.iter().enumerate() {
+            for (l, m) in c.iter() {
+                let _ = writeln!(out, "L1[{i}] {l} {m:?}");
+            }
+        }
+        for (i, c) in h.l2s.iter().enumerate() {
+            for (l, m) in c.iter() {
+                let _ = writeln!(out, "L2[{i}] {l} {m:?}");
+            }
+        }
+        for (i, c) in h.llc.iter().enumerate() {
+            for (l, m) in c.iter() {
+                let _ = writeln!(out, "LLC[{i}] {l} {m:?}");
+            }
+        }
+        for n in 0..UNIVERSE {
+            let l = LineAddr::new(n);
+            let _ = writeln!(out, "{l} dram {} dir {:?}", h.dram.peek(l), h.dir.entry(l));
+        }
+        let _ = writeln!(out, "dram writes {}", h.dram.writes());
+        out
+    }
+
+    fn scan_clwb(h: &mut Hierarchy, line: LineAddr) -> (Token, bool) {
+        let mut token = h.dram.peek(line);
+        let mut dirty = false;
+        let s = h.slice_of(line);
+        if let Some(m) = h.llc[s].peek(line) {
+            if m.dirty {
+                token = m.token;
+                dirty = true;
+            }
+        }
+        for m in h.l2s.iter().filter_map(|c| c.peek(line)) {
+            if m.state.is_dirty() {
+                token = m.token;
+                dirty = true;
+            }
+        }
+        for m in h.l1s.iter().filter_map(|c| c.peek(line)) {
+            if m.state.is_dirty() {
+                token = m.token;
+                dirty = true;
+            }
+        }
+        if let Some(m) = h.llc[s].peek_mut(line) {
+            m.dirty = false;
+            m.token = token;
+        }
+        for m in h.l2s.iter_mut().filter_map(|c| c.peek_mut(line)) {
+            if m.state.is_dirty() {
+                m.state = if m.state == MesiState::O {
+                    MesiState::S
+                } else {
+                    MesiState::E
+                };
+            }
+            m.token = token;
+        }
+        for m in h.l1s.iter_mut().filter_map(|c| c.peek_mut(line)) {
+            if m.state.is_dirty() {
+                m.state = MesiState::E;
+            }
+            m.token = token;
+        }
+        if dirty {
+            h.dram.write(line, token);
+        }
+        (token, dirty)
+    }
+
+    fn scan_dirty_l2(h: &Hierarchy, vd: VdId, max_oid: EpochId) -> Vec<DirtyLine> {
+        let mut out = Vec::new();
+        for (l, m) in h.l2s[vd.index()].iter() {
+            let (mut token, mut oid, mut dirty) = (m.token, m.oid, m.state.is_dirty());
+            for c in h.local_cores(vd) {
+                if let Some(lm) = h.l1s[c as usize].peek(l) {
+                    if lm.state.is_dirty() {
+                        (token, oid, dirty) = (lm.token, lm.oid, true);
+                    }
+                }
+            }
+            if dirty && oid <= max_oid {
+                out.push(DirtyLine {
+                    line: l,
+                    token,
+                    oid,
+                });
+            }
+        }
+        out
+    }
+
+    fn scan_dirty_llc(h: &Hierarchy, max_oid: EpochId) -> Vec<DirtyLine> {
+        let mut out = Vec::new();
+        for slice in &h.llc {
+            for (l, m) in slice.iter() {
+                if m.dirty && m.oid <= max_oid {
+                    out.push(DirtyLine {
+                        line: l,
+                        token: m.token,
+                        oid: m.oid,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn scan_drain(h: &mut Hierarchy) -> Vec<DirtyLine> {
+        let mut out = Vec::new();
+        for core in 0..h.l1s.len() {
+            let vd = core / h.cfg.cores_per_vd as usize;
+            for l in h.l1s[core].lines_where(|_, m| m.state.is_dirty()) {
+                let m = *h.l1s[core].peek(l).unwrap();
+                let l2 = h.l2s[vd].peek_mut(l).unwrap();
+                (l2.token, l2.oid, l2.state) = (m.token, m.oid, MesiState::M);
+                h.l1s[core].peek_mut(l).unwrap().state = MesiState::E;
+            }
+        }
+        for vd in 0..h.l2s.len() {
+            for l in h.l2s[vd].lines_where(|_, m| m.state.is_dirty()) {
+                let m = h.l2s[vd].peek_mut(l).unwrap();
+                m.state = if m.state == MesiState::O {
+                    MesiState::S
+                } else {
+                    MesiState::E
+                };
+                let (token, oid) = (m.token, m.oid);
+                let s = h.slice_of(l);
+                if let Some(c) = h.llc[s].peek_mut(l) {
+                    (c.token, c.oid, c.dirty) = (token, oid, false);
+                }
+                h.dram.write(l, token);
+                out.push(DirtyLine {
+                    line: l,
+                    token,
+                    oid,
+                });
+            }
+        }
+        for s in 0..h.llc.len() {
+            for l in h.llc[s].lines_where(|_, m| m.dirty) {
+                let m = h.llc[s].peek_mut(l).unwrap();
+                m.dirty = false;
+                let (token, oid) = (m.token, m.oid);
+                h.dram.write(l, token);
+                out.push(DirtyLine {
+                    line: l,
+                    token,
+                    oid,
+                });
+            }
+        }
+        out
+    }
+
+    fn differential_walks(protocol: crate::config::Protocol, seed: u64) {
+        let cfg = diff_cfg(protocol);
+        let (mut h, mut twin) = (Hierarchy::new(&cfg), Hierarchy::new(&cfg));
+        let mut rng = crate::rng::Rng64::seed_from_u64(seed);
+        let mut token = 1;
+        let (mut clwb_dirty, mut l2_walked, mut llc_walked) = (0, 0, 0);
+        for step in 0..6_000 {
+            let core = CoreId(rng.gen_range(0..8u16));
+            // A hot shared region plus a cold tail that thrashes the LLC.
+            let line = if rng.gen_bool(0.7) {
+                rng.gen_range(0..48u64)
+            } else {
+                rng.gen_range(0..UNIVERSE)
+            };
+            let op = if rng.gen_bool(0.5) {
+                MemOp::Store
+            } else {
+                MemOp::Load
+            };
+            token += 1;
+            let a = h.access(core, op, addr(line), token);
+            assert_eq!(a, twin.access(core, op, addr(line), token));
+            match rng.gen_range(0..40u32) {
+                0..=3 => {
+                    let l = LineAddr::new(rng.gen_range(0..48u64));
+                    let got = h.clwb(l);
+                    assert_eq!(got, scan_clwb(&mut twin, l), "clwb {l} at step {step}");
+                    clwb_dirty += u32::from(got.1);
+                }
+                4 => {
+                    let vd = VdId(rng.gen_range(0..4u16));
+                    let max_oid = h.epoch(vd) - rng.gen_range(0..2u64);
+                    let got = h.dirty_l2_lines(vd, |_, oid| oid <= max_oid);
+                    assert_eq!(got, scan_dirty_l2(&h, vd, max_oid), "step {step}");
+                    l2_walked += got.len();
+                    for d in got {
+                        h.clean_l2_line(vd, d.line);
+                        twin.clean_l2_line(vd, d.line);
+                    }
+                }
+                5 => {
+                    let max_oid = h.epoch(VdId(0));
+                    let got = h.dirty_llc_lines(|_, oid| oid <= max_oid);
+                    assert_eq!(got, scan_dirty_llc(&h, max_oid), "step {step}");
+                    llc_walked += got.len();
+                    for d in got {
+                        h.clean_llc_line(d.line);
+                        twin.clean_llc_line(d.line);
+                    }
+                }
+                6 => {
+                    h.advance_all_epochs();
+                    twin.advance_all_epochs();
+                }
+                _ => {}
+            }
+            if step % 500 == 0 {
+                assert_eq!(dump(&h), dump(&twin), "state diverged at step {step}");
+            }
+        }
+        assert!(
+            clwb_dirty > 20 && l2_walked > 20 && llc_walked > 20,
+            "walks had work"
+        );
+        let drained = h.drain_dirty();
+        assert!(!drained.is_empty());
+        assert_eq!(drained, scan_drain(&mut twin));
+        assert_eq!(dump(&h), dump(&twin));
+    }
+
+    #[test]
+    fn walks_match_brute_force_scans_mesi() {
+        for seed in [1, 2, 3] {
+            differential_walks(crate::config::Protocol::Mesi, seed);
+        }
+    }
+
+    #[test]
+    fn walks_match_brute_force_scans_moesi() {
+        for seed in [1, 2, 3] {
+            differential_walks(crate::config::Protocol::Moesi, seed);
+        }
     }
 
     #[test]
