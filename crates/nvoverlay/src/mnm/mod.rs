@@ -189,6 +189,7 @@ impl Mnm {
                 final_epoch,
                 merged_entries,
             );
+            o.debug_validate();
         }
         if final_epoch > self.rec_epoch {
             self.rec_epoch = final_epoch;

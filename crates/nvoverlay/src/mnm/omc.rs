@@ -12,7 +12,6 @@ use super::pool::{NvmLoc, PagePool, SLOTS_PER_PAGE};
 use super::table::{encode_loc, MasterTable, RadixTable};
 use nvsim::addr::{LineAddr, Token};
 use nvsim::clock::Cycle;
-use nvsim::fastmap::FastMap;
 use nvsim::fault::PersistPayload;
 use nvsim::nvm::Nvm;
 use nvsim::stats::NvmWriteKind;
@@ -126,11 +125,16 @@ pub struct Omc {
     epochs: BTreeMap<u64, EpochState>,
     master: MasterTable,
     merged_through: u64,
-    /// Master-referenced version count per data page (Fig 9's "Ref Count").
-    refcount: FastMap<u32, u32>,
-    /// Which lines live in which page slot (page occupancy metadata, used
-    /// by GC/compaction).
-    page_contents: FastMap<u32, Vec<(LineAddr, u8)>>,
+    /// Master-referenced version count per data page (Fig 9's "Ref
+    /// Count"), indexed by page number.
+    refcount: Vec<u32>,
+    /// Which lines live in which slot of each data page (page occupancy
+    /// metadata, used by GC/compaction), indexed by page number.
+    ///
+    /// Pool pages are dense and allocated lowest-first, so both vectors
+    /// grow as a page number is first opened and stay as long as the
+    /// pool's high-water mark, not its capacity.
+    page_contents: Vec<Vec<(LineAddr, u8)>>,
     buffer: Option<OmcBuffer>,
     stats: OmcStats,
     /// Re-entrancy guard: compaction's own slot allocations must not
@@ -148,8 +152,8 @@ impl Omc {
             epochs: BTreeMap::new(),
             master: MasterTable::new(),
             merged_through: 0,
-            refcount: FastMap::new(),
-            page_contents: FastMap::new(),
+            refcount: Vec::new(),
+            page_contents: Vec::new(),
             buffer,
             stats: OmcStats::default(),
             compacting: false,
@@ -255,24 +259,29 @@ impl Omc {
         token: Token,
         abs_epoch: u64,
     ) -> Cycle {
-        // Redundant write-back within one epoch (no buffer to absorb it):
-        // overwrite the already-allocated slot.
-        if let Some(loc) = self
-            .epochs
-            .get(&abs_epoch)
-            .and_then(|s| s.table.as_ref())
-            .and_then(|t| t.get(line))
-        {
-            self.pool.write(loc, token);
-            let t = nvm.write(now, line.raw(), NvmWriteKind::Data, 64);
-            nvm.annotate_last(PersistPayload::Version {
-                line,
-                token,
-                epoch: abs_epoch,
-            });
-            return t.backpressure_stall(now);
+        // The common case takes one epoch lookup: the epoch is open and
+        // its open page has a free slot.
+        if let Some(st) = self.epochs.get_mut(&abs_epoch) {
+            if let Some(table) = st.table.as_mut() {
+                // Redundant write-back within one epoch (no buffer to
+                // absorb it): overwrite the already-allocated slot.
+                if let Some(loc) = table.get(line) {
+                    self.pool.write(loc, token);
+                    return persist_version(nvm, now, line, token, abs_epoch);
+                }
+                if let Some((page, slot)) = st.open.filter(|&(_, s)| (s as usize) < SLOTS_PER_PAGE)
+                {
+                    st.open = Some((page, slot + 1));
+                    let loc = NvmLoc { page, slot };
+                    table.insert(line, loc);
+                    self.page_contents[page as usize].push((line, slot));
+                    self.pool.write(loc, token);
+                    return persist_version(nvm, now, line, token, abs_epoch);
+                }
+            }
         }
 
+        // Opening a page (one version in 64).
         let copies_before = self.stats.compaction_copies;
         let loc = self.allocate_slot(abs_epoch, line);
         // Compaction triggered inside the allocation rewrites live
@@ -291,13 +300,7 @@ impl Omc {
             .as_mut()
             .expect("unmerged epoch keeps its table")
             .insert(line, loc);
-        let t = nvm.write(now, line.raw(), NvmWriteKind::Data, 64);
-        nvm.annotate_last(PersistPayload::Version {
-            line,
-            token,
-            epoch: abs_epoch,
-        });
-        t.backpressure_stall(now)
+        persist_version(nvm, now, line, token, abs_epoch)
     }
 
     /// Finds a free slot in the epoch's open page, opening a new page (and
@@ -339,15 +342,17 @@ impl Omc {
             }
             st.pages.push(page);
             st.open = Some((page, 0));
-            self.page_contents.insert(page, Vec::new());
+            let p = page as usize;
+            if p >= self.page_contents.len() {
+                self.refcount.resize(p + 1, 0);
+                self.page_contents.resize_with(p + 1, Vec::new);
+            }
+            self.page_contents[p].clear();
         }
         let st = self.epochs.get_mut(&abs_epoch).expect("page opened");
         let (page, slot) = st.open.expect("open page exists");
         st.open = Some((page, slot + 1));
-        self.page_contents
-            .get_mut(&page)
-            .expect("page registered")
-            .push((line, slot));
+        self.page_contents[page as usize].push((line, slot));
         NvmLoc { page, slot }
     }
 
@@ -366,39 +371,35 @@ impl Omc {
         }
         let mut meta_entry_writes = 0u64;
         // Leaf mapping entries merged this call, in merge order, as the
-        // encoded 8-byte words the metadata chunks carry to NVM.
-        let mut merged_words: Vec<(LineAddr, u64)> = Vec::new();
+        // encoded 8-byte words the metadata chunks carry to NVM — built
+        // only when a fault plane journals the chunks' payloads.
+        let mut journal = nvm.fault_plane().is_some().then(Vec::new);
         let to_merge: Vec<u64> = self
             .epochs
             .range(self.merged_through + 1..=through)
             .map(|(e, _)| *e)
             .collect();
         for e in to_merge {
-            let entries: Vec<(LineAddr, NvmLoc)> = {
-                let st = self.epochs.get_mut(&e).expect("listed");
-                match self.cfg.retention {
-                    SnapshotRetention::DropMerged => st
-                        .table
-                        .take()
-                        .map(|t| t.iter().collect())
-                        .unwrap_or_default(),
-                    SnapshotRetention::KeepAll => st
-                        .table
-                        .as_ref()
-                        .map(|t| t.iter().collect())
-                        .unwrap_or_default(),
-                }
+            // Taken out while its entries merge (GC under `DropMerged`
+            // may touch the epoch's page list); `KeepAll` puts it back.
+            let Some(table) = self.epochs.get_mut(&e).expect("listed").table.take() else {
+                continue;
             };
-            for (l, loc) in entries {
+            for (l, loc) in table.iter() {
                 let fx = self.master.merge_in(l, loc);
                 meta_entry_writes += fx.entry_writes;
-                merged_words.push((l, encode_loc(loc)));
-                *self.refcount.or_default(loc.page) += 1;
+                if let Some(words) = journal.as_mut() {
+                    words.push((l, encode_loc(loc)));
+                }
+                self.refcount[loc.page as usize] += 1;
                 if let Some(old) = fx.displaced {
                     if old != loc {
                         self.unreference(old);
                     }
                 }
+            }
+            if self.cfg.retention == SnapshotRetention::KeepAll {
+                self.epochs.get_mut(&e).expect("listed").table = Some(table);
             }
         }
         self.merged_through = self.merged_through.max(through);
@@ -412,11 +413,13 @@ impl Omc {
         while remaining > 0 {
             let c = remaining.min(256);
             nvm.write(now, chunk_key, NvmWriteKind::MapMetadata, c);
-            let lo = (chunk_ix * 32).min(merged_words.len());
-            let hi = (lo + 32).min(merged_words.len());
-            nvm.annotate_last(PersistPayload::MasterChunk {
-                entries: merged_words[lo..hi].to_vec(),
-            });
+            if let Some(words) = &journal {
+                let lo = (chunk_ix * 32).min(words.len());
+                let hi = (lo + 32).min(words.len());
+                nvm.annotate_last(PersistPayload::MasterChunk {
+                    entries: words[lo..hi].to_vec(),
+                });
+            }
             chunk_key = chunk_key.wrapping_add(1);
             chunk_ix += 1;
             remaining -= c;
@@ -427,19 +430,23 @@ impl Omc {
     /// Drops a master reference to a version location; frees the page when
     /// no references remain and the policy allows.
     fn unreference(&mut self, loc: NvmLoc) {
-        let rc = self
-            .refcount
-            .get_mut(&loc.page)
-            .expect("displaced location was referenced");
-        *rc -= 1;
-        if *rc == 0 && self.cfg.retention == SnapshotRetention::DropMerged {
+        if self.drop_ref(loc.page) == 0 && self.cfg.retention == SnapshotRetention::DropMerged {
             self.free_page(loc.page);
         }
     }
 
+    /// Drops one master reference to `page`, returning the references
+    /// left.
+    fn drop_ref(&mut self, page: u32) -> u32 {
+        let rc = &mut self.refcount[page as usize];
+        assert!(*rc > 0, "displaced location was referenced");
+        *rc -= 1;
+        *rc
+    }
+
+    /// Returns an unreferenced page to the pool.
     fn free_page(&mut self, page: u32) {
-        self.refcount.remove(&page);
-        self.page_contents.remove(&page);
+        self.page_contents[page as usize].clear();
         for st in self.epochs.values_mut() {
             st.pages.retain(|&p| p != page);
             if let Some((open, _)) = st.open {
@@ -474,7 +481,7 @@ impl Omc {
                 .map(|s| s.pages.clone())
                 .unwrap_or_default();
             for page in pages {
-                let contents = self.page_contents.get(&page).cloned().unwrap_or_default();
+                let contents = self.page_contents[page as usize].clone();
                 let mut moved = Vec::new();
                 let mut dead = Vec::new();
                 for (line, slot) in contents {
@@ -520,14 +527,13 @@ impl Omc {
                     // Master points at the new home immediately; a later
                     // merge re-inserting the same location is idempotent.
                     let fx = self.master.merge_in(line, new_loc);
-                    *self.refcount.or_default(new_loc.page) += 1;
+                    self.refcount[new_loc.page as usize] += 1;
                     if let Some(old) = fx.displaced {
-                        let rc = self.refcount.get_mut(&old.page).expect("referenced");
-                        *rc -= 1;
+                        self.drop_ref(old.page);
                     }
                 }
                 // The page now holds no live versions; free it.
-                if self.refcount.get(&page).copied().unwrap_or(0) == 0 {
+                if self.refcount[page as usize] == 0 {
                     self.free_page(page);
                 }
             }
@@ -545,6 +551,7 @@ impl Omc {
             }
         }
         self.compacting = false;
+        self.debug_validate();
     }
 
     /// Simulates a power loss + restart of this OMC (§V-E "Volatile OMC
@@ -566,16 +573,14 @@ impl Omc {
         }
         // Volatile state is lost.
         self.epochs.clear();
-        self.refcount.clear();
-        self.page_contents.clear();
+        self.refcount.fill(0);
+        self.page_contents.iter_mut().for_each(Vec::clear);
         // Rebuild refcounts (and page occupancy) from the master table.
-        let entries: Vec<(LineAddr, NvmLoc)> = self.master.tree().iter().collect();
-        for (line, loc) in entries {
-            *self.refcount.or_default(loc.page) += 1;
-            self.page_contents
-                .or_default(loc.page)
-                .push((line, loc.slot));
+        for (line, loc) in self.master.tree().iter() {
+            self.refcount[loc.page as usize] += 1;
+            self.page_contents[loc.page as usize].push((line, loc.slot));
         }
+        self.debug_validate();
     }
 
     /// Drains the battery-backed buffer (shutdown / final flush).
@@ -669,6 +674,104 @@ impl Omc {
     pub fn buffer(&self) -> Option<&OmcBuffer> {
         self.buffer.as_ref()
     }
+
+    /// Checks the per-page GC state against the master table and the
+    /// pool, returning one message per violation (empty when healthy):
+    ///
+    /// * every page's reference count equals the master entries on it;
+    /// * an allocated page's contents name distinct written slots, and
+    ///   exactly its written slots while an epoch owns the page (after
+    ///   [`Omc::simulate_reboot`] only master-referenced versions are
+    ///   known, so an unowned page lists a subset);
+    /// * a free page has no references and no contents.
+    ///
+    /// O(master entries + pages); see [`Omc::debug_validate`].
+    #[cfg(any(debug_assertions, test, feature = "strict-invariants"))]
+    fn check_page_state(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let pages = self.refcount.len();
+        let mut refs = vec![0u32; pages];
+        for (line, loc) in self.master.tree().iter() {
+            match refs.get_mut(loc.page as usize) {
+                Some(r) => *r += 1,
+                None => v.push(format!(
+                    "master maps line {:#x} to untracked page {}",
+                    line.raw(),
+                    loc.page
+                )),
+            }
+        }
+        let mut owned = vec![false; pages];
+        for &p in self.epochs.values().flat_map(|st| &st.pages) {
+            owned[p as usize] = true;
+        }
+        for (p, (&rc, contents)) in self.refcount.iter().zip(&self.page_contents).enumerate() {
+            if rc != refs[p] {
+                v.push(format!(
+                    "page {p}: refcount {rc} but {} master entries",
+                    refs[p]
+                ));
+            }
+            let page = p as u32;
+            if !self.pool.is_allocated(page) {
+                if rc != 0 || !contents.is_empty() {
+                    v.push(format!(
+                        "free page {p}: refcount {rc}, {} contents",
+                        contents.len()
+                    ));
+                }
+                continue;
+            }
+            let mut listed = 0u64;
+            for &(line, slot) in contents {
+                if listed & (1 << slot) != 0 {
+                    v.push(format!(
+                        "page {p}: slot {slot} listed twice (line {:#x})",
+                        line.raw()
+                    ));
+                }
+                listed |= 1 << slot;
+            }
+            let written = (0..SLOTS_PER_PAGE as u8)
+                .filter(|&slot| self.pool.read(NvmLoc { page, slot }).is_some())
+                .fold(0u64, |m, slot| m | 1 << slot);
+            if listed & !written != 0 || (owned[p] && listed != written) {
+                v.push(format!(
+                    "page {p}: contents list slots {listed:#x}, written slots are {written:#x}"
+                ));
+            }
+        }
+        v
+    }
+
+    /// Asserts [`Omc::check_page_state`] at quiescent points: after each
+    /// compaction pass, at `Mnm::finish`, and after a reboot — not on
+    /// every merge, so checked builds keep their speed. Compiles to
+    /// nothing unless the build carries `debug_assertions` or the
+    /// `strict-invariants` feature.
+    ///
+    /// # Panics
+    /// When enabled, if any page-state invariant is violated.
+    #[inline]
+    pub(crate) fn debug_validate(&self) {
+        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        {
+            let v = self.check_page_state();
+            assert!(
+                v.is_empty(),
+                "OMC page-state invariants violated:\n  - {}",
+                v.join("\n  - ")
+            );
+        }
+    }
+}
+
+/// Writes one version's line to NVM (its persist-order payload attached
+/// for a fault plane) and returns the backpressure stall.
+fn persist_version(nvm: &mut Nvm, now: Cycle, line: LineAddr, token: Token, epoch: u64) -> Cycle {
+    let t = nvm.write(now, line.raw(), NvmWriteKind::Data, 64);
+    nvm.annotate_last(PersistPayload::Version { line, token, epoch });
+    t.backpressure_stall(now)
 }
 
 impl std::fmt::Debug for Omc {
@@ -852,6 +955,43 @@ mod tests {
         assert_eq!(o.time_travel(line(40), 1), Some(140));
         assert_eq!(o.time_travel(line(5), 1), None, "dead version reclaimed");
         assert_eq!(o.time_travel(line(5), 2), Some(205));
+    }
+
+    #[test]
+    fn page_state_check_catches_drifted_bookkeeping() {
+        let mut o = Omc::new(OmcConfig {
+            pool_pages: 8,
+            retention: SnapshotRetention::DropMerged,
+            ..OmcConfig::default()
+        });
+        let mut n = nvm();
+        // Epoch 1 fills page 0 and opens page 1; epoch 2 supersedes
+        // page 0's lines, so GC frees it.
+        for i in 0..70 {
+            o.receive_version(&mut n, 0, line(i), i, 1);
+        }
+        o.merge_through(&mut n, 0, 1);
+        for i in 0..64 {
+            o.receive_version(&mut n, 0, line(i), 100 + i, 2);
+        }
+        o.merge_through(&mut n, 0, 2);
+        assert_eq!(o.stats().pages_freed, 1);
+        assert!(!o.pool().is_allocated(0));
+        assert_eq!(o.check_page_state(), Vec::<String>::new());
+
+        o.refcount[1] += 1;
+        assert_eq!(o.check_page_state().len(), 1, "refcount vs master");
+        o.refcount[1] -= 1;
+        let kept = o.page_contents[1].pop().expect("page 1 holds versions");
+        assert_eq!(o.check_page_state().len(), 1, "owned page lists a subset");
+        o.page_contents[1].push(kept);
+        o.page_contents[0].push((line(0), 0));
+        assert_eq!(o.check_page_state().len(), 1, "free page keeps contents");
+        o.page_contents[0].clear();
+
+        // After a reboot, pages are unowned and list only live versions.
+        o.simulate_reboot();
+        assert_eq!(o.check_page_state(), Vec::<String>::new());
     }
 
     #[test]

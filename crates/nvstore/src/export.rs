@@ -79,8 +79,7 @@ impl SnapshotExport {
                     .collect::<Vec<_>>(),
             ));
         }
-        let mut master: Vec<(u64, u64)> = mnm.master_image().map(|(l, t)| (l.raw(), t)).collect();
-        master.sort_unstable_by_key(|&(l, _)| l);
+        let master = sorted_master(mnm);
         let contexts = mnm
             .contexts_sorted()
             .into_iter()
@@ -166,8 +165,7 @@ impl SnapshotExport {
         }
         mnm.finish(&mut nvm, 0, self.rec_epoch);
         mnm.note_epoch_seen(self.max_epoch_seen);
-        let mut rebuilt: Vec<(u64, u64)> = mnm.master_image().map(|(l, t)| (l.raw(), t)).collect();
-        rebuilt.sort_unstable_by_key(|&(l, _)| l);
+        let rebuilt = sorted_master(&mnm);
         if rebuilt != self.master {
             return Err(StoreError::Checksum {
                 path: "<rebuild>".to_string(),
@@ -180,6 +178,15 @@ impl SnapshotExport {
         }
         Ok((mnm, nvm))
     }
+}
+
+/// `mnm`'s master image sorted by line. The image is one address-ordered
+/// run per OMC, and the stable sort merges concatenated runs in linear
+/// time where an unstable sort would not notice them.
+fn sorted_master(mnm: &Mnm) -> Vec<(u64, u64)> {
+    let mut master: Vec<(u64, u64)> = mnm.master_image().map(|(l, t)| (l.raw(), t)).collect();
+    master.sort_by_key(|&(l, _)| l);
+    master
 }
 
 /// The master image that last-writer-wins fall-through over `deltas`

@@ -42,6 +42,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct LayerId(pub u64);
 
 impl LayerId {
+    /// The id sealed into encoded layer bytes: their trailing checksum.
+    pub(crate) fn sealed(encoded: &[u8]) -> LayerId {
+        LayerId(read_u64(encoded, encoded.len() - 8))
+    }
+
     /// Parses the 16-hex-digit form produced by `Display`.
     pub fn parse(hex: &str) -> Option<LayerId> {
         if hex.len() != 16 {
@@ -156,49 +161,75 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
+/// Encodes a layer from its parts: the fixed header, the `count`
+/// entries `body` appends, and the trailing FNV-1a checksum.
+fn encode_parts(
+    kind: LayerKind,
+    epoch: u64,
+    parent: Option<LayerId>,
+    count: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let stride = match kind {
+        LayerKind::Context => 24,
+        _ => 16,
+    };
+    let mut out = Vec::with_capacity(40 + count * stride);
+    out.extend_from_slice(&LAYER_MAGIC);
+    out.extend_from_slice(&LAYER_SCHEMA.to_le_bytes());
+    out.push(kind.code());
+    out.push(parent.is_some() as u8);
+    push_u64(&mut out, epoch);
+    push_u64(&mut out, parent.map_or(0, |p| p.0));
+    push_u64(&mut out, count as u64);
+    body(&mut out);
+    let sum = fnv1a(&out);
+    push_u64(&mut out, sum);
+    out
+}
+
+/// [`Layer::encode`] of a delta or master layer over borrowed
+/// `(line, token)` pairs, so a backup encodes a snapshot's lines without
+/// first copying them into a [`Layer`].
+pub(crate) fn encode_lines(
+    kind: LayerKind,
+    epoch: u64,
+    parent: Option<LayerId>,
+    pairs: &[(u64, u64)],
+) -> Vec<u8> {
+    debug_assert!(kind != LayerKind::Context, "context layers hold triples");
+    encode_parts(kind, epoch, parent, pairs.len(), |out| {
+        for &(line, token) in pairs {
+            push_u64(out, line);
+            push_u64(out, token);
+        }
+    })
+}
+
 impl Layer {
     /// Canonical encoded bytes, including the trailing checksum. Two
     /// layers with equal fields encode to identical bytes — the basis
     /// of both content addressing and the CI byte-identical-backup
     /// gate.
     pub fn encode(&self) -> Vec<u8> {
-        let stride = match self.kind {
-            LayerKind::Context => 24,
-            _ => 16,
-        };
-        let mut out = Vec::with_capacity(40 + self.payload.len() * stride);
-        out.extend_from_slice(&LAYER_MAGIC);
-        out.extend_from_slice(&LAYER_SCHEMA.to_le_bytes());
-        out.push(self.kind.code());
-        out.push(self.parent.is_some() as u8);
-        push_u64(&mut out, self.epoch);
-        push_u64(&mut out, self.parent.map_or(0, |p| p.0));
-        push_u64(&mut out, self.payload.len() as u64);
         match &self.payload {
-            LayerPayload::Lines(pairs) => {
-                for &(line, token) in pairs {
-                    push_u64(&mut out, line);
-                    push_u64(&mut out, token);
-                }
-            }
+            LayerPayload::Lines(pairs) => encode_lines(self.kind, self.epoch, self.parent, pairs),
             LayerPayload::Contexts(triples) => {
-                for &(vd, epoch, blob) in triples {
-                    push_u64(&mut out, vd);
-                    push_u64(&mut out, epoch);
-                    push_u64(&mut out, blob);
-                }
+                encode_parts(self.kind, self.epoch, self.parent, triples.len(), |out| {
+                    for &(vd, epoch, blob) in triples {
+                        push_u64(out, vd);
+                        push_u64(out, epoch);
+                        push_u64(out, blob);
+                    }
+                })
             }
         }
-        let sum = fnv1a(&out);
-        push_u64(&mut out, sum);
-        out
     }
 
     /// The layer's content id — the same FNV-1a value `encode` appends
     /// as the checksum, so the file name authenticates the file body.
     pub fn id(&self) -> LayerId {
-        let encoded = self.encode();
-        LayerId(read_u64(&encoded, encoded.len() - 8))
+        LayerId::sealed(&self.encode())
     }
 
     /// Decodes and verifies `bytes`. `path` is only used to label

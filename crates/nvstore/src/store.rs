@@ -37,7 +37,7 @@
 use crate::error::StoreError;
 use crate::export::{fall_through, SnapshotExport};
 use crate::io::{IoError, StoreIo};
-use crate::layer::{fnv1a, Layer, LayerId, LayerKind, LayerPayload};
+use crate::layer::{encode_lines, fnv1a, Layer, LayerId, LayerKind, LayerPayload};
 use crate::manifest::{BackupEntry, LayerMeta, Manifest, MANIFEST_SCHEMA};
 
 /// Magic bytes opening a root cell.
@@ -280,36 +280,6 @@ impl<I: StoreIo> Store<I> {
         Ok(())
     }
 
-    fn layers_of(snapshot: &SnapshotExport) -> Vec<Layer> {
-        let mut layers = Vec::with_capacity(snapshot.deltas.len() + 2);
-        let mut parent: Option<LayerId> = None;
-        for (epoch, lines) in &snapshot.deltas {
-            let layer = Layer {
-                kind: LayerKind::Delta,
-                epoch: *epoch,
-                parent,
-                payload: LayerPayload::Lines(lines.clone()),
-            };
-            parent = Some(layer.id());
-            layers.push(layer);
-        }
-        layers.push(Layer {
-            kind: LayerKind::Master,
-            epoch: snapshot.rec_epoch,
-            parent,
-            payload: LayerPayload::Lines(snapshot.master.clone()),
-        });
-        if !snapshot.contexts.is_empty() {
-            layers.push(Layer {
-                kind: LayerKind::Context,
-                epoch: snapshot.rec_epoch,
-                parent: None,
-                payload: LayerPayload::Contexts(snapshot.contexts.clone()),
-            });
-        }
-        layers
-    }
-
     /// Backs `snapshot` up under `name`, writing only layers absent
     /// from the store (incremental: shared epoch prefixes produce
     /// shared layers, by content addressing).
@@ -327,57 +297,59 @@ impl<I: StoreIo> Store<I> {
                 name: name.to_string(),
             });
         }
-        let layers = Self::layers_of(snapshot);
         let mut stats = BackupStats::default();
         let mut next = self.manifest.clone();
 
+        // Each layer is encoded once; its id is the encoding's trailing
+        // checksum, and each delta chains to the previous delta's id.
         let mut deltas = Vec::with_capacity(snapshot.deltas.len());
-        let mut master = None;
-        let mut context = None;
-        for layer in &layers {
-            let encoded = layer.encode();
-            let id = LayerId(u64::from_le_bytes(
-                encoded[encoded.len() - 8..].try_into().expect("sealed"),
-            ));
-            match layer.kind {
-                LayerKind::Delta => deltas.push((layer.epoch, id)),
-                LayerKind::Master => master = Some(id),
-                LayerKind::Context => context = Some(id),
-            }
-            let published = layer_path(id);
-            let known = next.layer_meta(id).is_some();
-            if known {
-                stats.shared_layers += 1;
-            } else {
-                stats.new_layers += 1;
-                stats.new_bytes += encoded.len() as u64;
-            }
-            // (Re-)publish the bytes whenever `layers/` lacks them —
-            // covers both genuinely new layers and a quarantined layer
-            // being referenced again after GC.
-            if !self.io.exists(&published) {
-                let tmp = format!("tmp/{id}.layer");
-                self.io.write(&tmp, &encoded).map_err(io_err)?;
-                self.io.rename(&tmp, &published).map_err(io_err)?;
-            }
-            match next.layers.binary_search_by_key(&id, |&(lid, _)| lid) {
-                Ok(i) => next.layers[i].1.refs += 1,
-                Err(i) => next.layers.insert(
-                    i,
-                    (
-                        id,
-                        LayerMeta {
-                            kind: layer.kind,
-                            epoch: layer.epoch,
-                            parent: layer.parent,
-                            bytes: encoded.len() as u64,
-                            refs: 1,
-                        },
-                    ),
-                ),
-            }
-            next.quarantine.retain(|&q| q != id);
+        let mut parent = None;
+        for (epoch, lines) in &snapshot.deltas {
+            let encoded = encode_lines(LayerKind::Delta, *epoch, parent, lines);
+            let id = self.publish(
+                &mut next,
+                &mut stats,
+                LayerKind::Delta,
+                *epoch,
+                parent,
+                encoded,
+            )?;
+            deltas.push((*epoch, id));
+            parent = Some(id);
         }
+        let encoded = encode_lines(
+            LayerKind::Master,
+            snapshot.rec_epoch,
+            parent,
+            &snapshot.master,
+        );
+        let master = self.publish(
+            &mut next,
+            &mut stats,
+            LayerKind::Master,
+            snapshot.rec_epoch,
+            parent,
+            encoded,
+        )?;
+        let context = if snapshot.contexts.is_empty() {
+            None
+        } else {
+            let layer = Layer {
+                kind: LayerKind::Context,
+                epoch: snapshot.rec_epoch,
+                parent: None,
+                payload: LayerPayload::Contexts(snapshot.contexts.clone()),
+            };
+            let encoded = layer.encode();
+            Some(self.publish(
+                &mut next,
+                &mut stats,
+                layer.kind,
+                layer.epoch,
+                None,
+                encoded,
+            )?)
+        };
 
         next.backups.push(BackupEntry {
             name: name.to_string(),
@@ -386,12 +358,60 @@ impl<I: StoreIo> Store<I> {
             omcs: snapshot.omcs,
             vds: snapshot.vds,
             pool_pages: snapshot.pool_pages,
-            master: master.expect("every snapshot has a master layer"),
+            master,
             context,
             deltas,
         });
         self.commit(next)?;
         Ok(stats)
+    }
+
+    /// Adds one encoded layer to the backup staged in `next`: counts it
+    /// as new or shared, publishes its bytes unless `layers/` has them,
+    /// and takes a reference. Returns the layer's id.
+    fn publish(
+        &mut self,
+        next: &mut Manifest,
+        stats: &mut BackupStats,
+        kind: LayerKind,
+        epoch: u64,
+        parent: Option<LayerId>,
+        encoded: Vec<u8>,
+    ) -> Result<LayerId, StoreError> {
+        let id = LayerId::sealed(&encoded);
+        let published = layer_path(id);
+        if next.layer_meta(id).is_some() {
+            stats.shared_layers += 1;
+        } else {
+            stats.new_layers += 1;
+            stats.new_bytes += encoded.len() as u64;
+        }
+        // (Re-)publish the bytes whenever `layers/` lacks them — covers
+        // both genuinely new layers and a quarantined layer being
+        // referenced again after GC.
+        if !self.io.exists(&published) {
+            let tmp = format!("tmp/{id}.layer");
+            self.io.write(&tmp, &encoded).map_err(io_err)?;
+            self.io.rename(&tmp, &published).map_err(io_err)?;
+        }
+        match next.layers.binary_search_by_key(&id, |&(lid, _)| lid) {
+            Ok(i) => next.layers[i].1.refs += 1,
+            Err(i) => next.layers.insert(
+                i,
+                (
+                    id,
+                    LayerMeta {
+                        kind,
+                        epoch,
+                        parent,
+                        bytes: encoded.len() as u64,
+                        refs: 1,
+                    },
+                ),
+            ),
+        }
+        next.quarantine.retain(|&q| q != id);
+        Ok(id)
     }
 
     fn read_layer(&self, id: LayerId) -> Result<Layer, StoreError> {
@@ -406,11 +426,11 @@ impl<I: StoreIo> Store<I> {
                 .map_err(|_| StoreError::MissingLayer { id })?,
         };
         let layer = Layer::decode(&bytes, &published)?;
-        let sealed = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("decoded"));
-        if sealed != id.0 {
+        let sealed = LayerId::sealed(&bytes);
+        if sealed != id {
             return Err(StoreError::Checksum {
                 path: published,
-                detail: format!("content id {:016x} does not match file name", sealed),
+                detail: format!("content id {sealed} does not match file name"),
             });
         }
         Ok(layer)
