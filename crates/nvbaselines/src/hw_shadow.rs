@@ -52,6 +52,11 @@ impl HwShadow {
         }
     }
 
+    /// The underlying hierarchy (inspection/debugging).
+    pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
+        &self.core.hier
+    }
+
     /// The image recovery would restore.
     pub fn recovered_image(&self) -> &FastHashMap<LineAddr, Token> {
         &self.committed_image

@@ -27,6 +27,11 @@ impl IdealSystem {
             core: BaselineCore::new_shared(cfg),
         }
     }
+
+    /// The underlying hierarchy (inspection/debugging).
+    pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
+        &self.core.hier
+    }
 }
 
 impl MemorySystem for IdealSystem {

@@ -51,6 +51,11 @@ impl SwUndoLogging {
         }
     }
 
+    /// The underlying hierarchy (inspection/debugging).
+    pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
+        &self.core.hier
+    }
+
     /// The image recovery would restore (last committed epoch): data in
     /// NVM home locations with the current epoch's writes rolled back via
     /// the undo log.

@@ -37,8 +37,7 @@
 use nvbench::{
     bottleneck_table, chrome_profile_json, chrome_trace_json, default_jobs, gen_traces,
     profile_json, profile_structural_json, registry_json, run_matrix_stats, run_scheme_sharded,
-    run_scheme_sharded_exec, run_scheme_sharded_prof, run_scheme_stats, ChromeMeta, EnvScale,
-    ExpResult, Scheme, Spans,
+    run_scheme_sharded_prof, run_scheme_stats, ChromeMeta, EnvScale, ExpResult, Scheme, Spans,
 };
 use nvoverlay::store::QueryError;
 use nvoverlay::system::NvOverlaySystem;
@@ -57,7 +56,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  nvo list\n  nvo run --workload <name> --scheme <name> [--scale quick|standard|full] [--shards N] [--no-coalesce] [--json] [--stats-out <file>]\n  nvo run --trace <file.nvtr> --scheme <name>\n  nvo trace-gen --workload <name> --out <file.nvtr> [--scale ...]\n  nvo trace <workload> --scheme <name> [--scale ...] [--trace-out <file>] [--stats-out <file>] [--buffer-cap N] [--sample N]\n  nvo snapshots --workload <name> [--scale ...]\n  nvo diff --workload <name> --from <epoch> --to <epoch> [--scale ...]\n  nvo chaos <workload> --scheme nvoverlay|sw-undo [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--stress-backpressure] [--broken-recovery] [--out <file>] [--json]\n  nvo chaos <workload> --store [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--out <file>] [--json]\n  nvo profile <workload> [--scheme <name>] [--shards N] [--scale ...] [--out <file>] [--structural-out <file>] [--chrome <file>] [--json]\n  nvo serve <workload> [--sessions N] [--batches K] [--batch B] [--epochs all|latest|A..B] [--workers W] [--subshards S] [--seed S] [--theta T] [--no-probes] [--scale ...] [--out <file>] [--stats-out <file>] [--json]\n  nvo query <workload> --key <byte-addr> [--epoch E|latest] [--scale ...]\n  nvo backup <workload> --store <dir> [--name <backup>] [--upto E] [--scale ...]\n  nvo restore --store <dir> [--name <backup>] [--verify]\n  nvo store <ls|rm|gc|validate> --store <dir> [--name <backup>] [--purge]\n  nvo perf [--jobs N] [--shards N] [--profile] [--serve] [--scale ...] [--out BENCH_perf.json] [--serve-out BENCH_serve.json] [--baseline <file>]"
+        "usage:\n  nvo list\n  nvo run --workload <name> --scheme <name> [--scale quick|standard|full] [--shards N] [--json] [--stats-out <file>]\n  nvo run --trace <file.nvtr> --scheme <name>\n  nvo trace-gen --workload <name> --out <file.nvtr> [--scale ...]\n  nvo trace <workload> --scheme <name> [--scale ...] [--trace-out <file>] [--stats-out <file>] [--buffer-cap N] [--sample N]\n  nvo snapshots --workload <name> [--scale ...]\n  nvo diff --workload <name> --from <epoch> --to <epoch> [--scale ...]\n  nvo chaos <workload> --scheme nvoverlay|sw-undo [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--stress-backpressure] [--broken-recovery] [--out <file>] [--json]\n  nvo chaos <workload> --store [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--out <file>] [--json]\n  nvo profile <workload> [--scheme <name>] [--shards N] [--scale ...] [--out <file>] [--structural-out <file>] [--chrome <file>] [--json]\n  nvo serve <workload> [--sessions N] [--batches K] [--batch B] [--epochs all|latest|A..B] [--workers W] [--subshards S] [--seed S] [--theta T] [--no-probes] [--scale ...] [--out <file>] [--stats-out <file>] [--json]\n  nvo query <workload> --key <byte-addr> [--epoch E|latest] [--scale ...]\n  nvo backup <workload> --store <dir> [--name <backup>] [--upto E] [--scale ...]\n  nvo restore --store <dir> [--name <backup>] [--verify]\n  nvo store <ls|rm|gc|validate> --store <dir> [--name <backup>] [--purge]\n  nvo perf [--jobs N] [--shards N] [--profile] [--serve] [--scale ...] [--out BENCH_perf.json] [--serve-out BENCH_serve.json] [--baseline <file>]"
     );
     exit(2)
 }
@@ -114,7 +113,6 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
                 || key == "profile"
                 || key == "serve"
                 || key == "no-probes"
-                || key == "no-coalesce"
                 || key == "verify"
                 || key == "purge"
             {
@@ -201,13 +199,9 @@ fn cmd_run(flags: HashMap<String, String>) {
     // are invariant to N, so CI compares the outputs of different
     // counts byte-for-byte (sharded results intentionally differ from
     // the serial path's: islands are independent sub-machines).
-    // `--no-coalesce` keeps the plan's rendezvous cadence but parks
-    // workers at silent windows too — results must not change, which
-    // CI also checks by comparing the two modes' outputs.
     let (r, reg) = match shards_requested(&flags) {
         Some(n) => {
-            let coalesce = !flags.contains_key("no-coalesce");
-            let run = run_scheme_sharded_exec(scheme, &cfg, &trace.to_packed(), n, false, coalesce);
+            let run = run_scheme_sharded(scheme, &cfg, &trace.to_packed(), n);
             (run.result, run.metrics)
         }
         None => {

@@ -281,22 +281,6 @@ pub fn run_scheme_sharded_prof(
     shards: usize,
     profiled: bool,
 ) -> ShardedSchemeRun {
-    run_scheme_sharded_exec(scheme, cfg, trace, shards, profiled, true)
-}
-
-/// [`run_scheme_sharded_prof`] with explicit control of window
-/// coalescing. `coalesce: false` keeps the plan's rendezvous cadence
-/// (and therefore every result byte) but physically parks workers at
-/// silent windows' barriers too — the pre-coalescing pacing, used by the
-/// coalescing differential tests and `nvo run --no-coalesce`.
-pub fn run_scheme_sharded_exec(
-    scheme: Scheme,
-    cfg: &Arc<SimConfig>,
-    trace: &PackedTrace,
-    shards: usize,
-    profiled: bool,
-    coalesce: bool,
-) -> ShardedSchemeRun {
     if !scheme.shardable() {
         let (result, stats, metrics) = run_scheme_stats(scheme, cfg, trace);
         return ShardedSchemeRun {
@@ -323,7 +307,6 @@ pub fn run_scheme_sharded_exec(
         plan: &plan,
         shards,
         profiled,
-        coalesce,
         plan_build_ns,
     };
     match scheme {
@@ -359,7 +342,6 @@ struct ShardExec<'p> {
     plan: &'p nvsim::ShardPlan,
     shards: usize,
     profiled: bool,
-    coalesce: bool,
     plan_build_ns: u64,
 }
 
@@ -369,9 +351,13 @@ where
     S: MemorySystem,
     F: Fn(usize) -> S + Sync,
 {
-    let (report, mut profile) = Runner::new()
-        .coalesce(exec.coalesce)
-        .run_packed_sharded_prof(factory, trace, exec.plan, exec.shards, exec.profiled);
+    let (report, mut profile) = Runner::new().run_packed_sharded_prof(
+        factory,
+        trace,
+        exec.plan,
+        exec.shards,
+        exec.profiled,
+    );
     if let Some(p) = profile.as_mut() {
         p.plan_build_ns = exec.plan_build_ns;
     }

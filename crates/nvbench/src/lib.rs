@@ -16,9 +16,8 @@ pub mod prof;
 
 pub use chrome::{chrome_profile_json, chrome_trace_json, ChromeMeta};
 pub use exp::{
-    run_nvoverlay, run_picl_walker, run_scheme, run_scheme_sharded, run_scheme_sharded_exec,
-    run_scheme_sharded_prof, run_scheme_stats, EnvScale, ExpResult, NvoDetail, Scheme,
-    ShardedSchemeRun,
+    run_nvoverlay, run_picl_walker, run_scheme, run_scheme_sharded, run_scheme_sharded_prof,
+    run_scheme_stats, EnvScale, ExpResult, NvoDetail, Scheme, ShardedSchemeRun,
 };
 pub use export::{registry_json, registry_tsv};
 /// Re-export of the shared JSON helper (moved to `nvsim::json` so the

@@ -8,10 +8,7 @@
 //! event counts must match too (event *order* may differ: workers
 //! interleave, but each island emits the same events either way).
 
-use nvbench::{
-    default_jobs, gen_traces, run_ordered, run_scheme_sharded, run_scheme_sharded_exec, EnvScale,
-    Scheme,
-};
+use nvbench::{default_jobs, gen_traces, run_ordered, run_scheme_sharded, EnvScale, Scheme};
 use nvworkloads::Workload;
 
 const WORKLOADS: [Workload; 4] = [
@@ -67,56 +64,6 @@ fn sharded_replay_is_worker_count_invisible() {
 }
 
 #[test]
-fn coalescing_is_result_invisible() {
-    // The adaptive barrier cadence is part of the *plan*: windows with
-    // an empty (filtered) exchange and lockstep epoch floors are silent
-    // in both modes, and barrier effects happen only at rendezvous
-    // windows either way. `coalesce: false` merely parks workers at the
-    // silent windows too, so it must not change a single result byte at
-    // any worker count — this differential guards the worker plumbing
-    // (publication order, watchdog, wait pairing), not the cadence.
-    let cfg = std::sync::Arc::new(EnvScale::Quick.sim_config());
-    let params = EnvScale::Quick.suite_params();
-    let jobs = default_jobs();
-    let traces = gen_traces(&WORKLOADS, &params, jobs);
-    let schemes = Scheme::FIGURE;
-
-    let cols = schemes.len();
-    run_ordered(WORKLOADS.len() * cols, jobs, |i| {
-        let (s, t) = (schemes[i % cols], &traces[i / cols]);
-        let w = WORKLOADS[i / cols];
-        for &n in &SHARDS {
-            let on = run_scheme_sharded_exec(s, &cfg, t, n, false, true);
-            let off = run_scheme_sharded_exec(s, &cfg, t, n, false, false);
-            assert_eq!(
-                on.result, off.result,
-                "{s} on {w}: ExpResult diverged without coalescing at {n} shards"
-            );
-            assert_eq!(
-                on.stats, off.stats,
-                "{s} on {w}: SystemStats diverged without coalescing at {n} shards"
-            );
-            assert_eq!(
-                on.metrics.dump_tree(),
-                off.metrics.dump_tree(),
-                "{s} on {w}: metrics tree diverged without coalescing at {n} shards"
-            );
-            assert_eq!(
-                (on.imported_lines, on.rendezvous_windows),
-                (off.imported_lines, off.rendezvous_windows),
-                "{s} on {w}: shard summary diverged without coalescing at {n} shards"
-            );
-            if on.sharded {
-                assert!(
-                    on.rendezvous_windows <= on.windows as u64,
-                    "{s} on {w}: more rendezvous than windows"
-                );
-            }
-        }
-    });
-}
-
-#[test]
 fn sharded_replay_reports_plan_shape() {
     // The shard summary reflects the machine topology: Quick scale is
     // 16 cores / 2 per VD = 8 islands, and the barrier cadence is the
@@ -168,44 +115,6 @@ fn sharded_replay_emits_identical_event_counts() {
                 );
             }
             assert_eq!(one.accepted, many.accepted, "{s}: accepted total");
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-#[test]
-fn coalescing_emits_identical_event_counts() {
-    use nvsim::nvtrace::{self, EventKind, TraceConfig};
-
-    // Same per-kind comparison as above, but between coalescing modes:
-    // a silent window emits no ShardBarrier event in either mode, so
-    // even the structured-event counts must be mode-invariant.
-    let big = TraceConfig {
-        capacity: 1 << 22,
-        sample_every: 1,
-    };
-    let cfg = std::sync::Arc::new(EnvScale::Quick.sim_config());
-    let params = EnvScale::Quick.suite_params();
-    let trace = nvworkloads::generate(Workload::BTree, &params).to_packed();
-    for s in [Scheme::NvOverlay, Scheme::SwLogging, Scheme::Picl] {
-        for &n in &SHARDS {
-            nvtrace::install(big);
-            let _ = run_scheme_sharded_exec(s, &cfg, &trace, n, false, true);
-            let on = nvtrace::take().expect("tracer installed");
-            assert_eq!(on.overwritten, 0, "{s}: ring too small at {n} shards");
-            nvtrace::install(big);
-            let _ = run_scheme_sharded_exec(s, &cfg, &trace, n, false, false);
-            let off = nvtrace::take().expect("tracer installed");
-            assert_eq!(off.overwritten, 0, "{s}: ring too small at {n} shards");
-            for kind in EventKind::ALL {
-                assert_eq!(
-                    on.count(kind),
-                    off.count(kind),
-                    "{s}: event count for {} diverged without coalescing at {n} shards",
-                    kind.name()
-                );
-            }
-            assert_eq!(on.accepted, off.accepted, "{s}: accepted total");
         }
     }
 }

@@ -1,10 +1,11 @@
-//! The version-tagged cache hierarchy — NVOverlay's modified access
-//! protocol (paper §IV).
+//! The version-tagged cache hierarchy — NVOverlay's Version Access
+//! Protocol (paper §IV) as a line policy over `nvsim`'s one MESI/MOESI
+//! engine ([`nvsim::coherence`]).
 //!
-//! Structurally identical to `nvsim`'s baseline hierarchy (private L1s,
-//! per-VD inclusive L2s, distributed non-inclusive LLC slices, sparse
-//! directory), but every L1/L2 line carries an OID tag and a *persisted*
-//! bit, and the eviction paths implement the Version Access Protocol:
+//! The engine is the baseline protocol, unchanged (private L1s, per-VD
+//! inclusive L2s, distributed non-inclusive LLC slices, sparse
+//! directory). [`VersionPolicy`] tags every copy with a 16-bit OID and a
+//! *persisted* bit and supplies the protocol's hooks:
 //!
 //! * **Store-eviction** (§IV-A1): a store hitting a dirty, unpersisted
 //!   version of an older epoch first pushes that version into the L2, then
@@ -21,6 +22,9 @@
 //! * **Epoch synchronization** (§IV-B2): every response carries the line's
 //!   OID as its RV; a VD observing an RV newer than its epoch stalls,
 //!   dumps context, and advances (Lamport clock).
+//!
+//! On top of the engine, [`VersionedHierarchy`] adds:
+//!
 //! * **Tag walker** (§IV-C): persists dirty versions older than the VD's
 //!   current epoch and reports `min-ver` to the OMC.
 //! * **Wrap-around** (§IV-D): when a VD's epoch crosses between the two
@@ -41,16 +45,13 @@
 //! them to the MNM backend and charges NVM time.
 
 use crate::epoch::{Epoch, HALF_SPACE};
-use nvsim::addr::{Addr, CoreId, LineAddr, Token, VdId};
-use nvsim::cache::CacheArray;
+use nvsim::addr::{LineAddr, Token, VdId};
 use nvsim::clock::Cycle;
+use nvsim::coherence::{Coherence, Line, LinePolicy, LlcLine, Response};
 use nvsim::config::SimConfig;
-use nvsim::directory::Directory;
-use nvsim::dram::Dram;
-use nvsim::memsys::MemOp;
-use nvsim::mesi::{MesiState, Permission};
-use nvsim::noc::{MsgKind, Noc};
-use nvsim::stats::{AccessCounters, EvictReason};
+use nvsim::mesi::MesiState;
+use nvsim::noc::MsgKind;
+use nvsim::stats::EvictReason;
 use std::sync::Arc;
 
 /// CST-specific tuning knobs on top of [`SimConfig`].
@@ -130,61 +131,363 @@ pub enum CstEvent {
     },
 }
 
-/// Per-line L1/L2 metadata of the versioned hierarchy.
+/// The version tag every L1, L2 and LLC copy carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VTag {
+    /// Epoch of the version's last store.
+    pub oid: Epoch,
+    /// The version has already been handed to the OMC.
+    pub persisted: bool,
+}
+
+/// An L1 or L2 copy under the versioned policy.
+type VLine = Line<VTag>;
+
+/// A dirty copy whose version has not reached the OMC.
+fn unpersisted(l: &VLine) -> bool {
+    l.state.is_dirty() && !l.tag.persisted
+}
+
+/// What a response tells the requester: the absolute epoch its RV
+/// denotes, and whether the version has already been handed to the OMC
+/// (false only for a cache-to-cache transferred unpersisted version).
 #[derive(Clone, Copy, Debug)]
-struct VLine {
-    state: MesiState,
-    token: Token,
-    oid: Epoch,
-    /// This copy's version has already been handed to the OMC.
+pub struct Rv {
+    abs: u64,
     persisted: bool,
 }
 
-impl VLine {
-    fn unpersisted_version(&self) -> bool {
-        self.state.is_dirty() && !self.persisted
+/// NVOverlay's Version Access Protocol as a line policy: per-VD epochs,
+/// the event stream, and the wrap-around state.
+#[derive(Debug)]
+pub struct VersionPolicy {
+    cst: CstConfig,
+    vd_abs: Vec<u64>,
+    events: Vec<CstEvent>,
+    wrap_flushes: u64,
+}
+
+type Core = Coherence<VersionPolicy>;
+
+impl VersionPolicy {
+    /// Reconstructs a line tag into an absolute epoch relative to the VD
+    /// currently holding the line.
+    fn abs_of(&self, tag: Epoch, vd: VdId) -> u64 {
+        crate::epoch::reconstruct_abs(tag, self.vd_abs[vd.index()])
+    }
+
+    fn emit(&mut self, line: LineAddr, l: &VLine, vd: VdId, reason: EvictReason) {
+        let abs_epoch = self.abs_of(l.tag.oid, vd);
+        self.events.push(CstEvent::Version(VersionOut {
+            line,
+            token: l.token,
+            abs_epoch,
+            reason,
+        }));
     }
 }
 
-/// Per-line LLC metadata (no version protocol below the VDs, §IV-A4; the
-/// OID rides along so responses can carry RV and DRAM tags stay fresh).
-#[derive(Clone, Copy, Debug)]
-struct VLlcLine {
-    token: Token,
-    oid: Epoch,
-    /// Newer than the DRAM working copy.
-    dirty: bool,
+fn newer_oid(a: u16, b: u16) -> bool {
+    Epoch(a).newer_than(Epoch(b))
 }
 
-/// Result of a directory transaction.
-#[derive(Clone, Copy, Debug)]
-struct FetchResult {
-    token: Token,
-    /// Absolute epoch the response's RV denotes.
-    rv_abs: u64,
-    state: MesiState,
-    /// The fetched copy is newer than the DRAM working copy.
-    dram_dirty: bool,
-    /// The fetched copy's version has already been handed to the OMC
-    /// (false only for a C2C-transferred unpersisted version).
-    persisted: bool,
+impl LinePolicy for VersionPolicy {
+    type Tag = VTag;
+    type Ver = Rv;
+
+    fn settled(tag: VTag) -> VTag {
+        VTag {
+            persisted: true,
+            ..tag
+        }
+    }
+
+    fn dram_tag(raw: Option<u16>) -> VTag {
+        VTag {
+            oid: Epoch(raw.unwrap_or(0)),
+            persisted: true,
+        }
+    }
+
+    fn respond(&self, tag: VTag, vd: VdId) -> Rv {
+        Rv {
+            abs: self.abs_of(tag.oid, vd),
+            persisted: tag.persisted,
+        }
+    }
+
+    fn install(rv: &Rv) -> VTag {
+        VTag {
+            oid: Epoch::from_abs(rv.abs),
+            persisted: rv.persisted,
+        }
+    }
+
+    fn refill(l2: &mut VLine, r: &Response<Rv>) {
+        l2.token = r.token;
+        l2.tag = Self::install(&r.ver);
+    }
+
+    /// Coherence-driven epoch update (§IV-B2), and the `min-ver` hand-off
+    /// of a persistence obligation that arrived cache-to-cache.
+    fn arrive(h: &mut Core, vd: VdId, r: &Response<Rv>) -> Cycle {
+        let stall = sync_epoch(h, vd, r.ver.abs);
+        if r.state == MesiState::M && !r.ver.persisted {
+            h.policy.events.push(CstEvent::DirtyTransfer {
+                vd,
+                abs_epoch: r.ver.abs,
+            });
+        }
+        stall
+    }
+
+    /// An immutable old version (dirty, unpersisted, older epoch) must be
+    /// store-evicted first (§IV-A1).
+    fn store_evicts(&self, l: &VLine, vd: VdId) -> bool {
+        unpersisted(l) && l.tag.oid != Epoch::from_abs(self.vd_abs[vd.index()])
+    }
+
+    fn commit(&mut self, l: &mut VLine, vd: VdId, _: LineAddr, token: Token) {
+        *l = Line {
+            state: MesiState::M,
+            token,
+            tag: VTag {
+                oid: Epoch::from_abs(self.vd_abs[vd.index()]),
+                persisted: false,
+            },
+        };
+    }
+
+    fn budget_expired(h: &mut Core, vd: VdId) -> Cycle {
+        let to = h.policy.vd_abs[vd.index()] + 1;
+        advance_epoch(h, vd, to, AdvanceCause::StoreBudget)
+    }
+
+    /// §IV-A2 PUTX: an unpersisted L1 version landing on an older
+    /// unpersisted L2 version evicts that one to the OMC first. A
+    /// persisted (DRAM-dirty) L1 copy only folds its data into the L2.
+    fn putx(h: &mut Core, vd: VdId, line: LineAddr, l1: VLine, reason: EvictReason) {
+        let l2 = h.l2s[vd.index()]
+            .peek_mut(line)
+            .expect("inclusion: L2 must hold every L1 line");
+        let mut displaced = None;
+        if unpersisted(&l1) {
+            debug_assert!(
+                !l2.state.is_dirty() || l1.tag.oid.at_least(l2.tag.oid),
+                "L1 versions are never older than the L2 version (§IV-A2 invariant)"
+            );
+            displaced = (unpersisted(l2) && l1.tag.oid != l2.tag.oid).then_some(*l2);
+        } else if !l1.tag.oid.at_least(l2.tag.oid) {
+            return;
+        }
+        *l2 = Line {
+            state: MesiState::M,
+            ..l1
+        };
+        if let Some(d) = displaced {
+            h.policy.emit(line, &d, vd, reason);
+        }
+    }
+
+    /// The newest version is the dirty L1 copy unless the L2's is newer;
+    /// an unpersisted L2 version it supersedes goes to the OMC.
+    fn merge(
+        h: &mut Core,
+        vd: VdId,
+        line: LineAddr,
+        l2: VLine,
+        l1: Option<VLine>,
+        reason: EvictReason,
+    ) -> VLine {
+        let mut newest = l2;
+        let mut dirty = l2.state.is_dirty();
+        if let Some(m) = l1 {
+            if m.tag.oid.newer_than(l2.tag.oid) {
+                if unpersisted(&l2) {
+                    h.policy.emit(line, &l2, vd, reason);
+                }
+                newest.token = m.token;
+                newest.tag = m.tag;
+                dirty = true;
+            } else if m.tag.oid == l2.tag.oid {
+                newest.token = m.token;
+                newest.tag.persisted &= m.tag.persisted;
+                dirty = true;
+            }
+        }
+        if !dirty {
+            newest.tag.persisted = true;
+        } else if !newest.state.is_dirty() {
+            newest.state = MesiState::M;
+        }
+        newest
+    }
+
+    fn transfer_state(dirty: bool) -> MesiState {
+        if dirty {
+            MesiState::M
+        } else {
+            MesiState::E
+        }
+    }
+
+    /// An unpersisted newest version is persisted on its way down; after
+    /// an L2 capacity eviction it bypasses the LLC to the OMC (§IV-A2).
+    fn write_back(h: &mut Core, vd: VdId, line: LineAddr, newest: VLine, reason: EvictReason) {
+        if unpersisted(&newest) {
+            if reason == EvictReason::CapacityMiss {
+                h.noc.send(MsgKind::OmcEvict);
+            }
+            h.policy.emit(line, &newest, vd, reason);
+        }
+        h.llc_install(
+            line,
+            LlcLine {
+                dirty: newest.state.is_dirty(),
+                token: newest.token,
+                tag: Self::settled(newest.tag),
+            },
+        );
+    }
+
+    /// LLC victims' versions were persisted when they left their VD
+    /// (§IV-A4); only the DRAM OID tag follows them home.
+    fn llc_victim(h: &mut Core, line: LineAddr, victim: LlcLine<VTag>) {
+        h.dram.update_oid(line, victim.tag.oid.raw(), newer_oid);
+    }
 }
 
-/// The CST versioned hierarchy.
-pub struct VersionedHierarchy {
-    cfg: Arc<SimConfig>,
-    cst: CstConfig,
-    l1s: Vec<CacheArray<VLine>>,
-    l2s: Vec<CacheArray<VLine>>,
-    llc: Vec<CacheArray<VLlcLine>>,
-    dir: Directory,
-    noc: Noc,
-    dram: Dram,
-    vd_abs: Vec<u64>,
-    store_counts: Vec<u64>,
-    counters: AccessCounters,
-    events: Vec<CstEvent>,
-    wrap_flushes: u64,
+/// Advances `vd` to absolute epoch `to`. Returns the stall charged to
+/// the VD's in-flight access.
+fn advance_epoch(h: &mut Core, vd: VdId, to: u64, cause: AdvanceCause) -> Cycle {
+    let from = h.policy.vd_abs[vd.index()];
+    debug_assert!(to > from, "epochs only move forward");
+    // The first VD to enter a half-space generation flushes its group's
+    // previous generation system-wide; VDs following it there find only
+    // fresh tags in that group.
+    let newest = h.policy.vd_abs.iter().copied().max().unwrap_or(from);
+    if to / HALF_SPACE > newest / HALF_SPACE {
+        wrap_flush(h, to);
+    }
+    h.policy.vd_abs[vd.index()] = to;
+    h.store_counts[vd.index()] = 0;
+    h.policy.events.push(CstEvent::EpochAdvanced {
+        vd,
+        from_abs: from,
+        to_abs: to,
+        cause,
+    });
+    h.policy.cst.epoch_advance_stall
+}
+
+/// Synchronizes `vd` to a response's RV if newer (Lamport rule).
+/// Spurious "future" RVs from stale DRAM tags are clamped to the
+/// system-wide maximum epoch: causality guarantees no genuine RV can
+/// exceed the epoch of the VD that produced it.
+fn sync_epoch(h: &mut Core, vd: VdId, rv_abs: u64) -> Cycle {
+    let cur = h.policy.vd_abs[vd.index()];
+    let max_abs = h.policy.vd_abs.iter().copied().max().unwrap_or(cur);
+    let to = rv_abs.min(max_abs);
+    if to > cur {
+        return advance_epoch(h, vd, to, AdvanceCause::CoherenceSync);
+    }
+    0
+}
+
+/// §IV-D group flush: before epochs enter a recycled half-space
+/// generation, every cache line still tagged in that half-space is
+/// flushed out of the hierarchy (unpersisted versions to the OMC, dirty
+/// data home to DRAM), and DRAM tags of the group are scrubbed.
+fn wrap_flush(h: &mut Core, entering_abs: u64) {
+    h.policy.wrap_flushes += 1;
+    let entering_group = Epoch::from_abs(entering_abs).group();
+    // A tag in the entering group is, by the invariant this flush
+    // maintains, from that group's *previous* generation: resolve it
+    // strictly into the past (the normal ±half-space reconstruction would
+    // read it as "future").
+    let gen_base = entering_abs >> 16 << 16;
+    let stale_abs = |tag: Epoch| {
+        let cand = gen_base + tag.raw() as u64;
+        if cand >= entering_abs {
+            cand.saturating_sub(1 << 16)
+        } else {
+            cand
+        }
+    };
+    let stale_tag = |_: LineAddr, m: &VLine| m.tag.oid.group() == entering_group;
+    for vdix in 0..h.l2s.len() {
+        let vd = VdId(vdix as u16);
+        // Lines whose L2 copy or any L1 copy is tagged in the entering
+        // group leave the VD whole.
+        let mut stale: Vec<LineAddr> = h.l2s[vdix].lines_where(stale_tag);
+        for c in h.local_cores(vd) {
+            for l in h.l1s[c as usize].lines_where(stale_tag) {
+                if !stale.contains(&l) {
+                    stale.push(l);
+                }
+            }
+        }
+        for line in stale {
+            let cores = h.local_cores(vd);
+            let l1s: Vec<VLine> = cores
+                .filter_map(|c| h.l1s[c as usize].remove(line))
+                .collect();
+            let mut dirty = false;
+            // The L2 copy first: an L1 version is never older, so the
+            // newest data reaches DRAM last.
+            for m in h.l2s[vdix].remove(line).into_iter().chain(l1s) {
+                if unpersisted(&m) {
+                    h.policy.events.push(CstEvent::Version(VersionOut {
+                        line,
+                        token: m.token,
+                        abs_epoch: stale_abs(m.tag.oid),
+                        reason: EvictReason::EpochFlush,
+                    }));
+                }
+                if m.state.is_dirty() {
+                    h.dram.write(line, m.token);
+                    dirty = true;
+                }
+            }
+            if dirty {
+                // The VD's data is authoritative: an LLC copy left behind
+                // by an E grant that was silently upgraded is stale now.
+                let s = h.slice_of(line);
+                h.llc[s].remove(line);
+            }
+            h.dir.remove_node(line, vd.0);
+        }
+    }
+    for s in 0..h.llc.len() {
+        for line in h.llc[s].lines_where(|_, m| m.tag.oid.group() == entering_group) {
+            let m = h.llc[s].remove(line).expect("listed");
+            if m.dirty {
+                h.dram.write(line, m.token);
+            }
+        }
+    }
+    let boundary = Epoch::from_abs(entering_abs / HALF_SPACE * HALF_SPACE);
+    h.dram
+        .scrub_oids(|t| Epoch(t).group() == entering_group, boundary.raw());
+}
+
+/// The CST versioned hierarchy: the coherence engine under
+/// [`VersionPolicy`], plus the tag walker, the drain and the epoch
+/// controls. The engine's accessors (`config`, `counters`, `noc`,
+/// `dram`, `import_lines`, `access`, ...) are reached through `Deref`.
+pub struct VersionedHierarchy(Core);
+
+impl std::ops::Deref for VersionedHierarchy {
+    type Target = Core;
+    fn deref(&self) -> &Core {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for VersionedHierarchy {
+    fn deref_mut(&mut self) -> &mut Core {
+        &mut self.0
+    }
 }
 
 impl VersionedHierarchy {
@@ -201,92 +504,47 @@ impl VersionedHierarchy {
     /// # Panics
     /// Panics if `cfg` does not validate.
     pub fn new_shared(cfg: Arc<SimConfig>, cst: CstConfig) -> Self {
-        cfg.validate().expect("invalid SimConfig");
-        let vds = cfg.vd_count() as usize;
-        let slices = cfg.llc_slices as u64;
-        let slice_sets = cfg.llc_slice_bytes() / (nvsim::addr::LINE_BYTES * cfg.llc.ways as u64);
-        let initial = cst.initial_epoch.max(1);
-        Self {
+        let policy = VersionPolicy {
+            vd_abs: vec![cst.initial_epoch.max(1); cfg.vd_count() as usize],
             cst,
-            l1s: (0..cfg.cores as usize)
-                .map(|_| CacheArray::from_params(&cfg.l1))
-                .collect(),
-            l2s: (0..vds).map(|_| CacheArray::from_params(&cfg.l2)).collect(),
-            llc: (0..slices)
-                .map(|_| CacheArray::with_stride(slice_sets, cfg.llc.ways, slices))
-                .collect(),
-            dir: Directory::new(),
-            noc: Noc::new(cfg.noc_hop_latency),
-            dram: Dram::new(cfg.dram_latency, cfg.dram_oid_superblock_lines),
-            vd_abs: vec![initial; vds],
-            store_counts: vec![0; vds],
-            counters: AccessCounters::default(),
             events: Vec::new(),
             wrap_flushes: 0,
-            cfg,
-        }
-    }
-
-    /// The simulator configuration in force.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The shared configuration handle.
-    pub fn config_shared(&self) -> &Arc<SimConfig> {
-        &self.cfg
+        };
+        Self(Coherence::new(cfg, policy))
     }
 
     /// The CST configuration in force.
     pub fn cst_config(&self) -> &CstConfig {
-        &self.cst
-    }
-
-    /// The VD a core belongs to.
-    pub fn vd_of(&self, core: CoreId) -> VdId {
-        VdId(core.0 / self.cfg.cores_per_vd)
+        &self.policy.cst
     }
 
     /// A VD's current absolute epoch.
     pub fn epoch_abs(&self, vd: VdId) -> u64 {
-        self.vd_abs[vd.index()]
+        self.policy.vd_abs[vd.index()]
     }
 
     /// A VD's current 16-bit epoch tag.
     pub fn epoch_tag(&self, vd: VdId) -> Epoch {
-        Epoch::from_abs(self.vd_abs[vd.index()])
+        Epoch::from_abs(self.epoch_abs(vd))
     }
 
-    /// Access counters.
-    pub fn counters(&self) -> &AccessCounters {
-        &self.counters
-    }
-
-    /// The NoC (traffic accounting).
-    pub fn noc(&self) -> &Noc {
-        &self.noc
-    }
-
-    /// The DRAM working memory.
-    pub fn dram(&self) -> &Dram {
-        &self.dram
+    /// Every VD's current absolute epoch.
+    pub(crate) fn epochs_abs(&self) -> &[u64] {
+        &self.policy.vd_abs
     }
 
     /// Group-crossing wrap flushes performed so far.
     pub fn wrap_flushes(&self) -> u64 {
-        self.wrap_flushes
+        self.policy.wrap_flushes
     }
 
     /// Publishes CST-side metrics under `prefix`: per-VD epoch gauges,
     /// wrap flushes, NoC message counts, and DRAM OID footprint.
     pub fn metrics_into(&self, reg: &mut nvsim::metrics::Registry, prefix: &str) {
         let p = |s: &str| format!("{prefix}.{s}");
-        reg.set_counter(&p("wrap_flushes"), self.wrap_flushes);
-        for vd in 0..self.cfg.vd_count() {
-            reg.set_gauge(
-                &p(&format!("vd{vd}.epoch_abs")),
-                self.vd_abs[vd as usize] as f64,
-            );
+        reg.set_counter(&p("wrap_flushes"), self.policy.wrap_flushes);
+        for (vd, abs) in self.policy.vd_abs.iter().enumerate() {
+            reg.set_gauge(&p(&format!("vd{vd}.epoch_abs")), *abs as f64);
         }
         for kind in MsgKind::ALL {
             reg.set_counter(&p(&format!("noc.{kind}")), self.noc.count(kind));
@@ -298,12 +556,12 @@ impl VersionedHierarchy {
 
     /// Events produced since the last [`VersionedHierarchy::take_events`].
     pub fn events(&self) -> &[CstEvent] {
-        &self.events
+        &self.policy.events
     }
 
     /// Drains the event buffer (system-side consumption).
     pub fn take_events(&mut self) -> Vec<CstEvent> {
-        std::mem::take(&mut self.events)
+        std::mem::take(&mut self.policy.events)
     }
 
     /// Drains the event buffer into `buf` by swapping — the hot-path
@@ -311,905 +569,14 @@ impl VersionedHierarchy {
     /// back its (cleared) scratch vector so neither side reallocates.
     pub fn swap_events(&mut self, buf: &mut Vec<CstEvent>) {
         debug_assert!(buf.is_empty(), "swap_events expects a cleared buffer");
-        std::mem::swap(&mut self.events, buf);
-    }
-
-    fn slice_of(&self, line: LineAddr) -> usize {
-        (line.raw() % self.cfg.llc_slices as u64) as usize
-    }
-
-    fn local_cores(&self, vd: VdId) -> std::ops::Range<u16> {
-        let base = vd.0 * self.cfg.cores_per_vd;
-        base..base + self.cfg.cores_per_vd
-    }
-
-    /// Reconstructs a line tag into an absolute epoch relative to the VD
-    /// currently holding the line.
-    fn abs_of(&self, tag: Epoch, vd: VdId) -> u64 {
-        crate::epoch::reconstruct_abs(tag, self.vd_abs[vd.index()])
-    }
-
-    fn emit_version(&mut self, line: LineAddr, token: Token, abs_epoch: u64, reason: EvictReason) {
-        self.events.push(CstEvent::Version(VersionOut {
-            line,
-            token,
-            abs_epoch,
-            reason,
-        }));
-    }
-
-    // ---------------------------------------------------------------
-    // Epoch management
-    // ---------------------------------------------------------------
-
-    /// Advances `vd` to absolute epoch `to`. Returns the stall charged to
-    /// the VD's in-flight access.
-    fn advance_epoch(&mut self, vd: VdId, to: u64, cause: AdvanceCause) -> Cycle {
-        let from = self.vd_abs[vd.index()];
-        debug_assert!(to > from, "epochs only move forward");
-        if from / HALF_SPACE != to / HALF_SPACE {
-            self.wrap_flush(to);
-        }
-        self.vd_abs[vd.index()] = to;
-        self.store_counts[vd.index()] = 0;
-        self.events.push(CstEvent::EpochAdvanced {
-            vd,
-            from_abs: from,
-            to_abs: to,
-            cause,
-        });
-        self.cst.epoch_advance_stall
+        std::mem::swap(&mut self.policy.events, buf);
     }
 
     /// Advances a VD's epoch by one for an explicit mark or the system's
     /// policy. Returns the stall.
     pub fn advance_epoch_explicit(&mut self, vd: VdId, cause: AdvanceCause) -> Cycle {
-        let to = self.vd_abs[vd.index()] + 1;
-        self.advance_epoch(vd, to, cause)
-    }
-
-    /// Synchronizes `vd` to a response's RV if newer (Lamport rule).
-    /// Spurious "future" RVs from stale DRAM tags are clamped to the
-    /// system-wide maximum epoch: causality guarantees no genuine RV can
-    /// exceed the epoch of the VD that produced it.
-    fn sync_epoch(&mut self, vd: VdId, rv_abs: u64) -> Cycle {
-        let cur = self.vd_abs[vd.index()];
-        let max_abs = self.vd_abs.iter().copied().max().unwrap_or(cur);
-        let to = rv_abs.min(max_abs);
-        if to > cur {
-            return self.advance_epoch(vd, to, AdvanceCause::CoherenceSync);
-        }
-        0
-    }
-
-    /// §IV-D group flush: before epochs enter a recycled half-space
-    /// generation, every cache line still tagged in that half-space is
-    /// flushed out of the hierarchy (unpersisted versions to the OMC,
-    /// dirty data home to DRAM), and DRAM tags of the group are scrubbed.
-    fn wrap_flush(&mut self, entering_abs: u64) {
-        self.wrap_flushes += 1;
-        let entering_group = Epoch::from_abs(entering_abs).group();
-        // A tag in the entering group is, by the invariant this flush
-        // maintains, from that group's *previous* generation: resolve it
-        // strictly into the past (the normal ±half-space reconstruction
-        // would read it as "future").
-        let gen_base = entering_abs >> 16 << 16;
-        let stale_abs = |tag: Epoch| {
-            let cand = gen_base + tag.raw() as u64;
-            if cand >= entering_abs {
-                cand.saturating_sub(1 << 16)
-            } else {
-                cand
-            }
-        };
-        for vdix in 0..self.l2s.len() {
-            let vd = VdId(vdix as u16);
-            // Collect lines where the L2 copy or any L1 copy is tagged in
-            // the entering group; flush the whole line out of the VD.
-            let mut stale: Vec<LineAddr> =
-                self.l2s[vdix].lines_where(|_, m| m.oid.group() == entering_group);
-            for c in self.local_cores(vd) {
-                for l in self.l1s[c as usize].lines_where(|_, m| m.oid.group() == entering_group) {
-                    if !stale.contains(&l) {
-                        stale.push(l);
-                    }
-                }
-            }
-            for line in stale {
-                for c in self.local_cores(vd) {
-                    if let Some(m) = self.l1s[c as usize].remove(line) {
-                        if m.unpersisted_version() {
-                            let abs = stale_abs(m.oid);
-                            self.emit_version(line, m.token, abs, EvictReason::EpochFlush);
-                        }
-                        if m.state.is_dirty() {
-                            self.dram.write(line, m.token);
-                        }
-                    }
-                }
-                if let Some(m) = self.l2s[vdix].remove(line) {
-                    if m.unpersisted_version() {
-                        let abs = stale_abs(m.oid);
-                        self.emit_version(line, m.token, abs, EvictReason::EpochFlush);
-                    }
-                    if m.state.is_dirty() {
-                        self.dram.write(line, m.token);
-                    }
-                }
-                self.dir.remove_node(line, vd.0);
-            }
-        }
-        for s in 0..self.llc.len() {
-            let stale: Vec<LineAddr> =
-                self.llc[s].lines_where(|_, m| m.oid.group() == entering_group);
-            for line in stale {
-                let m = self.llc[s].remove(line).expect("listed");
-                if m.dirty {
-                    self.dram.write(line, m.token);
-                }
-            }
-        }
-        let boundary = Epoch::from_abs(entering_abs / HALF_SPACE * HALF_SPACE);
-        self.dram
-            .scrub_oids(|t| Epoch(t).group() == entering_group, boundary.raw());
-    }
-
-    // ---------------------------------------------------------------
-    // Access path
-    // ---------------------------------------------------------------
-
-    /// Performs one access. Returns `(latency, persist_stall_within,
-    /// value)` — the value loaded or stored; version evictions and epoch
-    /// advances appear in [`VersionedHierarchy::take_events`].
-    pub fn access(
-        &mut self,
-        core: CoreId,
-        op: MemOp,
-        addr: Addr,
-        token: Token,
-    ) -> (Cycle, Cycle, Token) {
-        let line = addr.line();
-        let vd = self.vd_of(core);
-        let perm = match op {
-            MemOp::Load => Permission::Read,
-            MemOp::Store => Permission::Write,
-        };
-        match op {
-            MemOp::Load => self.counters.loads += 1,
-            MemOp::Store => self.counters.stores += 1,
-        }
-        let mut lat = self.cfg.l1.latency;
-        let mut stall = 0;
-
-        if self.cfg.replay_fast_path {
-            // Single-probe L1 fast path. A store hitting a writable line
-            // whose version is same-epoch (or persisted/clean — no
-            // store-eviction possible) updates the slot in place with the
-            // one `get_mut` probe; the reference path probes three times
-            // (`get` + `commit_store`'s `peek` + `peek_mut`). Stores that
-            // DO need the §IV-A1 store-eviction fall through to the
-            // reference `commit_store`. Observable state (counters, LRU,
-            // events, store budget, epoch advances) is identical.
-            let cur_tag = Epoch::from_abs(self.vd_abs[vd.index()]);
-            let mut committed = false;
-            let mut needs_reference_commit = false;
-            if let Some(l) = self.l1s[core.index()].get_mut(line) {
-                if perm.satisfied_by(l.state) {
-                    self.counters.l1_hits += 1;
-                    if op == MemOp::Store {
-                        debug_assert!(l.state.is_writable(), "store commit requires M/E");
-                        if l.oid == cur_tag || !l.unpersisted_version() {
-                            l.token = token;
-                            l.oid = cur_tag;
-                            l.state = MesiState::M;
-                            l.persisted = false;
-                            committed = true;
-                        } else {
-                            needs_reference_commit = true;
-                        }
-                    } else {
-                        return (lat, 0, l.token);
-                    }
-                }
-            }
-            if committed {
-                let sc = &mut self.store_counts[vd.index()];
-                *sc += 1;
-                if *sc >= self.cfg.epoch_size_stores {
-                    let to = self.vd_abs[vd.index()] + 1;
-                    stall += self.advance_epoch(vd, to, AdvanceCause::StoreBudget);
-                }
-                return (lat + stall, stall, token);
-            }
-            if needs_reference_commit {
-                stall += self.commit_store(core, vd, line, token);
-                return (lat + stall, stall, token);
-            }
-        } else {
-            // Reference path: L1 hit with sufficient permission.
-            if let Some((state, value)) =
-                self.l1s[core.index()].get(line).map(|l| (l.state, l.token))
-            {
-                if perm.satisfied_by(state) {
-                    self.counters.l1_hits += 1;
-                    if op == MemOp::Store {
-                        stall += self.commit_store(core, vd, line, token);
-                        return (lat + stall, stall, token);
-                    }
-                    return (lat + stall, stall, value);
-                }
-            }
-        }
-
-        lat += self.cfg.l2.latency;
-        let (extra, sync_stall) = self.ensure_l2(vd, line, perm);
-        lat += extra;
-        stall += sync_stall;
-
-        lat += self.resolve_sibling_l1s(core, vd, line, op);
-        // After a load-resolve, siblings retain S copies: the new fill
-        // must then also be S (granting E beside a live sharer would let
-        // a later store skip the sibling invalidation).
-        let sibling_retains = op == MemOp::Load
-            && self
-                .local_cores(vd)
-                .any(|c| c != core.0 && self.l1s[c as usize].contains(line));
-
-        // Fill or upgrade the L1 from the L2.
-        let l2_meta = *self.l2s[vd.index()]
-            .peek(line)
-            .expect("L2 holds the line after ensure_l2 (inclusion)");
-        let fill_state = match op {
-            MemOp::Load if sibling_retains => MesiState::S,
-            MemOp::Load => match l2_meta.state {
-                MesiState::M | MesiState::E => MesiState::E,
-                // The L2 keeps the dirty Owned version; L1s read Shared.
-                MesiState::S | MesiState::O => MesiState::S,
-                MesiState::I => unreachable!("ensure_l2 grants at least S"),
-            },
-            MemOp::Store => MesiState::E,
-        };
-        match self.l1s[core.index()].peek_mut(line) {
-            Some(l) => {
-                debug_assert!(!l.state.is_dirty(), "upgrades start from a clean state");
-                l.state = fill_state;
-                l.token = l2_meta.token;
-                l.oid = l2_meta.oid;
-                l.persisted = true;
-            }
-            None => {
-                // The L1 fill mirrors the L2's data; the L2 keeps version
-                // custody, so the L1 copy starts "persisted".
-                let fill = VLine {
-                    state: fill_state,
-                    token: l2_meta.token,
-                    oid: l2_meta.oid,
-                    persisted: true,
-                };
-                if let Some((vline, vmeta)) = self.l1s[core.index()].insert(line, fill) {
-                    self.l1_evict(vd, vline, vmeta);
-                }
-            }
-        }
-
-        if op == MemOp::Store {
-            stall += self.commit_store(core, vd, line, token);
-            return (lat + stall, stall, token);
-        }
-        (lat + stall, stall, l2_meta.token)
-    }
-
-    /// Retires a store into an L1 line with write permission, applying the
-    /// version access protocol (§IV-A1).
-    fn commit_store(&mut self, core: CoreId, vd: VdId, line: LineAddr, token: Token) -> Cycle {
-        let cur_tag = self.epoch_tag(vd);
-        let meta = *self.l1s[core.index()]
-            .peek(line)
-            .expect("store commit requires a resident L1 line");
-        debug_assert!(meta.state.is_writable(), "store commit requires M/E");
-
-        if meta.unpersisted_version() && meta.oid != cur_tag {
-            // Immutable old version: store-eviction into the L2 first.
-            self.putx_to_l2(vd, line, meta.token, meta.oid, EvictReason::StoreEviction);
-        }
-        let l = self.l1s[core.index()].peek_mut(line).expect("resident");
-        l.token = token;
-        l.oid = cur_tag;
-        l.state = MesiState::M;
-        l.persisted = false;
-
-        let sc = &mut self.store_counts[vd.index()];
-        *sc += 1;
-        if *sc >= self.cfg.epoch_size_stores {
-            let to = self.vd_abs[vd.index()] + 1;
-            return self.advance_epoch(vd, to, AdvanceCause::StoreBudget);
-        }
-        0
-    }
-
-    /// Folds a version coming down from an L1 into the L2 (§IV-A2 PUTX):
-    /// if the L2 holds an *older unpersisted* version, that version is
-    /// evicted to the OMC before being overwritten.
-    fn putx_to_l2(
-        &mut self,
-        vd: VdId,
-        line: LineAddr,
-        token: Token,
-        oid: Epoch,
-        reason: EvictReason,
-    ) {
-        let l2 = self.l2s[vd.index()]
-            .peek_mut(line)
-            .expect("inclusion: L2 must hold every L1 line");
-        debug_assert!(
-            !l2.state.is_dirty() || oid.at_least(l2.oid),
-            "L1 versions are never older than the L2 version (§IV-A2 invariant)"
-        );
-        let displaced = if l2.unpersisted_version() && oid != l2.oid {
-            Some((l2.token, l2.oid))
-        } else {
-            None
-        };
-        l2.token = token;
-        l2.oid = oid;
-        l2.state = MesiState::M;
-        l2.persisted = false;
-        if let Some((dtok, doid)) = displaced {
-            let dabs = self.abs_of(doid, vd);
-            self.emit_version(line, dtok, dabs, reason);
-        }
-    }
-
-    /// Handles an L1 capacity eviction.
-    fn l1_evict(&mut self, vd: VdId, line: LineAddr, meta: VLine) {
-        if !meta.state.is_dirty() {
-            return;
-        }
-        if meta.unpersisted_version() {
-            self.putx_to_l2(vd, line, meta.token, meta.oid, EvictReason::CapacityMiss);
-        } else {
-            // Persisted but DRAM-dirty: fold data into the L2 copy.
-            let l2 = self.l2s[vd.index()]
-                .peek_mut(line)
-                .expect("inclusion: L2 must hold every L1 line");
-            if meta.oid.at_least(l2.oid) {
-                l2.token = meta.token;
-                l2.oid = meta.oid;
-                l2.state = MesiState::M;
-                l2.persisted = true;
-            }
-        }
-    }
-
-    /// Invalidates/downgrades sibling L1 copies within the VD.
-    fn resolve_sibling_l1s(&mut self, core: CoreId, vd: VdId, line: LineAddr, op: MemOp) -> Cycle {
-        let mut lat = 0;
-        for c in self.local_cores(vd) {
-            if c == core.0 {
-                continue;
-            }
-            let ci = c as usize;
-            if !self.l1s[ci].contains(line) {
-                continue;
-            }
-            lat += self.cfg.l1.latency;
-            let meta = *self.l1s[ci].peek(line).expect("probed present");
-            if meta.state.is_dirty() {
-                if meta.unpersisted_version() {
-                    let reason = match op {
-                        MemOp::Store => EvictReason::CoherenceInvalidation,
-                        MemOp::Load => EvictReason::CoherenceDowngrade,
-                    };
-                    // Intra-VD transfer: the version moves to the L2 (it
-                    // stays inside the VD, so no OMC write — unless it
-                    // displaces an older L2 version).
-                    self.putx_to_l2(vd, line, meta.token, meta.oid, reason);
-                } else {
-                    let l2 = self.l2s[vd.index()].peek_mut(line).expect("inclusion");
-                    if meta.oid.at_least(l2.oid) {
-                        l2.token = meta.token;
-                        l2.oid = meta.oid;
-                        l2.state = MesiState::M;
-                        l2.persisted = true;
-                    }
-                }
-            }
-            match op {
-                MemOp::Store => {
-                    self.l1s[ci].remove(line);
-                }
-                MemOp::Load => {
-                    let l = self.l1s[ci].peek_mut(line).expect("probed present");
-                    l.state = MesiState::S;
-                    l.persisted = true;
-                }
-            }
-        }
-        lat
-    }
-
-    /// Ensures the VD's L2 holds `line` with `perm`. Returns
-    /// `(extra latency, epoch-sync stall)`.
-    fn ensure_l2(&mut self, vd: VdId, line: LineAddr, perm: Permission) -> (Cycle, Cycle) {
-        if let Some(l2) = self.l2s[vd.index()].get(line) {
-            if perm.satisfied_by(l2.state) {
-                self.counters.l2_hits += 1;
-                return (0, 0);
-            }
-        }
-        let mut lat = self.cfg.llc.latency;
-        lat += match perm {
-            Permission::Read => self.noc.send(MsgKind::GetS),
-            Permission::Write => self.noc.send(MsgKind::GetX),
-        };
-
-        let fetch = match perm {
-            Permission::Write => self.dir_getx(vd, line, &mut lat),
-            Permission::Read => self.dir_gets(vd, line, &mut lat),
-        };
-
-        // Coherence-driven epoch update (§IV-B2) before the line installs.
-        let stall = self.sync_epoch(vd, fetch.rv_abs);
-        let rv = Epoch::from_abs(fetch.rv_abs);
-        if fetch.state == MesiState::M && !fetch.persisted {
-            // A persistence obligation arrived via C2C transfer.
-            self.events.push(CstEvent::DirtyTransfer {
-                vd,
-                abs_epoch: fetch.rv_abs,
-            });
-        }
-
-        match self.l2s[vd.index()].peek_mut(line) {
-            Some(l) => {
-                debug_assert!(
-                    !l.state.is_dirty() || l.state == MesiState::O,
-                    "upgrades start from a clean or Owned state"
-                );
-                l.state = fetch.state;
-                l.token = fetch.token;
-                l.oid = rv;
-                l.persisted = fetch.persisted;
-            }
-            None => {
-                let fill = VLine {
-                    state: fetch.state,
-                    token: fetch.token,
-                    oid: rv,
-                    persisted: fetch.persisted,
-                };
-                if let Some((vline, vmeta)) = self.l2s[vd.index()].insert(line, fill) {
-                    self.l2_capacity_evict(vd, vline, vmeta);
-                }
-            }
-        }
-        // A dirty fetched copy must keep M so the DRAM chain stays exact.
-        if fetch.dram_dirty {
-            let l = self.l2s[vd.index()].peek_mut(line).expect("installed");
-            l.state = MesiState::M;
-        }
-        (lat, stall)
-    }
-
-    /// Directory GETX (§IV-A3/Fig 6, optimization 2): the newest version
-    /// moves cache-to-cache with its persistence obligation; older
-    /// versions in the previous owner are evicted to the OMC.
-    fn dir_getx(&mut self, vd: VdId, line: LineAddr, lat: &mut Cycle) -> FetchResult {
-        let entry = self.dir.entry(line).copied();
-        if let Some(e) = entry {
-            if let Some(owner) = e.owner() {
-                if owner != vd.0 {
-                    // Under MOESI the Owned line may have plain sharers
-                    // too — invalidate them alongside.
-                    for sh in e.sharers_except(vd.0) {
-                        if sh == owner {
-                            continue;
-                        }
-                        *lat += self.noc.send(MsgKind::FwdGetX);
-                        self.noc.send(MsgKind::InvAck);
-                        self.invalidate_vd_clean(VdId(sh), line);
-                        self.dir.remove_node(line, sh);
-                    }
-                    *lat += self.noc.send(MsgKind::FwdGetX);
-                    *lat += self.cfg.l2.latency;
-                    let (token, abs, dirty, persisted) =
-                        self.strip_vd_for_invalidation(VdId(owner), line);
-                    *lat += self.noc.send(MsgKind::CacheToCache);
-                    self.dir.remove_node(line, owner);
-                    self.dir.set_owner(line, vd.0);
-                    let s = self.slice_of(line);
-                    let llc_dirty = self.llc[s].remove(line).is_some_and(|m| m.dirty);
-                    return FetchResult {
-                        token,
-                        rv_abs: abs,
-                        state: if dirty || llc_dirty {
-                            MesiState::M
-                        } else {
-                            MesiState::E
-                        },
-                        dram_dirty: dirty || llc_dirty,
-                        persisted,
-                    };
-                }
-                // We already own it (the MOESI O→M upgrade): invalidate
-                // the other sharers; the version and its persistence
-                // custody stay in place.
-                for sh in e.sharers_except(vd.0) {
-                    *lat += self.noc.send(MsgKind::FwdGetX);
-                    self.noc.send(MsgKind::InvAck);
-                    self.invalidate_vd_clean(VdId(sh), line);
-                    self.dir.remove_node(line, sh);
-                }
-                self.dir.set_owner(line, vd.0);
-                let l2 = self.l2s[vd.index()].peek(line).expect("owner holds line");
-                let dirty = l2.state.is_dirty();
-                return FetchResult {
-                    token: l2.token,
-                    rv_abs: self.abs_of(l2.oid, vd),
-                    state: if dirty { MesiState::M } else { MesiState::E },
-                    dram_dirty: dirty,
-                    persisted: l2.persisted,
-                };
-            }
-            for sh in e.sharers_except(vd.0) {
-                *lat += self.noc.send(MsgKind::FwdGetX);
-                self.noc.send(MsgKind::InvAck);
-                self.invalidate_vd_clean(VdId(sh), line);
-                self.dir.remove_node(line, sh);
-            }
-            let own = self.l2s[vd.index()].peek(line).map(|o| (o.token, o.oid));
-            let s = self.slice_of(line);
-            let llc_copy = self.llc[s].remove(line);
-            let (token, abs, dirty) = if let Some(c) = llc_copy {
-                self.counters.llc_hits += 1;
-                (c.token, self.abs_of(c.oid, vd), c.dirty)
-            } else if let Some((t, oid)) = own {
-                (t, self.abs_of(oid, vd), false)
-            } else {
-                *lat += self.dram.latency();
-                self.counters.mem_fetches += 1;
-                let t = self.dram.read(line);
-                let oid = self.dram.oid(line).map(Epoch).unwrap_or(Epoch(0));
-                (t, self.abs_of(oid, vd), false)
-            };
-            self.dir.remove_node(line, vd.0);
-            self.dir.set_owner(line, vd.0);
-            return FetchResult {
-                token,
-                rv_abs: abs,
-                state: if dirty { MesiState::M } else { MesiState::E },
-                dram_dirty: dirty,
-                persisted: true,
-            };
-        }
-        let s = self.slice_of(line);
-        let llc_copy = self.llc[s].remove(line);
-        let (token, abs, dirty) = if let Some(c) = llc_copy {
-            self.counters.llc_hits += 1;
-            (c.token, self.abs_of(c.oid, vd), c.dirty)
-        } else {
-            *lat += self.dram.latency();
-            self.counters.mem_fetches += 1;
-            let t = self.dram.read(line);
-            let oid = self.dram.oid(line).map(Epoch).unwrap_or(Epoch(0));
-            (t, self.abs_of(oid, vd), false)
-        };
-        self.dir.set_owner(line, vd.0);
-        FetchResult {
-            token,
-            rv_abs: abs,
-            state: if dirty { MesiState::M } else { MesiState::E },
-            dram_dirty: dirty,
-            persisted: true,
-        }
-    }
-
-    /// Directory GETS (§IV-A3/Fig 5, optimization 1): the newest version
-    /// lands in the LLC and is persisted; an older L2 version is persisted
-    /// without touching the LLC.
-    fn dir_gets(&mut self, vd: VdId, line: LineAddr, lat: &mut Cycle) -> FetchResult {
-        let entry = self.dir.entry(line).copied();
-        if let Some(e) = entry {
-            if let Some(owner) = e.owner() {
-                debug_assert_ne!(owner, vd.0, "self-owned lines hit in ensure_l2");
-                *lat += self.noc.send(MsgKind::FwdGetS);
-                *lat += self.cfg.l2.latency;
-                if self.cfg.protocol == nvsim::config::Protocol::Moesi {
-                    // MOESI: the newest version stays Owned (and possibly
-                    // unpersisted) in the owner — no LLC deposit, no OMC
-                    // write. Only an older displaced L2 version is
-                    // persisted (inside the helper).
-                    let (token, abs) = self.downgrade_vd_moesi(VdId(owner), line);
-                    *lat += self.noc.send(MsgKind::CacheToCache);
-                    self.dir.add_sharer_keep_owner(line, vd.0);
-                    return FetchResult {
-                        token,
-                        rv_abs: abs,
-                        state: MesiState::S,
-                        dram_dirty: false,
-                        persisted: true,
-                    };
-                }
-                let (token, abs, was_dirty) = self.downgrade_vd(VdId(owner), line);
-                *lat += self.noc.send(MsgKind::Data);
-                if was_dirty {
-                    self.llc_install(
-                        line,
-                        VLlcLine {
-                            token,
-                            oid: Epoch::from_abs(abs),
-                            dirty: true,
-                        },
-                    );
-                }
-                self.dir.downgrade_owner(line);
-                self.dir.add_sharer(line, vd.0);
-                return FetchResult {
-                    token,
-                    rv_abs: abs,
-                    state: MesiState::S,
-                    dram_dirty: false,
-                    persisted: true,
-                };
-            }
-            let s = self.slice_of(line);
-            let (token, abs) = if let Some(c) = self.llc[s].get(line).map(|c| (c.token, c.oid)) {
-                self.counters.llc_hits += 1;
-                (c.0, self.abs_of(c.1, vd))
-            } else {
-                *lat += self.dram.latency();
-                self.counters.mem_fetches += 1;
-                let t = self.dram.read(line);
-                let oid = self.dram.oid(line).map(Epoch).unwrap_or(Epoch(0));
-                (t, self.abs_of(oid, vd))
-            };
-            self.dir.add_sharer(line, vd.0);
-            return FetchResult {
-                token,
-                rv_abs: abs,
-                state: MesiState::S,
-                dram_dirty: false,
-                persisted: true,
-            };
-        }
-        let s = self.slice_of(line);
-        let (token, abs) = if let Some(c) = self.llc[s].get(line).map(|c| (c.token, c.oid)) {
-            self.counters.llc_hits += 1;
-            (c.0, self.abs_of(c.1, vd))
-        } else {
-            *lat += self.dram.latency();
-            self.counters.mem_fetches += 1;
-            let t = self.dram.read(line);
-            let oid = self.dram.oid(line).map(Epoch).unwrap_or(Epoch(0));
-            (t, self.abs_of(oid, vd))
-        };
-        self.dir.set_owner(line, vd.0);
-        FetchResult {
-            token,
-            rv_abs: abs,
-            state: MesiState::E,
-            dram_dirty: false,
-            persisted: true,
-        }
-    }
-
-    /// External invalidation of `vd`'s copies (Fig 6). Returns the newest
-    /// version `(token, abs, dirty, persisted)` for the C2C transfer;
-    /// older unpersisted versions are evicted to the OMC.
-    fn strip_vd_for_invalidation(&mut self, vd: VdId, line: LineAddr) -> (Token, u64, bool, bool) {
-        let l2meta = self.l2s[vd.index()]
-            .remove(line)
-            .expect("directory says the VD caches the line");
-        let mut newest_token = l2meta.token;
-        let mut newest_oid = l2meta.oid;
-        let mut newest_dirty = l2meta.state.is_dirty();
-        let mut newest_persisted = l2meta.persisted;
-        let mut older: Option<(Token, Epoch)> = None;
-
-        for c in self.local_cores(vd) {
-            if let Some(m) = self.l1s[c as usize].remove(line) {
-                if m.state.is_dirty() && m.oid.newer_than(newest_oid) {
-                    if l2meta.unpersisted_version() {
-                        older = Some((l2meta.token, l2meta.oid));
-                    }
-                    newest_token = m.token;
-                    newest_oid = m.oid;
-                    newest_dirty = true;
-                    newest_persisted = m.persisted;
-                } else if m.state.is_dirty() && m.oid == newest_oid {
-                    newest_token = m.token;
-                    newest_dirty = true;
-                    newest_persisted = newest_persisted && m.persisted;
-                }
-            }
-        }
-        if let Some((t, oid)) = older {
-            let abs = self.abs_of(oid, vd);
-            self.emit_version(line, t, abs, EvictReason::CoherenceInvalidation);
-        }
-        let abs = self.abs_of(newest_oid, vd);
-        (
-            newest_token,
-            abs,
-            newest_dirty,
-            newest_persisted || !newest_dirty,
-        )
-    }
-
-    /// External downgrade of `vd`'s copies (Fig 5). The newest version is
-    /// persisted to the OMC and returned; an older L2 version is persisted
-    /// without an LLC write (optimization 1).
-    fn downgrade_vd(&mut self, vd: VdId, line: LineAddr) -> (Token, u64, bool) {
-        let l2meta = *self.l2s[vd.index()]
-            .peek(line)
-            .expect("directory says the VD caches the line");
-        let mut newest_token = l2meta.token;
-        let mut newest_oid = l2meta.oid;
-        let mut newest_unpersisted = l2meta.unpersisted_version();
-        let mut newest_dirty = l2meta.state.is_dirty();
-        let mut older: Option<(Token, Epoch)> = None;
-
-        for c in self.local_cores(vd) {
-            if let Some(m) = self.l1s[c as usize].peek_mut(line) {
-                if m.state.is_dirty() && m.oid.newer_than(newest_oid) {
-                    if l2meta.unpersisted_version() {
-                        older = Some((l2meta.token, l2meta.oid));
-                    }
-                    newest_token = m.token;
-                    newest_oid = m.oid;
-                    newest_unpersisted = !m.persisted;
-                    newest_dirty = true;
-                } else if m.state.is_dirty() && m.oid == newest_oid {
-                    newest_token = m.token;
-                    newest_unpersisted = newest_unpersisted || !m.persisted;
-                    newest_dirty = true;
-                }
-                m.state = MesiState::S;
-                m.persisted = true;
-                m.token = newest_token;
-                m.oid = newest_oid;
-            }
-        }
-        if let Some((t, oid)) = older {
-            let abs = self.abs_of(oid, vd);
-            self.emit_version(line, t, abs, EvictReason::CoherenceDowngrade);
-        }
-        let abs = self.abs_of(newest_oid, vd);
-        if newest_unpersisted {
-            self.emit_version(line, newest_token, abs, EvictReason::CoherenceDowngrade);
-        }
-        let l2 = self.l2s[vd.index()].peek_mut(line).expect("resident");
-        l2.token = newest_token;
-        l2.oid = newest_oid;
-        l2.state = MesiState::S;
-        l2.persisted = true;
-        (newest_token, abs, newest_dirty)
-    }
-
-    /// MOESI downgrade (versioned): the newest version folds into the L2
-    /// as Owned — it keeps both its dirty data and, if unpersisted, its
-    /// persistence custody. An older displaced L2 version is evicted to
-    /// the OMC. Returns the newest `(token, abs_epoch)` for the response.
-    fn downgrade_vd_moesi(&mut self, vd: VdId, line: LineAddr) -> (Token, u64) {
-        let l2meta = *self.l2s[vd.index()]
-            .peek(line)
-            .expect("directory says the VD caches the line");
-        let mut newest_token = l2meta.token;
-        let mut newest_oid = l2meta.oid;
-        let mut newest_persisted = l2meta.persisted;
-        let mut newest_dirty = l2meta.state.is_dirty();
-        let mut older: Option<(Token, Epoch)> = None;
-
-        for c in self.local_cores(vd) {
-            if let Some(m) = self.l1s[c as usize].peek_mut(line) {
-                if m.state.is_dirty() && m.oid.newer_than(newest_oid) {
-                    if l2meta.unpersisted_version() {
-                        older = Some((l2meta.token, l2meta.oid));
-                    }
-                    newest_token = m.token;
-                    newest_oid = m.oid;
-                    newest_persisted = m.persisted;
-                    newest_dirty = true;
-                } else if m.state.is_dirty() && m.oid == newest_oid {
-                    newest_token = m.token;
-                    newest_persisted = newest_persisted && m.persisted;
-                    newest_dirty = true;
-                }
-                m.state = MesiState::S;
-                m.persisted = true;
-                m.token = newest_token;
-                m.oid = newest_oid;
-            }
-        }
-        if let Some((t, oid)) = older {
-            let abs = self.abs_of(oid, vd);
-            self.emit_version(line, t, abs, EvictReason::CoherenceDowngrade);
-        }
-        let l2 = self.l2s[vd.index()].peek_mut(line).expect("resident");
-        l2.token = newest_token;
-        l2.oid = newest_oid;
-        l2.state = if newest_dirty {
-            MesiState::O
-        } else {
-            MesiState::S
-        };
-        l2.persisted = if newest_dirty { newest_persisted } else { true };
-        let abs = self.abs_of(newest_oid, vd);
-        (newest_token, abs)
-    }
-
-    /// Invalidates a clean shared copy.
-    fn invalidate_vd_clean(&mut self, vd: VdId, line: LineAddr) {
-        self.l2s[vd.index()].remove(line);
-        for c in self.local_cores(vd) {
-            self.l1s[c as usize].remove(line);
-        }
-    }
-
-    /// Handles an L2 capacity eviction (§IV-A2): dirty versions go to the
-    /// LLC *and*, if unpersisted, to the OMC via the LLC-bypass path.
-    fn l2_capacity_evict(&mut self, vd: VdId, line: LineAddr, meta: VLine) {
-        let mut newest_token = meta.token;
-        let mut newest_oid = meta.oid;
-        let mut newest_unpersisted = meta.unpersisted_version();
-        let mut newest_dirty = meta.state.is_dirty();
-        let mut older: Option<(Token, Epoch)> = None;
-
-        for c in self.local_cores(vd) {
-            if let Some(m) = self.l1s[c as usize].remove(line) {
-                if m.state.is_dirty() && m.oid.newer_than(newest_oid) {
-                    if meta.unpersisted_version() {
-                        older = Some((meta.token, meta.oid));
-                    }
-                    newest_token = m.token;
-                    newest_oid = m.oid;
-                    newest_unpersisted = !m.persisted;
-                    newest_dirty = true;
-                } else if m.state.is_dirty() && m.oid == newest_oid {
-                    newest_token = m.token;
-                    newest_unpersisted = newest_unpersisted || !m.persisted;
-                    newest_dirty = true;
-                }
-            }
-        }
-        self.dir.remove_node(line, vd.0);
-        self.noc.send(MsgKind::PutX);
-        if let Some((t, oid)) = older {
-            let abs = self.abs_of(oid, vd);
-            self.emit_version(line, t, abs, EvictReason::CapacityMiss);
-        }
-        if newest_unpersisted {
-            let abs = self.abs_of(newest_oid, vd);
-            self.noc.send(MsgKind::OmcEvict);
-            self.emit_version(line, newest_token, abs, EvictReason::CapacityMiss);
-        }
-        self.llc_install(
-            line,
-            VLlcLine {
-                token: newest_token,
-                oid: newest_oid,
-                dirty: newest_dirty,
-            },
-        );
-    }
-
-    /// Installs a line into its LLC slice; dirty victims go home to DRAM
-    /// (their versions were persisted when they left their VD, §IV-A4).
-    fn llc_install(&mut self, line: LineAddr, meta: VLlcLine) {
-        let s = self.slice_of(line);
-        if let Some(existing) = self.llc[s].peek_mut(line) {
-            if meta.dirty {
-                *existing = meta;
-            }
-            return;
-        }
-        if let Some((vline, vmeta)) = self.llc[s].insert(line, meta) {
-            if vmeta.dirty {
-                self.dram.write(vline, vmeta.token);
-                let raw = vmeta.oid.raw();
-                self.dram
-                    .update_oid(vline, raw, |a, b| Epoch(a).newer_than(Epoch(b)));
-            }
-        }
+        let to = self.epoch_abs(vd) + 1;
+        advance_epoch(&mut self.0, vd, to, cause)
     }
 
     // ---------------------------------------------------------------
@@ -1227,26 +594,27 @@ impl VersionedHierarchy {
     /// against a rescan in debug builds).
     pub fn tag_walk(&mut self, vd: VdId) -> (Vec<VersionOut>, u64) {
         let cur_tag = self.epoch_tag(vd);
-        let cur_abs = self.vd_abs[vd.index()];
+        let cur_abs = self.epoch_abs(vd);
+        let h = &mut self.0;
         let mut out = Vec::new();
-        let mut walk = |arr: &mut CacheArray<VLine>| {
+        let mut walk = |arr: &mut nvsim::cache::CacheArray<VLine>| {
             for (line, m) in arr.iter_mut() {
-                if m.unpersisted_version() && m.oid != cur_tag {
-                    m.persisted = true;
+                if unpersisted(m) && m.tag.oid != cur_tag {
+                    m.tag.persisted = true;
                     out.push(VersionOut {
                         line,
                         token: m.token,
-                        abs_epoch: crate::epoch::reconstruct_abs(m.oid, cur_abs),
+                        abs_epoch: crate::epoch::reconstruct_abs(m.tag.oid, cur_abs),
                         reason: EvictReason::TagWalk,
                     });
                 }
             }
         };
-        walk(&mut self.l2s[vd.index()]);
+        walk(&mut h.l2s[vd.index()]);
         // The hardware walker is L2-level; the VD's few L1s are walked too
         // so min-ver is exact (see DESIGN.md §6).
-        for c in self.local_cores(vd) {
-            walk(&mut self.l1s[c as usize]);
+        for c in h.local_cores(vd) {
+            walk(&mut h.l1s[c as usize]);
         }
         debug_assert!(
             self.min_unpersisted(vd).is_none_or(|m| m == cur_abs),
@@ -1257,25 +625,14 @@ impl VersionedHierarchy {
 
     /// Smallest absolute epoch of any unpersisted version in the VD.
     pub fn min_unpersisted(&self, vd: VdId) -> Option<u64> {
-        let cur_abs = self.vd_abs[vd.index()];
-        let mut min: Option<u64> = None;
-        let mut consider = |oid: Epoch| {
-            let abs = crate::epoch::reconstruct_abs(oid, cur_abs);
-            min = Some(min.map_or(abs, |m: u64| m.min(abs)));
-        };
-        for (_, m) in self.l2s[vd.index()].iter() {
-            if m.unpersisted_version() {
-                consider(m.oid);
-            }
-        }
-        for c in self.local_cores(vd) {
-            for (_, m) in self.l1s[c as usize].iter() {
-                if m.unpersisted_version() {
-                    consider(m.oid);
-                }
-            }
-        }
-        min
+        let cur_abs = self.epoch_abs(vd);
+        let l1s = self.local_cores(vd).map(|c| &self.l1s[c as usize]);
+        std::iter::once(&self.l2s[vd.index()])
+            .chain(l1s)
+            .flat_map(|arr| arr.iter())
+            .filter(|(_, m)| unpersisted(m))
+            .map(|(_, m)| crate::epoch::reconstruct_abs(m.tag.oid, cur_abs))
+            .min()
     }
 
     /// Final drain: advances every VD one epoch and persists *all*
@@ -1286,8 +643,7 @@ impl VersionedHierarchy {
         let mut out = Vec::new();
         for vdix in 0..self.l2s.len() {
             let vd = VdId(vdix as u16);
-            let to = self.vd_abs[vdix] + 1;
-            self.advance_epoch(vd, to, AdvanceCause::Finish);
+            self.advance_epoch_explicit(vd, AdvanceCause::Finish);
             let (walked, _) = self.tag_walk(vd);
             // End-of-run drain traffic is attributed to `Drain`, not the
             // walker, so eviction-reason decompositions (Fig 15) are not
@@ -1298,25 +654,27 @@ impl VersionedHierarchy {
             }));
             debug_assert_eq!(self.min_unpersisted(vd), None, "drain walked everything");
         }
-        let cores_per_vd = self.cfg.cores_per_vd as usize;
-        for (core, l1) in self.l1s.iter_mut().enumerate() {
-            let l2 = &mut self.l2s[core / cores_per_vd];
+        let h = &mut self.0;
+        let cores_per_vd = h.cfg.cores_per_vd as usize;
+        for (core, l1) in h.l1s.iter_mut().enumerate() {
+            let l2 = &mut h.l2s[core / cores_per_vd];
             for (line, m) in l1.iter_mut() {
                 if !m.state.is_dirty() {
                     continue;
                 }
                 let l2m = l2.peek_mut(line).expect("inclusion");
-                if m.oid.at_least(l2m.oid) {
-                    l2m.token = m.token;
-                    l2m.oid = m.oid;
-                    l2m.state = MesiState::M;
-                    l2m.persisted = true;
+                if m.tag.oid.at_least(l2m.tag.oid) {
+                    *l2m = Line {
+                        state: MesiState::M,
+                        token: m.token,
+                        tag: VersionPolicy::settled(m.tag),
+                    };
                 }
                 m.state = MesiState::E;
             }
         }
-        let slices = self.cfg.llc_slices as u64;
-        for l2 in &mut self.l2s {
+        let slices = h.cfg.llc_slices as u64;
+        for l2 in &mut h.l2s {
             for (line, m) in l2.iter_mut() {
                 if !m.state.is_dirty() {
                     continue;
@@ -1326,285 +684,30 @@ impl VersionedHierarchy {
                 } else {
                     MesiState::E
                 };
-                let (t, oid) = (m.token, m.oid);
+                let (t, oid) = (m.token, m.tag.oid);
                 // Reconcile any stale LLC copy: the owning VD's data is
                 // authoritative (a dirty LLC copy can survive an E-grant
                 // fetch that was silently upgraded, and must not regress
                 // the DRAM image in the pass below).
-                if let Some(c) = self.llc[(line.raw() % slices) as usize].peek_mut(line) {
+                if let Some(c) = h.llc[(line.raw() % slices) as usize].peek_mut(line) {
                     c.token = t;
-                    c.oid = oid;
+                    c.tag.oid = oid;
                     c.dirty = false;
                 }
-                self.dram.write(line, t);
-                self.dram
-                    .update_oid(line, oid.raw(), |a, b| Epoch(a).newer_than(Epoch(b)));
+                h.dram.write(line, t);
+                h.dram.update_oid(line, oid.raw(), newer_oid);
             }
         }
-        for slice in &mut self.llc {
+        for slice in &mut h.llc {
             for (line, m) in slice.iter_mut() {
                 if m.dirty {
                     m.dirty = false;
-                    self.dram.write(line, m.token);
-                    self.dram
-                        .update_oid(line, m.oid.raw(), |a, b| Epoch(a).newer_than(Epoch(b)));
+                    h.dram.write(line, m.token);
+                    h.dram.update_oid(line, m.tag.oid.raw(), newer_oid);
                 }
             }
         }
         out
-    }
-
-    /// Debug: human-readable state of every copy of `line` (tests only).
-    pub fn debug_line_state(&self, line: LineAddr) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, l1) in self.l1s.iter().enumerate() {
-            if let Some(m) = l1.peek(line) {
-                let _ = write!(
-                    out,
-                    "L1[{}]:{}/{}{} ",
-                    i,
-                    m.state,
-                    m.oid.raw(),
-                    if m.persisted { "P" } else { "U" }
-                );
-            }
-        }
-        for (i, l2) in self.l2s.iter().enumerate() {
-            if let Some(m) = l2.peek(line) {
-                let _ = write!(
-                    out,
-                    "L2[{}]:{}/{}{} ",
-                    i,
-                    m.state,
-                    m.oid.raw(),
-                    if m.persisted { "P" } else { "U" }
-                );
-            }
-        }
-        let s = self.slice_of(line);
-        if let Some(m) = self.llc[s].peek(line) {
-            let _ = write!(
-                out,
-                "LLC:{}/{} ",
-                m.oid.raw(),
-                if m.dirty { "D" } else { "C" }
-            );
-        }
-        let _ = write!(out, "dram:{}", self.dram.peek(line));
-        out
-    }
-
-    /// The newest visible content of a line anywhere (verification).
-    pub fn newest_token(&self, line: LineAddr) -> Token {
-        let mut best: Option<(Epoch, Token)> = None;
-        let mut consider = |oid: Epoch, tok: Token| match best {
-            None => best = Some((oid, tok)),
-            Some((boid, _)) if oid.newer_than(boid) => best = Some((oid, tok)),
-            _ => {}
-        };
-        for l1 in &self.l1s {
-            if let Some(m) = l1.peek(line) {
-                if m.state.is_dirty() {
-                    consider(m.oid, m.token);
-                }
-            }
-        }
-        for l2 in &self.l2s {
-            if let Some(m) = l2.peek(line) {
-                if m.state.is_dirty() {
-                    consider(m.oid, m.token);
-                }
-            }
-        }
-        let s = self.slice_of(line);
-        if let Some(m) = self.llc[s].peek(line) {
-            if m.dirty {
-                consider(m.oid, m.token);
-            }
-        }
-        best.map(|(_, t)| t).unwrap_or_else(|| self.dram.peek(line))
-    }
-
-    /// Installs a cross-island line at its DRAM home during a sharded
-    /// replay barrier (see `nvsim::shard`). Returns `true` if the token
-    /// was written. If any CST level still holds the line, the island's
-    /// own versioned copy is authoritative and the import is skipped —
-    /// the overlay chain and OID tags stay exactly as the island's
-    /// local trace produced them.
-    pub fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
-        if self.l1s.iter().any(|c| c.peek(line).is_some())
-            || self.l2s.iter().any(|c| c.peek(line).is_some())
-            || self.llc[self.slice_of(line)].peek(line).is_some()
-        {
-            return false;
-        }
-        self.dram.write(line, token);
-        true
-    }
-
-    /// Batched [`VersionedHierarchy::import_line`] over one window's
-    /// sorted exchange run (see `nvsim::shard`): one pass, own-island
-    /// entries skipped inline, applied deposits mirrored into `golden`.
-    pub fn import_lines(
-        &mut self,
-        entries: &[nvsim::shard::ExchangeEntry],
-        island: u16,
-        golden: &mut nvsim::fastmap::FastMap<LineAddr, Token>,
-    ) -> u64 {
-        let mut applied = 0;
-        for e in entries {
-            if e.src == island {
-                continue;
-            }
-            if self.l1s.iter().any(|c| c.peek(e.line).is_some())
-                || self.l2s.iter().any(|c| c.peek(e.line).is_some())
-                || self.llc[self.slice_of(e.line)].peek(e.line).is_some()
-            {
-                continue;
-            }
-            self.dram.write(e.line, e.token);
-            golden.insert(e.line, e.token);
-            applied += 1;
-        }
-        applied
-    }
-}
-
-impl VersionedHierarchy {
-    /// Invariant 1 + 2: inclusion and L1-not-older-than-L2 (§IV-A2).
-    pub(crate) fn check_inclusion_and_order(
-        &self,
-        out: &mut Vec<super::invariants::InvariantViolation>,
-    ) {
-        use super::invariants::InvariantViolation as V;
-        for core in 0..self.l1s.len() {
-            let vd = core / self.cfg.cores_per_vd as usize;
-            for (line, m) in self.l1s[core].iter() {
-                match self.l2s[vd].peek(line) {
-                    None => out.push(V::InclusionBroken {
-                        core: core as u16,
-                        line,
-                    }),
-                    Some(l2) => {
-                        if l2.oid.newer_than(m.oid) {
-                            out.push(V::VersionOrderBroken {
-                                core: core as u16,
-                                line,
-                                l1_oid: m.oid.raw(),
-                                l2_oid: l2.oid.raw(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Invariant 3: single writer per VD; exclusivity across VDs.
-    pub(crate) fn check_writers(&self, out: &mut Vec<super::invariants::InvariantViolation>) {
-        use super::invariants::InvariantViolation as V;
-        use std::collections::HashMap;
-        // Per line: which VDs hold copies, and whether their L2 is M/E.
-        let mut holders: HashMap<LineAddr, Vec<(u16, bool)>> = HashMap::new();
-        for (vdix, l2) in self.l2s.iter().enumerate() {
-            for (line, m) in l2.iter() {
-                holders
-                    .entry(line)
-                    .or_default()
-                    .push((vdix as u16, m.state.is_writable()));
-            }
-        }
-        for (line, hs) in &holders {
-            if let Some((w, _)) = hs.iter().find(|(_, writable)| *writable) {
-                if let Some((o, _)) = hs.iter().find(|(v, _)| v != w) {
-                    out.push(V::WritableShared {
-                        line: *line,
-                        writer_vd: *w,
-                        other_vd: *o,
-                    });
-                }
-            }
-        }
-        // At most one dirty (M or O) L2 copy of a line system-wide.
-        let mut dirty_l2: HashMap<LineAddr, Vec<u16>> = HashMap::new();
-        for (vdix, l2) in self.l2s.iter().enumerate() {
-            for (line, m) in l2.iter() {
-                if m.state.is_dirty() {
-                    dirty_l2.entry(line).or_default().push(vdix as u16);
-                }
-            }
-        }
-        for (line, vds) in dirty_l2 {
-            if vds.len() > 1 {
-                out.push(V::WritableShared {
-                    line,
-                    writer_vd: vds[0],
-                    other_vd: vds[1],
-                });
-            }
-        }
-        // Within each VD: at most one dirty L1 copy of a line.
-        for vd in 0..self.l2s.len() {
-            let mut dirty_seen: HashMap<LineAddr, u32> = HashMap::new();
-            for c in self.local_cores(VdId(vd as u16)) {
-                for (line, m) in self.l1s[c as usize].iter() {
-                    if m.state.is_dirty() {
-                        *dirty_seen.entry(line).or_default() += 1;
-                    }
-                }
-            }
-            for (line, n) in dirty_seen {
-                if n > 1 {
-                    out.push(V::MultipleWriters {
-                        vd: vd as u16,
-                        line,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Invariant 4 + 5: every cached tag reconstructs at or before its
-    /// VD's current epoch (and hence within the half-space window).
-    pub(crate) fn check_tag_windows(&self, out: &mut Vec<super::invariants::InvariantViolation>) {
-        use super::invariants::InvariantViolation as V;
-        for (vdix, cur_abs) in self.vd_abs.iter().enumerate() {
-            let cur = Epoch::from_abs(*cur_abs);
-            let check = |line: LineAddr, oid: Epoch, out: &mut Vec<_>| {
-                if oid.newer_than(cur) {
-                    out.push(V::FutureVersion {
-                        vd: vdix as u16,
-                        line,
-                        oid: oid.raw(),
-                        cur: cur.raw(),
-                    });
-                }
-            };
-            for (line, m) in self.l2s[vdix].iter() {
-                check(line, m.oid, out);
-            }
-            for c in self.local_cores(VdId(vdix as u16)) {
-                for (line, m) in self.l1s[c as usize].iter() {
-                    check(line, m.oid, out);
-                }
-            }
-        }
-        // LLC tags must be at or before the global maximum epoch.
-        let max_abs = self.vd_abs.iter().copied().max().unwrap_or(1);
-        let max_tag = Epoch::from_abs(max_abs);
-        for slice in &self.llc {
-            for (line, m) in slice.iter() {
-                if m.oid.newer_than(max_tag) {
-                    out.push(V::FutureVersion {
-                        vd: u16::MAX,
-                        line,
-                        oid: m.oid.raw(),
-                        cur: max_tag.raw(),
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -1613,7 +716,7 @@ impl std::fmt::Debug for VersionedHierarchy {
         f.debug_struct("VersionedHierarchy")
             .field("cores", &self.cfg.cores)
             .field("vds", &self.cfg.vd_count())
-            .field("epochs", &self.vd_abs)
+            .field("epochs", &self.policy.vd_abs)
             .finish()
     }
 }
@@ -1621,6 +724,9 @@ impl std::fmt::Debug for VersionedHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvsim::addr::{Addr, CoreId};
+    use nvsim::cache::CacheArray;
+    use nvsim::memsys::MemOp;
 
     fn small_cfg() -> SimConfig {
         SimConfig::builder()
@@ -1871,6 +977,41 @@ mod tests {
     }
 
     #[test]
+    fn wrap_flush_writes_the_newest_data_home() {
+        // Two lines still cached when their group comes round again:
+        // Y has an older dirty L2 version under a newer dirty L1 one (a
+        // store-eviction), and X sits dirty in VD 1's L1 beside a stale
+        // dirty LLC copy (an E grant from the LLC, then a silent store).
+        // The flush must leave the newest data in DRAM for both.
+        let cst = CstConfig {
+            initial_epoch: 2,
+            ..CstConfig::default()
+        };
+        let mut h = VersionedHierarchy::new(&small_cfg(), cst);
+        h.access(CoreId(0), MemOp::Store, addr(1), 1);
+        h.advance_epoch_explicit(VdId(0), AdvanceCause::ExplicitMark);
+        h.access(CoreId(0), MemOp::Store, addr(1), 2);
+        h.access(CoreId(0), MemOp::Store, addr(2), 10);
+        // Four more lines in X's L2 set push it down to the LLC.
+        for k in 1..=4 {
+            h.access(CoreId(0), MemOp::Store, addr(2 + 16 * k), 100 + k);
+        }
+        h.access(CoreId(2), MemOp::Load, addr(2), 0);
+        h.access(CoreId(2), MemOp::Store, addr(2), 11);
+        h.take_events();
+        while h.epoch_abs(VdId(1)) < 2 * HALF_SPACE + 1 {
+            for vd in [VdId(0), VdId(1)] {
+                h.advance_epoch_explicit(vd, AdvanceCause::ExplicitMark);
+            }
+            h.take_events();
+        }
+        assert_eq!(h.wrap_flushes(), 2);
+        assert_eq!(h.dram().peek(LineAddr::new(1)), 2);
+        assert_eq!(h.dram().peek(LineAddr::new(2)), 11);
+        assert_eq!(h.newest_token(LineAddr::new(2)), 11);
+    }
+
+    #[test]
     fn functional_correctness_mixed_sharing() {
         let mut h = hier();
         let mut model = std::collections::HashMap::new();
@@ -1948,25 +1089,31 @@ mod tests {
             let l = LineAddr::new(n);
             let _ = writeln!(out, "{l} dram {} {:?}", h.dram.peek(l), h.dram.oid(l));
         }
-        let _ = writeln!(out, "epochs {:?} dram writes {}", h.vd_abs, h.dram.writes());
+        let _ = writeln!(
+            out,
+            "epochs {:?} dram writes {}",
+            h.epochs_abs(),
+            h.dram.writes()
+        );
         out
     }
 
     fn scan_tag_walk(h: &mut VersionedHierarchy, vd: VdId) -> (Vec<VersionOut>, u64) {
         let cur_tag = h.epoch_tag(vd);
-        let cur_abs = h.vd_abs[vd.index()];
+        let cur_abs = h.epoch_abs(vd);
         let mut out = Vec::new();
-        let mut arrays: Vec<&mut CacheArray<VLine>> = vec![&mut h.l2s[vd.index()]];
-        let cpv = h.cfg.cores_per_vd as usize;
-        arrays.extend(h.l1s[vd.index() * cpv..][..cpv].iter_mut());
+        let c = &mut h.0;
+        let cpv = c.cfg.cores_per_vd as usize;
+        let mut arrays: Vec<&mut CacheArray<VLine>> = vec![&mut c.l2s[vd.index()]];
+        arrays.extend(c.l1s[vd.index() * cpv..][..cpv].iter_mut());
         for arr in arrays {
-            for line in arr.lines_where(|_, m| m.unpersisted_version() && m.oid != cur_tag) {
+            for line in arr.lines_where(|_, m| unpersisted(m) && m.tag.oid != cur_tag) {
                 let m = arr.peek_mut(line).unwrap();
-                m.persisted = true;
+                m.tag.persisted = true;
                 out.push(VersionOut {
                     line,
                     token: m.token,
-                    abs_epoch: crate::epoch::reconstruct_abs(m.oid, cur_abs),
+                    abs_epoch: crate::epoch::reconstruct_abs(m.tag.oid, cur_abs),
                     reason: EvictReason::TagWalk,
                 });
             }
@@ -1978,27 +1125,27 @@ mod tests {
         let mut out = Vec::new();
         for vdix in 0..h.l2s.len() {
             let vd = VdId(vdix as u16);
-            let to = h.vd_abs[vdix] + 1;
-            h.advance_epoch(vd, to, AdvanceCause::Finish);
+            let to = h.epoch_abs(vd) + 1;
+            advance_epoch(&mut h.0, vd, to, AdvanceCause::Finish);
             let (walked, _) = scan_tag_walk(h, vd);
             out.extend(walked.into_iter().map(|v| VersionOut {
                 reason: EvictReason::Drain,
                 ..v
             }));
         }
+        let h = &mut h.0;
         for core in 0..h.l1s.len() {
             for line in h.l1s[core].lines_where(|_, m| m.state.is_dirty()) {
                 let m = *h.l1s[core].peek(line).unwrap();
                 let vd = core / h.cfg.cores_per_vd as usize;
                 let l2 = h.l2s[vd].peek_mut(line).unwrap();
-                if m.oid.at_least(l2.oid) {
-                    (l2.token, l2.oid, l2.state, l2.persisted) =
-                        (m.token, m.oid, MesiState::M, true);
+                if m.tag.oid.at_least(l2.tag.oid) {
+                    (l2.token, l2.tag.oid, l2.state, l2.tag.persisted) =
+                        (m.token, m.tag.oid, MesiState::M, true);
                 }
                 h.l1s[core].peek_mut(line).unwrap().state = MesiState::E;
             }
         }
-        let newer = |a: u16, b: u16| Epoch(a).newer_than(Epoch(b));
         for vdix in 0..h.l2s.len() {
             for line in h.l2s[vdix].lines_where(|_, m| m.state.is_dirty()) {
                 let m = h.l2s[vdix].peek_mut(line).unwrap();
@@ -2007,22 +1154,22 @@ mod tests {
                 } else {
                     MesiState::E
                 };
-                let (t, oid) = (m.token, m.oid);
+                let (t, oid) = (m.token, m.tag.oid);
                 let s = h.slice_of(line);
                 if let Some(c) = h.llc[s].peek_mut(line) {
-                    (c.token, c.oid, c.dirty) = (t, oid, false);
+                    (c.token, c.tag.oid, c.dirty) = (t, oid, false);
                 }
                 h.dram.write(line, t);
-                h.dram.update_oid(line, oid.raw(), newer);
+                h.dram.update_oid(line, oid.raw(), newer_oid);
             }
         }
         for s in 0..h.llc.len() {
             for line in h.llc[s].lines_where(|_, m| m.dirty) {
                 let m = h.llc[s].peek_mut(line).unwrap();
                 m.dirty = false;
-                let (t, oid) = (m.token, m.oid);
+                let (t, oid) = (m.token, m.tag.oid);
                 h.dram.write(line, t);
-                h.dram.update_oid(line, oid.raw(), newer);
+                h.dram.update_oid(line, oid.raw(), newer_oid);
             }
         }
         out

@@ -5,33 +5,31 @@
 //! is exhaustive and O(cache contents) — meant for tests and debugging,
 //! not the simulation fast path.
 //!
-//! Checked here:
+//! The protocol's structural invariants — inclusion, an exact directory,
+//! single writer per VD, no writable copy beside another VD's, at most
+//! one dirty L2 copy — are the coherence engine's own checker,
+//! [`nvsim::coherence::Coherence::check_structure`], shared with the
+//! baselines. The versioned ones are checked here:
 //!
-//! 1. **Inclusion** — every L1-resident line is resident in its VD's L2.
-//! 2. **Version ordering (§IV-A2)** — an L1 copy's OID is never older
+//! 1. **Version ordering (§IV-A2)** — an L1 copy's OID is never older
 //!    than the L2 copy's OID for the same line.
-//! 3. **Single writer** — at most one L1 within a VD holds a line in M;
-//!    writable (M/E) copies never coexist with copies in other VDs.
-//! 4. **Tag-window discipline** — every cached OID reconstructs within
+//! 2. **Tag-window discipline** — every cached OID reconstructs within
 //!    half the epoch space of its VD's current epoch (the wrap-around
 //!    flush guarantee, §IV-D).
-//! 5. **Version causality** — no cached version is tagged newer than its
+//! 3. **Version causality** — no cached version is tagged newer than its
 //!    VD's current epoch.
 
 use super::hierarchy::VersionedHierarchy;
-use nvsim::addr::LineAddr;
+use crate::epoch::Epoch;
+use nvsim::addr::{LineAddr, VdId};
+use nvsim::coherence::Violation;
 use std::fmt;
 
 /// A violated invariant, with enough context to debug it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InvariantViolation {
-    /// An L1 line has no backing L2 line.
-    InclusionBroken {
-        /// Core whose L1 holds the orphan.
-        core: u16,
-        /// The orphaned line.
-        line: LineAddr,
-    },
+    /// A structural coherence invariant (inclusion, directory, writers).
+    Structural(Violation),
     /// An L1 version is older than the L2 version of the same line.
     VersionOrderBroken {
         /// Core whose L1 violates the order.
@@ -42,22 +40,6 @@ pub enum InvariantViolation {
         l1_oid: u16,
         /// L2 OID tag.
         l2_oid: u16,
-    },
-    /// Two L1s of one VD hold the same line with at least one M copy.
-    MultipleWriters {
-        /// The VD.
-        vd: u16,
-        /// The line.
-        line: LineAddr,
-    },
-    /// A writable (M/E) copy coexists with a copy in another VD.
-    WritableShared {
-        /// The line.
-        line: LineAddr,
-        /// VD holding it writable.
-        writer_vd: u16,
-        /// Another VD holding a copy.
-        other_vd: u16,
     },
     /// A cached version is tagged in the future of its VD's epoch.
     FutureVersion {
@@ -75,12 +57,7 @@ pub enum InvariantViolation {
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InvariantViolation::InclusionBroken { core, line } => {
-                write!(
-                    f,
-                    "inclusion broken: core{core} L1 holds {line} without an L2 copy"
-                )
-            }
+            InvariantViolation::Structural(v) => v.fmt(f),
             InvariantViolation::VersionOrderBroken {
                 core,
                 line,
@@ -89,17 +66,6 @@ impl fmt::Display for InvariantViolation {
             } => write!(
                 f,
                 "version order broken on {line}: core{core} L1 @{l1_oid} older than L2 @{l2_oid}"
-            ),
-            InvariantViolation::MultipleWriters { vd, line } => {
-                write!(f, "multiple writers in vd{vd} for {line}")
-            }
-            InvariantViolation::WritableShared {
-                line,
-                writer_vd,
-                other_vd,
-            } => write!(
-                f,
-                "{line} writable in vd{writer_vd} while vd{other_vd} holds a copy"
             ),
             InvariantViolation::FutureVersion { vd, line, oid, cur } => {
                 write!(f, "vd{vd} caches {line} @{oid}, newer than its epoch {cur}")
@@ -112,11 +78,67 @@ impl VersionedHierarchy {
     /// Checks every invariant; returns all violations found (empty =
     /// healthy). Quiescent-point use only.
     pub fn check_invariants(&self) -> Vec<InvariantViolation> {
-        let mut v = Vec::new();
-        self.check_inclusion_and_order(&mut v);
-        self.check_writers(&mut v);
+        let mut v: Vec<_> = self
+            .check_structure()
+            .into_iter()
+            .map(InvariantViolation::Structural)
+            .collect();
+        self.check_version_order(&mut v);
         self.check_tag_windows(&mut v);
         v
+    }
+
+    /// An L1 copy is never older than its L2 copy (§IV-A2).
+    fn check_version_order(&self, out: &mut Vec<InvariantViolation>) {
+        for (core, l1) in self.l1s.iter().enumerate() {
+            let vd = self.vd_of(nvsim::addr::CoreId(core as u16));
+            for (line, m) in l1.iter() {
+                if let Some(l2) = self.l2s[vd.index()].peek(line) {
+                    if l2.tag.oid.newer_than(m.tag.oid) {
+                        out.push(InvariantViolation::VersionOrderBroken {
+                            core: core as u16,
+                            line,
+                            l1_oid: m.tag.oid.raw(),
+                            l2_oid: l2.tag.oid.raw(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every cached tag reconstructs at or before its VD's current epoch
+    /// (and hence within the half-space window); LLC tags at or before
+    /// the global maximum.
+    fn check_tag_windows(&self, out: &mut Vec<InvariantViolation>) {
+        let mut check = |vd: u16, line: LineAddr, oid: Epoch, cur: Epoch| {
+            if oid.newer_than(cur) {
+                out.push(InvariantViolation::FutureVersion {
+                    vd,
+                    line,
+                    oid: oid.raw(),
+                    cur: cur.raw(),
+                });
+            }
+        };
+        for (vdix, cur_abs) in self.epochs_abs().iter().enumerate() {
+            let cur = Epoch::from_abs(*cur_abs);
+            let l1s = self
+                .local_cores(VdId(vdix as u16))
+                .map(|c| &self.l1s[c as usize]);
+            for arr in std::iter::once(&self.l2s[vdix]).chain(l1s) {
+                for (line, m) in arr.iter() {
+                    check(vdix as u16, line, m.tag.oid, cur);
+                }
+            }
+        }
+        let max_abs = self.epochs_abs().iter().copied().max().unwrap_or(1);
+        let max_tag = Epoch::from_abs(max_abs);
+        for slice in &self.llc {
+            for (line, m) in slice.iter() {
+                check(u16::MAX, line, m.tag.oid, max_tag);
+            }
+        }
     }
 
     /// Panics with a readable report if any invariant is violated

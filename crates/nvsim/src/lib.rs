@@ -18,11 +18,13 @@
 //!   (data / log / mapping metadata / context), and bandwidth time series.
 //! * [`trace`] — per-thread memory access traces and deterministic
 //!   interleaving.
-//! * [`hierarchy`] — a complete non-versioned 3-level MESI hierarchy
-//!   (private L1s, per-domain inclusive L2s, distributed non-inclusive LLC
-//!   slices) with policy hooks. The five baseline schemes in `nvbaselines`
-//!   are built on it. NVOverlay's *versioned* hierarchy lives in the
-//!   `nvoverlay` crate and reuses the low-level blocks from here.
+//! * [`coherence`] — the one MESI/MOESI engine (private L1s, per-domain
+//!   inclusive L2s, distributed non-inclusive LLC slices, sparse
+//!   directory), generic over a line policy that supplies line metadata,
+//!   the store-commit rule, the eviction paths and the response hooks.
+//! * [`hierarchy`] — the engine under the baseline policy; the five
+//!   baseline schemes in `nvbaselines` are built on it. NVOverlay's
+//!   versioned policy lives in the `nvoverlay` crate.
 //! * [`memsys`] — the [`memsys::MemorySystem`] trait every snapshotting
 //!   scheme implements, and the deterministic run loop.
 //! * [`fastmap`] — open-addressing maps and an Fx-style hasher for the
@@ -65,6 +67,7 @@
 pub mod addr;
 pub mod cache;
 pub mod clock;
+pub mod coherence;
 pub mod config;
 pub mod directory;
 pub mod dram;

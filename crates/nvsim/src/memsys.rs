@@ -163,15 +163,11 @@ pub struct RunReport {
 #[derive(Clone, Debug)]
 pub struct Runner {
     gap_cycles: Cycle,
-    coalesce: bool,
 }
 
 impl Default for Runner {
     fn default() -> Self {
-        Self {
-            gap_cycles: 20,
-            coalesce: true,
-        }
+        Self { gap_cycles: 20 }
     }
 }
 
@@ -183,21 +179,7 @@ impl Runner {
 
     /// Sets the inter-access gap in cycles.
     pub fn with_gap(gap_cycles: Cycle) -> Self {
-        Self {
-            gap_cycles,
-            ..Self::default()
-        }
-    }
-
-    /// Sets whether sharded replay physically coalesces silent windows
-    /// (default `true`). Barrier *effects* follow the plan's rendezvous
-    /// cadence either way — this knob only decides whether workers still
-    /// park at the two `Barrier` waits of silent windows, so turning it
-    /// off reproduces the pre-coalescing pacing for differential tests
-    /// without changing a single byte of the results.
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
+        Self { gap_cycles }
     }
 
     /// Replays `trace` against `system`. Thread *i* runs on core *i*.
@@ -405,7 +387,6 @@ impl Runner {
             .unwrap_or(1);
         let nworkers = workers.clamp(1, islands.max(1)).min(host.max(1));
         let gap = self.gap_cycles;
-        let coalesce = self.coalesce;
         debug_assert_eq!(
             (0..islands)
                 .map(|i| plan.island(i).threads.len())
@@ -495,25 +476,14 @@ impl Runner {
                             wp.exchange_ns += lap(&mut last);
                         } else {
                             // Silent window: the plan proves this barrier
-                            // would move nothing — empty exchange run,
-                            // no epoch marks, and lockstep whole-epoch
-                            // floor advances — so there are no effects to
-                            // apply in *either* mode. Coalescing lets the
-                            // worker free-run into the next window;
-                            // `--no-coalesce` still parks at the physical
-                            // waits (same published values as a rendezvous
-                            // would see, same worker pacing as the old
-                            // every-window cadence) purely so the
-                            // differential suite can exercise both paths.
+                            // would move nothing — empty exchange run, no
+                            // epoch marks, and lockstep whole-epoch floor
+                            // advances — so workers free-run into the
+                            // next window.
                             for run in &mut runs {
-                                run.mark_silent(w);
+                                run.mark_silent(plan, w);
                             }
                             wp.compute_ns += lap(&mut last);
-                            if !coalesce {
-                                barrier.wait();
-                                barrier.wait();
-                                wp.barrier_ns += lap(&mut last);
-                            }
                         }
                         if let Some(wd) = watchdog {
                             for run in &runs {
@@ -981,9 +951,34 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
     /// Completes the profile cell of a silent (coalesced) window: no
     /// alignment happened, so the aligned clock is the island's own
     /// arrival, and the epoch floor simply carries over from the
-    /// previous cell. Pure structural bookkeeping — identical in both
-    /// cadence modes and for every worker count.
-    fn mark_silent(&mut self, w: usize) {
+    /// previous cell. Pure structural bookkeeping, identical for every
+    /// worker count.
+    ///
+    /// Debug builds re-check why the window may be silent: its exchange
+    /// run is empty, and this island ran no epoch mark and retired a
+    /// whole number of epochs' worth of stores, so its epoch floor moved
+    /// in lockstep with every other island's without a sync.
+    fn mark_silent(&mut self, plan: &crate::shard::ShardPlan, w: usize) {
+        if cfg!(debug_assertions) {
+            let cuts = &plan.island(self.island).cuts;
+            let (mut marks, mut stores) = (0u64, 0u64);
+            for (l, stream) in self.streams.iter().enumerate() {
+                let lo = if w == 0 { 0 } else { cuts[l][w - 1] };
+                for e in &stream[lo..cuts[l][w]] {
+                    marks += u64::from(e.is_mark());
+                    stores += u64::from(!e.is_mark() && e.op() == MemOp::Store);
+                }
+            }
+            debug_assert!(
+                plan.exchange(w).is_empty()
+                    && marks == 0
+                    && stores.is_multiple_of(plan.epoch_size_stores()),
+                "window {w} is silent but island {} moves state across the barrier \
+                 (exchange {}, marks {marks}, stores {stores})",
+                self.island,
+                plan.exchange(w).len()
+            );
+        }
         if let Some(p) = self.prof.as_mut() {
             let prev_floor = if w == 0 {
                 0
