@@ -3,8 +3,8 @@
 use nvsim::addr::{CoreId, LineAddr};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
-use nvsim::fastmap::FastHashMap;
 use nvsim::hierarchy::{Hierarchy, HierarchyEvent};
+use nvsim::linetable::LineTable;
 use nvsim::nvm::Nvm;
 use nvsim::stats::SystemStats;
 use std::sync::Arc;
@@ -104,7 +104,7 @@ impl BaselineCore {
         &mut self,
         entries: &[nvsim::shard::ExchangeEntry],
         island: u16,
-        golden: &mut nvsim::fastmap::FastMap<nvsim::addr::LineAddr, nvsim::addr::Token>,
+        golden: &mut nvsim::memsys::Oracle,
     ) -> u64 {
         self.hier.import_lines(entries, island, golden)
     }
@@ -135,22 +135,22 @@ impl std::fmt::Debug for BaselineCore {
 #[derive(Debug, Default)]
 pub(crate) struct WriteSet {
     order: Vec<Option<LineAddr>>,
-    slot: FastHashMap<LineAddr, usize>,
+    slot: LineTable<LineAddr, usize>,
 }
 
 impl WriteSet {
     /// Records a store; only a line's first store since it last left the
     /// set takes a place in the order.
     pub(crate) fn insert(&mut self, line: LineAddr) {
-        if let std::collections::hash_map::Entry::Vacant(v) = self.slot.entry(line) {
-            v.insert(self.order.len());
+        if !self.slot.contains_key(line) {
+            self.slot.insert(line, self.order.len());
             self.order.push(Some(line));
         }
     }
 
     /// Drops a line from the set; returns whether it was present.
     pub(crate) fn remove(&mut self, line: LineAddr) -> bool {
-        match self.slot.remove(&line) {
+        match self.slot.remove(line) {
             Some(i) => {
                 self.order[i] = None;
                 true

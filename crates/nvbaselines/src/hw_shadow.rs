@@ -19,8 +19,8 @@ use nvoverlay::mnm::{NvmLoc, RadixTable};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
-use nvsim::fastmap::FastHashMap;
 use nvsim::hierarchy::HierarchyEvent;
+use nvsim::linetable::LineTable;
 use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
 use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
 
@@ -29,8 +29,8 @@ pub struct HwShadow {
     core: BaselineCore,
     write_set: WriteSet,
     table: RadixTable,
-    shadow_flip: FastHashMap<LineAddr, bool>,
-    committed_image: FastHashMap<LineAddr, Token>,
+    shadow_flip: LineTable<LineAddr, bool>,
+    committed_image: LineTable<LineAddr, Token>,
     epochs_committed: u64,
 }
 
@@ -46,8 +46,8 @@ impl HwShadow {
             core: BaselineCore::new_shared(cfg),
             write_set: WriteSet::default(),
             table: RadixTable::new(),
-            shadow_flip: FastHashMap::default(),
-            committed_image: FastHashMap::default(),
+            shadow_flip: LineTable::new(),
+            committed_image: LineTable::new(),
             epochs_committed: 0,
         }
     }
@@ -57,8 +57,13 @@ impl HwShadow {
         &self.core.hier
     }
 
+    /// The scheme's NVM device (inspection: byte and wear accounting).
+    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
+        &self.core.nvm
+    }
+
     /// The image recovery would restore.
-    pub fn recovered_image(&self) -> &FastHashMap<LineAddr, Token> {
+    pub fn recovered_image(&self) -> &LineTable<LineAddr, Token> {
         &self.committed_image
     }
 
@@ -73,7 +78,7 @@ impl HwShadow {
         // writes occupy NVM banks but impose no synchronous stall.
         for &line in &lines {
             let (token, _) = self.core.hier.clwb(line);
-            let flip = self.shadow_flip.entry(line).or_insert(false);
+            let flip = self.shadow_flip.or_default(line);
             *flip = !*flip;
             self.core.nvm.write(
                 now,
@@ -89,7 +94,7 @@ impl HwShadow {
         // "non-overlappable mapping table updates", §II-C).
         let mut done = now;
         for &line in &lines {
-            let flip = *self.shadow_flip.get(&line).expect("set above");
+            let flip = *self.shadow_flip.get(line).expect("set above");
             let fx = self.table.insert(
                 line,
                 NvmLoc {

@@ -32,6 +32,11 @@ impl IdealSystem {
     pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
         &self.core.hier
     }
+
+    /// The scheme's NVM device (inspection: byte and wear accounting).
+    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
+        &self.core.nvm
+    }
 }
 
 impl MemorySystem for IdealSystem {
@@ -67,7 +72,7 @@ impl MemorySystem for IdealSystem {
         &mut self,
         entries: &[nvsim::shard::ExchangeEntry],
         island: u16,
-        golden: &mut nvsim::fastmap::FastMap<LineAddr, Token>,
+        golden: &mut nvsim::memsys::Oracle,
     ) -> u64 {
         self.core.import_lines(entries, island, golden)
     }

@@ -93,6 +93,11 @@ impl Picl {
         &self.core.hier
     }
 
+    /// The scheme's NVM device (inspection: byte and wear accounting).
+    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
+        &self.core.nvm
+    }
+
     /// Data writes issued by the tag walker so far (Fig 15).
     pub fn walk_writes(&self) -> u64 {
         self.walk_writes
@@ -307,7 +312,7 @@ impl MemorySystem for Picl {
         &mut self,
         entries: &[nvsim::shard::ExchangeEntry],
         island: u16,
-        golden: &mut nvsim::fastmap::FastMap<LineAddr, Token>,
+        golden: &mut nvsim::memsys::Oracle,
     ) -> u64 {
         self.core.import_lines(entries, island, golden)
     }
@@ -382,7 +387,7 @@ mod tests {
             "walk writes each line"
         );
         for (l, t) in &report.golden_image {
-            assert_eq!(sys.recovered_image().get(l), Some(t));
+            assert_eq!(sys.recovered_image().get(&l), Some(t));
         }
     }
 
@@ -402,7 +407,7 @@ mod tests {
         let report = Runner::new().run(&mut sys, &trace);
         let img = sys.recovered_image();
         for (l, t) in &report.golden_image {
-            assert_eq!(img.get(l), Some(t));
+            assert_eq!(img.get(&l), Some(t));
         }
         let _ = a1;
         assert!(sys.committed_epoch() >= 2);

@@ -15,8 +15,8 @@ use nvoverlay::mnm::{NvmLoc, RadixTable};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
-use nvsim::fastmap::FastHashMap;
 use nvsim::hierarchy::HierarchyEvent;
+use nvsim::linetable::LineTable;
 use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
 use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
 
@@ -29,8 +29,8 @@ pub struct SwShadow {
     /// entry writes for).
     table: RadixTable,
     /// Shadow slot allocator: two slots per line, flipped each commit.
-    shadow_flip: FastHashMap<LineAddr, bool>,
-    committed_image: FastHashMap<LineAddr, Token>,
+    shadow_flip: LineTable<LineAddr, bool>,
+    committed_image: LineTable<LineAddr, Token>,
     epochs_committed: u64,
 }
 
@@ -46,8 +46,8 @@ impl SwShadow {
             core: BaselineCore::new_shared(cfg),
             write_set: WriteSet::default(),
             table: RadixTable::new(),
-            shadow_flip: FastHashMap::default(),
-            committed_image: FastHashMap::default(),
+            shadow_flip: LineTable::new(),
+            committed_image: LineTable::new(),
             epochs_committed: 0,
         }
     }
@@ -57,8 +57,13 @@ impl SwShadow {
         &self.core.hier
     }
 
+    /// The scheme's NVM device (inspection: byte and wear accounting).
+    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
+        &self.core.nvm
+    }
+
     /// The image recovery would restore.
-    pub fn recovered_image(&self) -> &FastHashMap<LineAddr, Token> {
+    pub fn recovered_image(&self) -> &LineTable<LineAddr, Token> {
         &self.committed_image
     }
 
@@ -73,7 +78,7 @@ impl SwShadow {
         // Phase 1: barriered data writes to shadow locations.
         for &line in &lines {
             let (token, _) = self.core.hier.clwb(line);
-            let flip = self.shadow_flip.entry(line).or_insert(false);
+            let flip = self.shadow_flip.or_default(line);
             *flip = !*flip;
             let shadow_key = line.raw() * 2 + u64::from(*flip);
             let t = self
@@ -86,7 +91,7 @@ impl SwShadow {
         }
         // Phase 2: barriered mapping-table updates (atomic commit).
         for &line in &lines {
-            let flip = *self.shadow_flip.get(&line).expect("flipped in phase 1");
+            let flip = *self.shadow_flip.get(line).expect("flipped in phase 1");
             let fx = self.table.insert(
                 line,
                 NvmLoc {
@@ -167,7 +172,7 @@ impl MemorySystem for SwShadow {
         &mut self,
         entries: &[nvsim::shard::ExchangeEntry],
         island: u16,
-        golden: &mut nvsim::fastmap::FastMap<LineAddr, Token>,
+        golden: &mut nvsim::memsys::Oracle,
     ) -> u64 {
         self.core.import_lines(entries, island, golden)
     }

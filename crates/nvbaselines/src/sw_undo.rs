@@ -14,9 +14,9 @@ use crate::common::{BaselineCore, WriteSet, DATA_BYTES, LOG_ENTRY_BYTES};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
-use nvsim::fastmap::FastHashMap;
 use nvsim::fault::PersistPayload;
 use nvsim::hierarchy::HierarchyEvent;
+use nvsim::linetable::LineTable;
 use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
 use nvsim::nvtrace::{EventKind, TraceScope, Track};
 use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
@@ -30,7 +30,7 @@ pub struct SwUndoLogging {
     /// functional recovery verification.
     undo_log: Vec<(LineAddr, Token)>,
     /// Image as of the last committed epoch (what recovery reproduces).
-    committed_image: FastHashMap<LineAddr, Token>,
+    committed_image: LineTable<LineAddr, Token>,
     epochs_committed: u64,
 }
 
@@ -46,7 +46,7 @@ impl SwUndoLogging {
             core: BaselineCore::new_shared(cfg),
             write_set: WriteSet::default(),
             undo_log: Vec::new(),
-            committed_image: FastHashMap::default(),
+            committed_image: LineTable::new(),
             epochs_committed: 0,
         }
     }
@@ -56,10 +56,15 @@ impl SwUndoLogging {
         &self.core.hier
     }
 
+    /// The scheme's NVM device (inspection: byte and wear accounting).
+    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
+        &self.core.nvm
+    }
+
     /// The image recovery would restore (last committed epoch): data in
     /// NVM home locations with the current epoch's writes rolled back via
     /// the undo log.
-    pub fn recovered_image(&self) -> &FastHashMap<LineAddr, Token> {
+    pub fn recovered_image(&self) -> &LineTable<LineAddr, Token> {
         &self.committed_image
     }
 
@@ -214,7 +219,7 @@ impl MemorySystem for SwUndoLogging {
         &mut self,
         entries: &[nvsim::shard::ExchangeEntry],
         island: u16,
-        golden: &mut nvsim::fastmap::FastMap<LineAddr, Token>,
+        golden: &mut nvsim::memsys::Oracle,
     ) -> u64 {
         self.core.import_lines(entries, island, golden)
     }

@@ -12,22 +12,28 @@
 //! under a small pool (`KeepAll`, `DropMerged`, and GC after
 //! `simulate_reboot`): the per-OMC counters, the master table and the NVM
 //! bytes by kind. The default pool never frees a page, so nothing else
-//! pins those paths' numbers. A deliberate model change must update the
-//! constants here.
+//! pins those paths' numbers. A third test pins the per-line state the
+//! other two never read, for every scheme on both traces, serially and at
+//! 2 shards: NVM wear, DRAM reads, writes and OID tags, the load-value
+//! oracle's image (length and an order-free digest) and its mismatch
+//! count. A deliberate model change must update the constants here.
 
 use nvbaselines::{HwShadow, IdealSystem, Picl, PiclLevel, SwShadow, SwUndoLogging};
 use nvbench::{default_jobs, gen_traces, run_ordered, EnvScale, Scheme};
 use nvoverlay::mnm::{Mnm, OmcConfig, SnapshotRetention};
 use nvoverlay::system::{NvOverlayOptions, NvOverlaySystem};
+use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::config::Protocol;
-use nvsim::memsys::{MemorySystem, Runner};
+use nvsim::dram::Dram;
+use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem, Runner};
 use nvsim::noc::Noc;
 use nvsim::nvm::Nvm;
-use nvsim::stats::NvmWriteKind;
+use nvsim::shard::ExchangeEntry;
+use nvsim::stats::{NvmWriteKind, SystemStats};
 use nvsim::trace::PackedTrace;
-use nvsim::SimConfig;
+use nvsim::{Cycle, ShardPlan, SimConfig};
 use nvworkloads::Workload;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One pinned run: cycles, stall cycles, NVM bytes as
 /// `[data, log, meta, context]`, `(master_bytes, master_entries)` for
@@ -305,4 +311,237 @@ fn omc_gc_and_compaction_match_pinned_constants() {
         );
     }
     assert_eq!(rows.len(), GC_PINS.len(), "rows now:\n{listing}");
+}
+
+/// One machine's per-line state: NVM wear as `[unique_keys,
+/// total_writes, max_key_writes]` and DRAM as `[reads, writes,
+/// oid_tags]`.
+type Lines = ([u64; 3], [u64; 3]);
+
+/// One pinned per-line run: wear and DRAM (summed over islands; the
+/// hottest key is the maximum), the oracle image as `(len, digest)`, and
+/// the load-value mismatch count.
+type LineRow = ([u64; 3], [u64; 3], (u64, u64), u64);
+
+/// Wraps a scheme so its per-line state is read when the runner finishes
+/// it. Sharded replay drops every island machine inside the runner, so
+/// this is the only place the state can be seen.
+struct Probe<'a, S> {
+    sys: S,
+    island: usize,
+    read: fn(&S) -> Lines,
+    sink: &'a Mutex<Vec<(usize, Lines)>>,
+}
+
+impl<S: MemorySystem> MemorySystem for Probe<'_, S> {
+    fn name(&self) -> &'static str {
+        self.sys.name()
+    }
+    fn access(
+        &mut self,
+        core: CoreId,
+        op: MemOp,
+        addr: Addr,
+        token: Token,
+        now: Cycle,
+    ) -> AccessOutcome {
+        self.sys.access(core, op, addr, token, now)
+    }
+    fn epoch_mark(&mut self, core: CoreId, now: Cycle) -> Cycle {
+        self.sys.epoch_mark(core, now)
+    }
+    fn finish(&mut self, now: Cycle) -> Cycle {
+        let done = self.sys.finish(now);
+        let lines = (self.read)(&self.sys);
+        self.sink.lock().expect("sink").push((self.island, lines));
+        done
+    }
+    fn stats(&self) -> &SystemStats {
+        self.sys.stats()
+    }
+    fn metrics(&self) -> nvsim::metrics::Registry {
+        self.sys.metrics()
+    }
+    fn shardable(&self) -> bool {
+        self.sys.shardable()
+    }
+    fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
+        self.sys.import_line(line, token)
+    }
+    fn import_lines(
+        &mut self,
+        entries: &[ExchangeEntry],
+        island: u16,
+        golden: &mut nvsim::memsys::Oracle,
+    ) -> u64 {
+        self.sys.import_lines(entries, island, golden)
+    }
+    fn epoch_floor(&self) -> u64 {
+        self.sys.epoch_floor()
+    }
+    fn raise_epoch_floor(&mut self, floor: u64, now: Cycle) -> Cycle {
+        self.sys.raise_epoch_floor(floor, now)
+    }
+}
+
+fn lines_of(nvm: &Nvm, dram: &Dram) -> Lines {
+    let w = nvm.wear_report();
+    (
+        [w.unique_keys, w.total_writes, w.max_key_writes],
+        [dram.reads(), dram.writes(), dram.oid_tag_count() as u64],
+    )
+}
+
+/// An order-free digest of an oracle image.
+fn image_digest(image: impl Iterator<Item = (LineAddr, Token)>) -> u64 {
+    image.fold(0u64, |acc, (l, t)| {
+        let h = (l.raw() ^ t.rotate_left(29)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        acc.wrapping_add(h ^ (h >> 31))
+    })
+}
+
+/// Replays `trace` on machines from `build`, serially (`plan` is `None`)
+/// or island-sharded on 2 workers, and reads the per-line row.
+fn line_row<S: MemorySystem>(
+    build: impl Fn() -> S + Sync,
+    read: fn(&S) -> Lines,
+    trace: &PackedTrace,
+    plan: Option<&ShardPlan>,
+) -> LineRow {
+    let sink = Mutex::new(Vec::new());
+    let probe = |island| Probe {
+        sys: build(),
+        island,
+        read,
+        sink: &sink,
+    };
+    let (image, mismatches) = match plan {
+        None => {
+            let r = Runner::new().run_packed(&mut probe(0), trace);
+            (r.golden_image, r.load_value_mismatches)
+        }
+        Some(plan) => {
+            let r = Runner::new().run_packed_sharded(probe, trace, plan, 2);
+            (r.golden_image, r.load_value_mismatches)
+        }
+    };
+    let mut islands = sink.into_inner().expect("sink");
+    islands.sort_by_key(|(i, _)| *i);
+    let (mut wear, mut dram) = ([0u64; 3], [0u64; 3]);
+    for (_, (w, d)) in islands {
+        wear = [wear[0] + w[0], wear[1] + w[1], wear[2].max(w[2])];
+        dram = [dram[0] + d[0], dram[1] + d[1], dram[2] + d[2]];
+    }
+    let digest = image_digest(image.iter().map(|(l, t)| (l, *t)));
+    (wear, dram, (image.len() as u64, digest), mismatches)
+}
+
+fn run_line_row(
+    scheme: Scheme,
+    cfg: &Arc<SimConfig>,
+    trace: &PackedTrace,
+    plan: Option<&ShardPlan>,
+) -> LineRow {
+    let c = || Arc::clone(cfg);
+    // Every scheme exposes its NVM device and its hierarchy's DRAM.
+    macro_rules! row {
+        ($build:expr) => {
+            line_row(
+                || $build,
+                |s| lines_of(s.nvm(), s.hierarchy().dram()),
+                trace,
+                plan,
+            )
+        };
+    }
+    match scheme {
+        Scheme::Ideal => row!(IdealSystem::new_shared(c())),
+        Scheme::SwLogging => row!(SwUndoLogging::new_shared(c())),
+        Scheme::SwShadow => row!(SwShadow::new_shared(c())),
+        Scheme::HwShadow => row!(HwShadow::new_shared(c())),
+        Scheme::Picl => row!(Picl::new_shared(c(), PiclLevel::Llc)),
+        Scheme::PiclL2 => row!(Picl::new_shared(c(), PiclLevel::L2)),
+        Scheme::NvOverlay => row!(NvOverlaySystem::new_shared(c())),
+        Scheme::NvOverlayBuffered => row!(NvOverlaySystem::with_omc_buffer_shared(c())),
+    }
+}
+
+/// Rows in `WORKLOADS` × `Scheme::ALL` order (serial), then `WORKLOADS` ×
+/// the shardable schemes (2 shards; HW Shadow replays only serially).
+#[rustfmt::skip]
+const LINE_PINS: &[LineRow] = &[
+    // Serial, B+Tree: Ideal, SW Logging, SW Shadow, HW Shadow, PiCL, PiCL-L2, NVOverlay, NVOverlay+Buf
+    ([0, 0, 0], [10087, 7894, 0], (7894, 14263240910054523457), 0),
+    ([7894, 14512, 7], [11500, 14512, 0], (7894, 2309242198901865000), 0),
+    ([11867, 14484, 4], [11451, 14484, 0], (7894, 15775056642783527483), 0),
+    ([11867, 14484, 4], [11451, 14484, 0], (7894, 15775056642783527483), 0),
+    ([7894, 14505, 8], [11586, 14505, 0], (7894, 2726060519535774189), 0),
+    ([7894, 15958, 16], [11429, 14156, 0], (7894, 5363524270880486254), 0),
+    ([7894, 15713, 11], [10085, 7894, 7894], (7894, 15331796608253814805), 0),
+    ([7894, 14407, 8], [10081, 7894, 7894], (7894, 6927507255018695919), 0),
+    // Serial, Hash Table
+    ([0, 0, 0], [9509, 7108, 0], (7108, 3408221680568699379), 0),
+    ([7108, 7421, 2], [9509, 7421, 0], (7108, 3812150227755412821), 0),
+    ([7425, 7425, 1], [9509, 7425, 0], (7108, 3408221680568699379), 0),
+    ([7425, 7425, 1], [9509, 7425, 0], (7108, 3408221680568699379), 0),
+    ([7108, 7440, 2], [9509, 7440, 0], (7108, 10925837018137220416), 0),
+    ([7108, 8037, 4], [9509, 7408, 0], (7108, 3792430063651808255), 0),
+    ([7108, 7954, 4], [9509, 7108, 7108], (7108, 8517423312107117975), 0),
+    ([7108, 7379, 2], [9509, 7108, 7108], (7108, 3408221680568699379), 0),
+    // 2 shards, B+Tree: Ideal, SW Logging, SW Shadow, PiCL, PiCL-L2, NVOverlay, NVOverlay+Buf
+    ([0, 0, 0], [18719, 53783, 0], (7894, 7390995486339656635), 0),
+    ([13990, 15583, 4], [18719, 55376, 0], (7894, 7390995486339656635), 0),
+    ([15432, 15583, 2], [18719, 55376, 0], (7894, 7390995486339656635), 0),
+    ([13990, 15583, 4], [18719, 55376, 0], (7894, 4138912670543433080), 0),
+    ([13990, 15583, 4], [18719, 55376, 0], (7894, 4138912670543433080), 0),
+    ([13990, 15696, 4], [18719, 53783, 13990], (7894, 7390995486339656635), 0),
+    ([13990, 15585, 4], [18719, 53783, 13990], (7894, 7390995486339656635), 0),
+    // 2 shards, Hash Table
+    ([0, 0, 0], [10437, 9693, 0], (7108, 15261579232889248287), 0),
+    ([7871, 7911, 2], [10437, 9733, 0], (7108, 15261579232889248287), 0),
+    ([7911, 7911, 1], [10437, 9733, 0], (7108, 15261579232889248287), 0),
+    ([7871, 7911, 2], [10437, 9733, 0], (7108, 15261579232889248287), 0),
+    ([7871, 8036, 2], [10437, 9733, 0], (7108, 15261579232889248287), 0),
+    ([7871, 7954, 2], [10437, 9693, 7871], (7108, 15261579232889248287), 0),
+    ([7871, 7911, 2], [10437, 9693, 7871], (7108, 15261579232889248287), 0),
+];
+
+#[test]
+fn per_line_state_matches_pinned_constants() {
+    let cfg = Arc::new(EnvScale::Quick.sim_config());
+    let island = Arc::new(cfg.island_config());
+    let jobs = default_jobs();
+    let traces = gen_traces(&WORKLOADS, &EnvScale::Quick.suite_params(), jobs);
+    let plans: Vec<Arc<ShardPlan>> = traces.iter().map(|t| ShardPlan::cached(t, &cfg)).collect();
+    let mut cells: Vec<(Scheme, bool, usize)> = Vec::new();
+    for w in 0..WORKLOADS.len() {
+        cells.extend(Scheme::ALL.map(|s| (s, false, w)));
+    }
+    for w in 0..WORKLOADS.len() {
+        cells.extend(
+            Scheme::ALL
+                .into_iter()
+                .filter(|s| s.shardable())
+                .map(|s| (s, true, w)),
+        );
+    }
+    let rows: Vec<LineRow> = run_ordered(cells.len(), jobs, |i| {
+        let (scheme, sharded, w) = cells[i];
+        if sharded {
+            run_line_row(scheme, &island, &traces[w], Some(&plans[w]))
+        } else {
+            run_line_row(scheme, &cfg, &traces[w], None)
+        }
+    });
+    let listing: String = rows.iter().map(|r| format!("    {r:?},\n")).collect();
+    for (i, (got, want)) in rows.iter().zip(LINE_PINS).enumerate() {
+        let (scheme, sharded, w) = cells[i];
+        assert_eq!(
+            got,
+            want,
+            "{scheme} on {} (sharded: {sharded}): per-line state drifted; every row now:\n{listing}",
+            WORKLOADS[w].name()
+        );
+    }
+    assert_eq!(rows.len(), LINE_PINS.len(), "rows now:\n{listing}");
 }

@@ -44,7 +44,7 @@
 //! // Crash recovery reproduces the golden memory image.
 //! let img = sys.recover().expect("recoverable");
 //! for (line, token) in &report.golden_image {
-//!     assert_eq!(img.read(*line), Some(*token));
+//!     assert_eq!(img.read(line), Some(*token));
 //! }
 //! ```
 

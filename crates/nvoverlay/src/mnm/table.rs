@@ -31,6 +31,7 @@
 use super::pool::NvmLoc;
 use nvsim::addr::LineAddr;
 use nvsim::fastmap::FastMap;
+use nvsim::linetable::PageIndex;
 use std::fmt;
 
 /// Entries per inner radix node (9 index bits).
@@ -98,10 +99,9 @@ pub struct InsertEffect {
 /// The shared five-level radix tree mapping lines to NVM locations (see
 /// the module docs for how it is held in host memory).
 pub struct RadixTable {
-    /// Open-addressing index of `(page + 1, position in leaves)` slots,
-    /// zero keys empty. At most half full: most probes of a time-travel
-    /// walk are for unmapped pages, and those scan to an empty slot.
-    index: Vec<(u64, u32)>,
+    /// Page number → position in `leaves` (the simulator's shared
+    /// page index, also behind its per-line tables).
+    index: PageIndex,
     leaves: Vec<Leaf>,
     /// The modelled inner nodes below the root, keyed by their index
     /// prefix tagged with its depth (1–3 indices from the root).
@@ -119,58 +119,18 @@ impl RadixTable {
     /// An empty table (the root inner node exists from the start).
     pub fn new() -> Self {
         Self {
-            index: vec![(0, 0); 8],
+            index: PageIndex::new(),
             leaves: Vec::new(),
             inner: FastMap::new(),
             entries: 0,
         }
     }
 
-    /// The slot of `index` holding `page`, or the empty slot where it
-    /// would go.
-    #[inline]
-    fn slot_of(index: &[(u64, u32)], page: u64) -> usize {
-        let mask = index.len() - 1;
-        // Fibonacci hashing: the product's top bits spread neighbouring
-        // pages across the index.
-        let shift = 64 - index.len().trailing_zeros();
-        let mut i = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        while index[i].0 != page + 1 && index[i].0 != 0 {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// The position in `leaves` of `page`'s leaf, if the page is mapped.
-    #[inline]
-    fn leaf_of(&self, page: u64) -> Option<usize> {
-        let (key, leaf) = self.index[Self::slot_of(&self.index, page)];
-        (key != 0).then_some(leaf as usize)
-    }
-
-    /// Opens an empty leaf for the unmapped `page`, returning its position.
-    fn open_leaf(&mut self, page: u64) -> usize {
-        let leaf = self.leaves.len();
-        if (leaf + 1) * 2 > self.index.len() {
-            let grown = vec![(0, 0); self.index.len() * 2];
-            for entry in std::mem::replace(&mut self.index, grown) {
-                if entry.0 != 0 {
-                    let slot = Self::slot_of(&self.index, entry.0 - 1);
-                    self.index[slot] = entry;
-                }
-            }
-        }
-        let slot = Self::slot_of(&self.index, page);
-        self.index[slot] = (page + 1, leaf as u32);
-        self.leaves.push([None; LEAF_FANOUT]);
-        leaf
-    }
-
     /// Maps `line` to `loc`, returning what the insert did to the tree.
     pub fn insert(&mut self, line: LineAddr, loc: NvmLoc) -> InsertEffect {
         let (page, slot) = split(line);
         let mut fx = InsertEffect::default();
-        let leaf = match self.leaf_of(page) {
+        let leaf = match self.index.get(page) {
             Some(leaf) => leaf,
             None => {
                 // A new leaf, plus every missing inner node on its path,
@@ -187,7 +147,8 @@ impl RadixTable {
                 }
                 // Each new node costs one pointer write in its parent.
                 fx.entry_writes = fx.nodes_created;
-                self.open_leaf(page)
+                self.leaves.push([None; LEAF_FANOUT]);
+                self.index.insert(page)
             }
         };
         fx.displaced = self.leaves[leaf][slot].replace(loc);
@@ -204,7 +165,7 @@ impl RadixTable {
     /// entry was removed.
     pub fn remove_if(&mut self, line: LineAddr, loc: NvmLoc) -> bool {
         let (page, slot) = split(line);
-        let Some(leaf) = self.leaf_of(page) else {
+        let Some(leaf) = self.index.get(page) else {
             return false;
         };
         let entry = &mut self.leaves[leaf][slot];
@@ -221,7 +182,7 @@ impl RadixTable {
     #[inline]
     pub fn get(&self, line: LineAddr) -> Option<NvmLoc> {
         let (page, slot) = split(line);
-        self.leaves[self.leaf_of(page)?][slot]
+        self.leaves[self.index.get(page)?][slot]
     }
 
     /// Number of mapped lines.
@@ -259,14 +220,14 @@ impl RadixTable {
 
     /// Iterates all `(line, loc)` mappings in address order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, NvmLoc)> + '_ {
-        let mut pages: Vec<(u64, u32)> = self.index.iter().filter(|s| s.0 != 0).copied().collect();
+        let mut pages: Vec<(u64, usize)> = self.index.iter().collect();
         pages.sort_unstable();
-        pages.into_iter().flat_map(move |(key, leaf)| {
-            self.leaves[leaf as usize]
+        pages.into_iter().flat_map(move |(page, leaf)| {
+            self.leaves[leaf]
                 .iter()
                 .enumerate()
                 .filter_map(move |(slot, loc)| {
-                    loc.map(|loc| (LineAddr::new(((key - 1) << 6) | slot as u64), loc))
+                    loc.map(|loc| (LineAddr::new((page << 6) | slot as u64), loc))
                 })
         })
     }

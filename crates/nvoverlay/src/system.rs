@@ -332,7 +332,7 @@ impl MemorySystem for NvOverlaySystem {
         &mut self,
         entries: &[nvsim::shard::ExchangeEntry],
         island: u16,
-        golden: &mut nvsim::fastmap::FastMap<LineAddr, Token>,
+        golden: &mut nvsim::memsys::Oracle,
     ) -> u64 {
         self.hier.import_lines(entries, island, golden)
     }
@@ -487,7 +487,7 @@ mod tests {
         let report = Runner::new().run(&mut sys, &trace);
         let img = sys.recover().expect("recoverable after finish");
         for (line, token) in &report.golden_image {
-            assert_eq!(img.read(*line), Some(*token), "line {line}");
+            assert_eq!(img.read(line), Some(*token), "line {line}");
         }
         assert_eq!(img.len(), report.golden_image.len());
     }

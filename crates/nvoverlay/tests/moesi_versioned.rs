@@ -79,7 +79,7 @@ fn moesi_recovery_is_exact_for_every_suite_workload() {
         let img = sys.recover().expect("recoverable");
         assert_eq!(img.len(), report.golden_image.len(), "{w}");
         for (line, token) in &report.golden_image {
-            assert_eq!(img.read(*line), Some(*token), "{w}: line {line}");
+            assert_eq!(img.read(line), Some(*token), "{w}: line {line}");
         }
     }
 }

@@ -62,7 +62,7 @@ fn recovery_is_exact_across_the_options_matrix() {
                     );
                     assert_eq!(img.len(), report.golden_image.len(), "{tag}");
                     for (l, t) in &report.golden_image {
-                        assert_eq!(img.read(*l), Some(*t), "{tag}: line {l}");
+                        assert_eq!(img.read(l), Some(*t), "{tag}: line {l}");
                     }
                 }
             }
@@ -92,7 +92,7 @@ fn recovery_is_exact_under_compaction_pressure() {
     assert!(compactions > 0, "the pool pressure must trigger compaction");
     let img = sys.recover().expect("recoverable");
     for (l, t) in &report.golden_image {
-        assert_eq!(img.read(*l), Some(*t), "line {l}");
+        assert_eq!(img.read(l), Some(*t), "line {l}");
     }
 }
 

@@ -5,16 +5,33 @@
 //! L1s, L2s, LLC slices, PiCL's version-tagged LLC and NVOverlay's OMC
 //! buffer alike.
 //!
-//! Layout is structure-of-arrays: tags, LRU stamps and metadata live in
-//! three parallel flat vectors indexed by `set * ways + slot`. The probe
-//! loop — by far the hottest code in replay — scans only the compact tag
-//! vector; metadata is touched once, after the hit slot is known. Slot
-//! ordering (push-at-end, `swap_remove` on evict) is bit-identical to the
-//! old vec-of-vecs layout because iteration order feeds downstream event
-//! and NVM write ordering.
+//! Layout is one region per set: each slot keeps its tag, LRU stamp and
+//! metadata side by side, and a set's slots are contiguous, indexed by
+//! `set * ways + slot`. A miss probes a set and then touches the hit or
+//! victim slot's stamp and metadata; with the three fields in three
+//! parallel vectors that was three host regions (and TLB entries) per
+//! cold LLC set, now it is one. It landed with the page-indexed per-line
+//! tables of [`crate::linetable`]: together they took hashtable-miss's
+//! serial replay from 0.68–0.70 to 0.84–0.89 Maccess/s and the L1-bound
+//! kmeans-l1's from 3.5–3.7 to 4.4 (20 s `nvbm` pairs, 2-vCPU KVM
+//! guest). Against the three-vector layout on the same tree, per-scheme
+//! replay times stayed within that host's run-to-run noise (about
+//! ±15%), so scanning whole slots instead of a packed tag vector costs
+//! the hit path nothing measurable. Slot ordering (push-at-end,
+//! `swap_remove` on evict) is unchanged, because iteration order feeds
+//! downstream event and NVM write ordering.
 
 use crate::addr::LineAddr;
 use crate::config::CacheParams;
+
+/// One way of a set: tag, LRU stamp and metadata together.
+#[derive(Clone, Debug)]
+struct Slot<T> {
+    tag: LineAddr,
+    lru: u64,
+    /// `Some` exactly on live slots.
+    meta: Option<T>,
+}
 
 /// A set-associative array mapping [`LineAddr`] → `T` with LRU replacement.
 ///
@@ -32,12 +49,9 @@ use crate::config::CacheParams;
 /// ```
 #[derive(Clone, Debug)]
 pub struct CacheArray<T> {
-    /// Tags, `sets * ways` long; slots `0..set_len[s]` of each set are live.
-    tags: Vec<LineAddr>,
-    /// LRU stamps, parallel to `tags`.
-    lru: Vec<u64>,
-    /// Per-line metadata, parallel to `tags`. `Some` exactly on live slots.
-    metas: Vec<Option<T>>,
+    /// `sets * ways` slots, set by set; slots `0..set_len[s]` of each set
+    /// are live.
+    slots: Vec<Slot<T>>,
     /// Live slot count per set.
     set_len: Vec<u32>,
     set_mask: u64,
@@ -69,9 +83,13 @@ impl<T> CacheArray<T> {
         assert!(index_stride > 0, "index stride must be positive");
         let slots = (sets * ways as u64) as usize;
         Self {
-            tags: vec![LineAddr::new(0); slots],
-            lru: vec![0; slots],
-            metas: (0..slots).map(|_| None).collect(),
+            slots: (0..slots)
+                .map(|_| Slot {
+                    tag: LineAddr::new(0),
+                    lru: 0,
+                    meta: None,
+                })
+                .collect(),
             set_len: vec![0; sets as usize],
             set_mask: sets - 1,
             index_stride,
@@ -90,28 +108,23 @@ impl<T> CacheArray<T> {
         ((line.raw() / self.index_stride) & self.set_mask) as usize
     }
 
-    /// Finds the flat slot index of `line`, scanning only the live tag
-    /// prefix of its set.
+    /// Finds the flat slot index of `line`, scanning only the live prefix
+    /// of its set.
     #[inline]
     fn probe(&self, line: LineAddr) -> Option<usize> {
         let s = self.set_of(line);
         let base = s * self.ways;
         let len = self.set_len[s] as usize;
-        self.tags[base..base + len]
+        self.slots[base..base + len]
             .iter()
-            .position(|&t| t == line)
+            .position(|slot| slot.tag == line)
             .map(|i| base + i)
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
     }
 
     /// Looks up a line without touching LRU state.
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
         let i = self.probe(line)?;
-        self.metas[i].as_ref()
+        self.slots[i].meta.as_ref()
     }
 
     /// Looks up a line, promoting it to MRU on hit.
@@ -125,8 +138,9 @@ impl<T> CacheArray<T> {
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
         let i = self.probe(line)?;
         self.tick += 1;
-        self.lru[i] = self.tick;
-        self.metas[i].as_mut()
+        let slot = &mut self.slots[i];
+        slot.lru = self.tick;
+        slot.meta.as_mut()
     }
 
     /// Mutable lookup without LRU promotion (for coherence/walker probes
@@ -134,7 +148,7 @@ impl<T> CacheArray<T> {
     /// opportunistically").
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut T> {
         let i = self.probe(line)?;
-        self.metas[i].as_mut()
+        self.slots[i].meta.as_mut()
     }
 
     /// Whether the line is resident.
@@ -156,22 +170,28 @@ impl<T> CacheArray<T> {
     /// Panics if the line is already resident (update in place via
     /// [`CacheArray::get_mut`] instead).
     pub fn insert(&mut self, line: LineAddr, meta: T) -> Option<(LineAddr, T)> {
-        let tick = self.next_tick();
+        self.tick += 1;
+        let fresh = Slot {
+            tag: line,
+            lru: self.tick,
+            meta: Some(meta),
+        };
         let s = self.set_of(line);
         let base = s * self.ways;
         let len = self.set_len[s] as usize;
+        let set = &mut self.slots[base..base + self.ways];
         // One pass over the set: duplicate detection and LRU-victim
         // selection together (ties keep the earliest slot, matching a
         // `min_by_key` scan).
         let mut victim_idx = 0;
         let mut victim_lru = u64::MAX;
-        for i in 0..len {
+        for (i, slot) in set[..len].iter().enumerate() {
             assert!(
-                self.tags[base + i] != line,
+                slot.tag != line,
                 "line {line} already resident; update in place instead"
             );
-            if self.lru[base + i] < victim_lru {
-                victim_lru = self.lru[base + i];
+            if slot.lru < victim_lru {
+                victim_lru = slot.lru;
                 victim_idx = i;
             }
         }
@@ -180,19 +200,11 @@ impl<T> CacheArray<T> {
             // moves into the victim slot and the new line lands at the
             // end — exactly the old vec-of-vecs ordering.
             let last = len - 1;
-            let v_line = self.tags[base + victim_idx];
-            let v_meta = self.metas[base + victim_idx].take();
-            self.tags[base + victim_idx] = self.tags[base + last];
-            self.lru[base + victim_idx] = self.lru[base + last];
-            self.metas[base + victim_idx] = self.metas[base + last].take();
-            self.tags[base + last] = line;
-            self.lru[base + last] = tick;
-            self.metas[base + last] = Some(meta);
-            Some((v_line, v_meta.expect("live slot has metadata")))
+            set.swap(victim_idx, last);
+            let victim = std::mem::replace(&mut set[last], fresh);
+            Some((victim.tag, victim.meta.expect("live slot has metadata")))
         } else {
-            self.tags[base + len] = line;
-            self.lru[base + len] = tick;
-            self.metas[base + len] = Some(meta);
+            set[len] = fresh;
             self.set_len[s] = (len + 1) as u32;
             None
         }
@@ -202,17 +214,11 @@ impl<T> CacheArray<T> {
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
         let i = self.probe(line)?;
         let s = self.set_of(line);
-        let base = s * self.ways;
-        let last = base + self.set_len[s] as usize - 1;
-        let meta = self.metas[i].take();
+        let last = s * self.ways + self.set_len[s] as usize - 1;
         // swap_remove: the last live slot fills the hole.
-        if i != last {
-            self.tags[i] = self.tags[last];
-            self.lru[i] = self.lru[last];
-            self.metas[i] = self.metas[last].take();
-        }
+        self.slots.swap(i, last);
         self.set_len[s] -= 1;
-        meta
+        self.slots[last].meta.take()
     }
 
     /// The LRU victim the next insert into `line`'s set would evict, if the
@@ -222,9 +228,10 @@ impl<T> CacheArray<T> {
         let base = s * self.ways;
         let len = self.set_len[s] as usize;
         if len == self.ways {
-            (0..len)
-                .min_by_key(|&i| self.lru[base + i])
-                .map(|i| self.tags[base + i])
+            self.slots[base..base + len]
+                .iter()
+                .min_by_key(|slot| slot.lru)
+                .map(|slot| slot.tag)
         } else {
             None
         }
@@ -240,26 +247,23 @@ impl<T> CacheArray<T> {
     pub fn iter_slots(&self) -> impl Iterator<Item = (usize, LineAddr, &T)> {
         self.set_len.iter().enumerate().flat_map(move |(s, &len)| {
             let base = s * self.ways;
-            (base..base + len as usize)
-                .map(move |i| (i, self.tags[i], self.metas[i].as_ref().expect("live slot")))
+            self.slots[base..base + len as usize]
+                .iter()
+                .enumerate()
+                .map(move |(i, slot)| (base + i, slot.tag, slot.meta.as_ref().expect("live slot")))
         })
     }
 
     /// Mutable iteration over all resident lines, in [`CacheArray::iter`]
     /// order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut T)> {
-        let ways = self.ways;
-        self.tags
-            .chunks(ways)
-            .zip(self.metas.chunks_mut(ways))
+        self.slots
+            .chunks_mut(self.ways)
             .zip(&self.set_len)
-            .flat_map(|((tags, metas), &len)| {
-                let live = len as usize;
-                tags[..live].iter().copied().zip(
-                    metas[..live]
-                        .iter_mut()
-                        .map(|m| m.as_mut().expect("live slot")),
-                )
+            .flat_map(|(set, &len)| {
+                set[..len as usize]
+                    .iter_mut()
+                    .map(|slot| (slot.tag, slot.meta.as_mut().expect("live slot")))
             })
     }
 
@@ -378,7 +382,7 @@ mod tests {
 
     #[test]
     fn iter_order_matches_slot_order_after_eviction() {
-        // The SoA layout must reproduce the swap_remove-then-push slot
+        // The slot layout must reproduce the swap_remove-then-push slot
         // ordering exactly: evicting slot 0 of a full 3-way set moves the
         // last entry into slot 0 and appends the new line at the end.
         let mut c: CacheArray<u8> = CacheArray::new(1, 3);

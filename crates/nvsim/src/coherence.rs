@@ -846,7 +846,7 @@ impl<P: LinePolicy> Coherence<P> {
         &mut self,
         entries: &[crate::shard::ExchangeEntry],
         island: u16,
-        golden: &mut crate::fastmap::FastMap<LineAddr, Token>,
+        golden: &mut crate::memsys::Oracle,
     ) -> u64 {
         let mut applied = 0;
         for e in entries {

@@ -6,17 +6,21 @@
 //! tag is shared by a block of consecutive lines and only grows
 //! monotonically ("The existing OID is only updated if the incoming OID is
 //! larger").
+//!
+//! Both live in [`LineTable`]s: every miss that reaches memory reads the
+//! image, and NVOverlay's LLC victims update the tags, so neighbouring
+//! lines share host cache lines instead of scattering across a hash map.
 
 use crate::addr::{LineAddr, Token};
 use crate::clock::Cycle;
-use crate::fastmap::FastMap;
+use crate::linetable::LineTable;
 
 /// DRAM device: constant-latency, token-addressable working memory.
 #[derive(Clone, Debug)]
 pub struct Dram {
     latency: Cycle,
-    contents: FastMap<LineAddr, Token>,
-    oid_tags: FastMap<u64, u16>,
+    contents: LineTable<LineAddr, Token>,
+    oid_tags: LineTable<u64, u16>,
     superblock_lines: u64,
     reads: u64,
     writes: u64,
@@ -32,8 +36,8 @@ impl Dram {
         assert!(superblock_lines > 0, "super-block size must be positive");
         Self {
             latency,
-            contents: FastMap::new(),
-            oid_tags: FastMap::new(),
+            contents: LineTable::new(),
+            oid_tags: LineTable::new(),
             superblock_lines: superblock_lines as u64,
             reads: 0,
             writes: 0,
@@ -49,7 +53,7 @@ impl Dram {
     /// (zero-filled memory).
     pub fn read(&mut self, line: LineAddr) -> Token {
         self.reads += 1;
-        *self.contents.get(&line).unwrap_or(&0)
+        self.contents.get(line).copied().unwrap_or(0)
     }
 
     /// Writes the working copy of a line.
@@ -60,7 +64,7 @@ impl Dram {
 
     /// Reads a line without counting an access (verification helper).
     pub fn peek(&self, line: LineAddr) -> Token {
-        *self.contents.get(&line).unwrap_or(&0)
+        self.contents.get(line).copied().unwrap_or(0)
     }
 
     fn tag_key(&self, line: LineAddr) -> u64 {
@@ -69,7 +73,7 @@ impl Dram {
 
     /// The OID tag covering `line`, if ever set.
     pub fn oid(&self, line: LineAddr) -> Option<u16> {
-        self.oid_tags.get(&self.tag_key(line)).copied()
+        self.oid_tags.get(self.tag_key(line)).copied()
     }
 
     /// Updates the OID tag covering `line`.
@@ -79,7 +83,7 @@ impl Dram {
     /// comparison so wrap-around rules stay in one place).
     pub fn update_oid(&mut self, line: LineAddr, oid: u16, cmp_newer: impl Fn(u16, u16) -> bool) {
         let key = self.tag_key(line);
-        match self.oid_tags.get_mut(&key) {
+        match self.oid_tags.get_mut(key) {
             Some(existing) => {
                 if self.superblock_lines == 1 || cmp_newer(oid, *existing) {
                     *existing = oid;
@@ -122,7 +126,7 @@ impl Dram {
 
     /// Iterates the current working image (line → token).
     pub fn image(&self) -> impl Iterator<Item = (LineAddr, Token)> + '_ {
-        self.contents.iter().map(|(l, t)| (*l, *t))
+        self.contents.iter().map(|(l, t)| (l, *t))
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Profiling the figure sweeps shows the simulator spends a large share
 //! of its time hashing `LineAddr`/`u64` keys with SipHash through
-//! `std::collections::HashMap` (directory entries, DRAM/NVM contents,
-//! golden images, OMC page bookkeeping). This module provides two
+//! `std::collections::HashMap` (directory entries, OMC bookkeeping).
+//! Per-line state whose keys cover the whole trace footprint lives in
+//! [`crate::linetable::LineTable`] instead. This module provides two
 //! replacements, both with **deterministic, seed-free** behavior so runs
 //! stay byte-reproducible:
 //!
@@ -102,17 +103,26 @@ pub type FastHashMap<K, V> = HashMap<K, V, FastBuildHasher>;
 /// `std::collections::HashSet` with the Fx-style [`FastHasher`].
 pub type FastHashSet<K> = HashSet<K, FastBuildHasher>;
 
-/// Key types [`FastMap`] can store: cheap to copy, convertible to the
-/// `u64` the probe hash is computed from.
+/// Key types [`FastMap`] and [`crate::linetable::LineTable`] can store:
+/// cheap to copy, and convertible to and from the `u64` the probe hash
+/// (or the page index) is computed from.
 pub trait FastKey: Copy + Eq {
     /// The 64-bit value hashed for bucket selection.
     fn as_u64(self) -> u64;
+
+    /// The key whose [`FastKey::as_u64`] is `raw`.
+    fn from_u64(raw: u64) -> Self;
 }
 
 impl FastKey for u64 {
     #[inline]
     fn as_u64(self) -> u64 {
         self
+    }
+
+    #[inline]
+    fn from_u64(raw: u64) -> Self {
+        raw
     }
 }
 
@@ -121,6 +131,11 @@ impl FastKey for u32 {
     fn as_u64(self) -> u64 {
         self as u64
     }
+
+    #[inline]
+    fn from_u64(raw: u64) -> Self {
+        raw as u32
+    }
 }
 
 impl FastKey for crate::addr::LineAddr {
@@ -128,12 +143,22 @@ impl FastKey for crate::addr::LineAddr {
     fn as_u64(self) -> u64 {
         self.raw()
     }
+
+    #[inline]
+    fn from_u64(raw: u64) -> Self {
+        Self::new(raw)
+    }
 }
 
 impl FastKey for crate::addr::PageAddr {
     #[inline]
     fn as_u64(self) -> u64 {
         self.raw()
+    }
+
+    #[inline]
+    fn from_u64(raw: u64) -> Self {
+        Self::new(raw)
     }
 }
 
@@ -314,16 +339,6 @@ impl<K: FastKey, V> FastMap<K, V> {
         self.slots.iter().flatten().map(|(k, v)| (k, v))
     }
 
-    /// Iterates values.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten().map(|(_, v)| v)
-    }
-
-    /// Iterates values mutably.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().flatten().map(|(_, v)| v)
-    }
-
     /// Iterates keys.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.slots.iter().flatten().map(|(k, _)| k)
@@ -360,15 +375,6 @@ impl<'a, K: FastKey, V> IntoIterator for &'a FastMap<K, V> {
         self.slots.iter().flatten().map(|(k, v)| (k, v))
     }
 }
-
-/// Content equality, independent of table layout or insertion order.
-impl<K: FastKey, V: PartialEq> PartialEq for FastMap<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().all(|(k, v)| other.get(k) == Some(v))
-    }
-}
-
-impl<K: FastKey, V: Eq> Eq for FastMap<K, V> {}
 
 impl<K: FastKey, V> FromIterator<(K, V)> for FastMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {

@@ -28,8 +28,10 @@
 //! * [`memsys`] — the [`memsys::MemorySystem`] trait every snapshotting
 //!   scheme implements, and the deterministic run loop.
 //! * [`fastmap`] — open-addressing maps and an Fx-style hasher for the
-//!   simulator's hot paths (directory entries, device contents, golden
-//!   images).
+//!   simulator's hot paths (directory entries, OMC bookkeeping).
+//! * [`linetable`] — page-indexed per-line tables for the state whose
+//!   keys cover the trace footprint (DRAM image and OID tags, NVM wear,
+//!   the load-value oracle, write sets).
 //! * [`fault`] — persistence-order shadow model: a journal of every NVM
 //!   write with logical payloads, in-flight windows, and prefix-closed
 //!   crash cuts with torn-write boundaries. Drives the `nvchaos`
@@ -75,6 +77,7 @@ pub mod fastmap;
 pub mod fault;
 pub mod hierarchy;
 pub mod json;
+pub mod linetable;
 pub mod memsys;
 pub mod mesi;
 pub mod metrics;

@@ -9,9 +9,14 @@
 
 use crate::addr::{Addr, CoreId, LineAddr, ThreadId, Token};
 use crate::clock::{CoreClock, Cycle};
-use crate::fastmap::FastMap;
+use crate::linetable::LineTable;
 use crate::stats::SystemStats;
 use crate::trace::{PackedEvent, PackedTrace, Trace};
+
+/// The runner's load-value oracle: the last token stored to each line.
+/// Every access probes it, so it is a page-indexed [`LineTable`] that
+/// grows with the lines touched instead of being presized.
+pub type Oracle = LineTable<LineAddr, Token>;
 
 /// A memory operation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -101,7 +106,7 @@ pub trait MemorySystem {
         &mut self,
         entries: &[crate::shard::ExchangeEntry],
         island: u16,
-        golden: &mut FastMap<LineAddr, Token>,
+        golden: &mut Oracle,
     ) -> u64 {
         let mut applied = 0;
         for e in entries {
@@ -149,7 +154,7 @@ pub struct RunReport {
     /// The final logical memory image (line → last token stored, in the
     /// executed interleaving order). Used as the golden image for recovery
     /// verification.
-    pub golden_image: FastMap<LineAddr, Token>,
+    pub golden_image: Oracle,
 }
 
 /// Deterministic trace runner.
@@ -188,9 +193,9 @@ impl Runner {
     /// [`Runner::run_packed`] — identical interleaving and results.
     ///
     /// # Panics
-    /// Panics if the trace has more threads than the system has cores is
-    /// not checked here; systems index per-core state by `CoreId` and will
-    /// panic themselves if overrun.
+    /// The runner does not check the trace's thread count against the
+    /// system's cores. A trace with more threads than cores panics inside
+    /// the system, which indexes its per-core state by `CoreId`.
     pub fn run<S: MemorySystem + ?Sized>(&self, system: &mut S, trace: &Trace) -> RunReport {
         self.run_packed(system, &trace.to_packed())
     }
@@ -200,12 +205,13 @@ impl Runner {
     /// [`crate::trace::PackedEvent`]s, so the cursor walk streams through
     /// one flat vector instead of chasing nested `Vec`s.
     ///
-    /// # Panics
-    /// See [`Runner::run`].
     /// Generic over the concrete system type: calling this with a concrete
     /// `S` monomorphizes the loop and inlines the scheme's access path
     /// into it; `&mut dyn MemorySystem` still works for callers that hold
     /// schemes behind a trait object.
+    ///
+    /// # Panics
+    /// See [`Runner::run`].
     pub fn run_packed<S: MemorySystem + ?Sized>(
         &self,
         system: &mut S,
@@ -214,10 +220,7 @@ impl Runner {
         let n = trace.thread_count();
         let mut clocks: Vec<CoreClock> = (0..n).map(|_| CoreClock::new()).collect();
         let mut cursors = vec![0usize; n];
-        // Size the load-value oracle for the trace's store volume up
-        // front; the map holds at most one entry per written line.
-        let mut golden: FastMap<LineAddr, Token> =
-            FastMap::with_capacity((trace.store_count() as usize).min(1 << 20));
+        let mut golden = Oracle::new();
         let mut accesses = 0u64;
         let mut load_value_mismatches = 0u64;
         let streams: Vec<&[PackedEvent]> =
@@ -260,7 +263,7 @@ impl Runner {
                         golden.insert(addr.line(), token);
                     }
                     MemOp::Load => {
-                        let expect = golden.get(&addr.line()).copied().unwrap_or(0);
+                        let expect = golden.get(addr.line()).copied().unwrap_or(0);
                         if out.value != expect {
                             load_value_mismatches += 1;
                             debug_assert_eq!(out.value, expect, "stale load of {addr} on {core}");
@@ -547,7 +550,7 @@ impl Runner {
             rendezvous_windows: plan.rendezvous_count() as u64,
             stats: SystemStats::default(),
             metrics: crate::metrics::Registry::new(),
-            golden_image: FastMap::default(),
+            golden_image: Oracle::new(),
         };
         let mut first = true;
         for slot in slots {
@@ -572,7 +575,7 @@ impl Runner {
                     .merge(&crate::metrics::Registry::from_frozen(o.metrics));
             }
             for (line, token) in &o.golden {
-                report.golden_image.insert(*line, *token);
+                report.golden_image.insert(line, *token);
             }
             if let Some(p) = o.prof {
                 island_profiles.push(p);
@@ -752,7 +755,7 @@ pub struct ShardedRunReport {
     pub metrics: crate::metrics::Registry,
     /// Island golden images merged in ascending island order
     /// (diagnostic; not the serial interleaving's image).
-    pub golden_image: FastMap<LineAddr, Token>,
+    pub golden_image: Oracle,
 }
 
 /// Plain-data result of one island, returned from its worker.
@@ -765,7 +768,7 @@ struct IslandOutcome {
     imported: u64,
     stats: SystemStats,
     metrics: crate::metrics::FrozenRegistry,
-    golden: FastMap<LineAddr, Token>,
+    golden: Oracle,
     prof: Option<crate::prof::IslandProfile>,
 }
 
@@ -776,7 +779,7 @@ struct IslandRun<'t, S> {
     clocks: Vec<CoreClock>,
     cursors: Vec<usize>,
     streams: Vec<&'t [PackedEvent]>,
-    golden: FastMap<LineAddr, Token>,
+    golden: Oracle,
     accesses: u64,
     mismatches: u64,
     imported: u64,
@@ -801,7 +804,7 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
             clocks: (0..n).map(|_| CoreClock::new()).collect(),
             cursors: vec![0; n],
             streams,
-            golden: FastMap::default(),
+            golden: Oracle::new(),
             accesses: 0,
             mismatches: 0,
             imported: 0,
@@ -866,7 +869,7 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
                         self.golden.insert(addr.line(), token);
                     }
                     MemOp::Load => {
-                        let expect = self.golden.get(&addr.line()).copied().unwrap_or(0);
+                        let expect = self.golden.get(addr.line()).copied().unwrap_or(0);
                         if out.value != expect {
                             self.mismatches += 1;
                             debug_assert_eq!(
@@ -1118,7 +1121,7 @@ mod tests {
         // Core 1's second access (t2) lands after core 0's first (t0):
         // clocks: c0 access at 0, c1 access at 0, c1 access at 6.
         let _ = t0;
-        assert_eq!(report.golden_image[&LineAddr::new(0)], t2);
+        assert_eq!(report.golden_image.get(LineAddr::new(0)), Some(&t2));
         assert_eq!(report.golden_image.len(), 2);
     }
 

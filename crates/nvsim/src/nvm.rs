@@ -13,8 +13,8 @@
 //! [`BandwidthSeries`] for Fig 17.
 
 use crate::clock::Cycle;
-use crate::fastmap::FastMap;
 use crate::fault::{FaultPlane, PersistPayload};
+use crate::linetable::LineTable;
 use crate::metrics::{Hist, Registry};
 use crate::nvtrace::{EventKind, TraceScope, Track};
 use crate::stats::{BandwidthSeries, NvmBytes, NvmWriteKind};
@@ -70,7 +70,8 @@ pub struct Nvm {
     stats: NvmBytes,
     series: BandwidthSeries,
     reads: u64,
-    wear: FastMap<u64, u64>,
+    /// Data writes per key (line-like: keys of one page are adjacent).
+    wear: LineTable<u64, u64>,
     /// Queueing delay (start − enqueue) of each accepted write.
     queue_delay: Hist,
     /// Persistence-order shadow journal, when fault exploration is on.
@@ -102,7 +103,7 @@ impl Nvm {
             stats: NvmBytes::new(),
             series: BandwidthSeries::new(bucket_cycles),
             reads: 0,
-            wear: FastMap::new(),
+            wear: LineTable::new(),
             queue_delay: Hist::new(),
             plane: None,
         }

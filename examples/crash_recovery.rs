@@ -49,7 +49,7 @@ fn main() {
     let r1 = Runner::new().run(&mut nvo, &trace);
     let image = nvo.recover().expect("recoverable");
     for (line, token) in &r1.golden_image {
-        assert_eq!(image.read(*line), Some(*token), "NVOverlay image diverged");
+        assert_eq!(image.read(line), Some(*token), "NVOverlay image diverged");
     }
     let s1 = nvo.stats();
     println!();

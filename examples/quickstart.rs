@@ -61,7 +61,7 @@ fn main() {
     let mut verified = 0;
     for (line, token) in &report.golden_image {
         assert_eq!(
-            image.read(*line),
+            image.read(line),
             Some(*token),
             "recovered image diverges at {line}"
         );

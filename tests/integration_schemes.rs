@@ -44,7 +44,7 @@ fn nvoverlay_recovers_every_workload_exactly() {
             "{w}: image line-count mismatch"
         );
         for (line, token) in &report.golden_image {
-            assert_eq!(img.read(*line), Some(*token), "{w}: line {line}");
+            assert_eq!(img.read(line), Some(*token), "{w}: line {line}");
         }
     }
 }
@@ -111,7 +111,7 @@ fn software_schemes_recover_the_committed_image() {
     let r = Runner::new().run(&mut picl, &trace);
     let img = picl.recovered_image();
     for (l, t) in &r.golden_image {
-        assert_eq!(img.get(l), Some(t));
+        assert_eq!(img.get(&l), Some(t));
     }
 }
 

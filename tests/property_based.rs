@@ -436,7 +436,7 @@ fn random_traces_recover_exactly() {
         let img = sys.recover().expect("stores committed");
         assert_eq!(img.len(), report.golden_image.len());
         for (line, token) in &report.golden_image {
-            assert_eq!(img.read(*line), Some(*token));
+            assert_eq!(img.read(line), Some(*token));
         }
     }
 }
