@@ -6,7 +6,7 @@
 //! eviction-reason decomposition, bandwidth series, and NVOverlay's
 //! mapping-table metrics.
 
-use nvbaselines::{HwShadow, IdealSystem, Picl, PiclLevel, SwShadow, SwUndoLogging};
+use nvbaselines::{CommitKind, EpochCommitSystem, IdealSystem, Picl, PiclLevel};
 use nvoverlay::system::{NvOverlayOptions, NvOverlaySystem};
 use nvsim::memsys::{MemorySystem, Runner};
 use nvsim::metrics::Registry;
@@ -91,15 +91,29 @@ impl Scheme {
     pub fn build(&self, cfg: &Arc<SimConfig>) -> Box<dyn MemorySystem> {
         match self {
             Scheme::Ideal => Box::new(IdealSystem::new_shared(Arc::clone(cfg))),
-            Scheme::SwLogging => Box::new(SwUndoLogging::new_shared(Arc::clone(cfg))),
-            Scheme::SwShadow => Box::new(SwShadow::new_shared(Arc::clone(cfg))),
-            Scheme::HwShadow => Box::new(HwShadow::new_shared(Arc::clone(cfg))),
+            Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => Box::new(
+                EpochCommitSystem::new_shared(Arc::clone(cfg), self.commit_kind()),
+            ),
             Scheme::Picl => Box::new(Picl::new_shared(Arc::clone(cfg), PiclLevel::Llc)),
             Scheme::PiclL2 => Box::new(Picl::new_shared(Arc::clone(cfg), PiclLevel::L2)),
             Scheme::NvOverlay => Box::new(NvOverlaySystem::new_shared(Arc::clone(cfg))),
             Scheme::NvOverlayBuffered => {
                 Box::new(NvOverlaySystem::with_omc_buffer_shared(Arc::clone(cfg)))
             }
+        }
+    }
+
+    /// The epoch-commit variation behind SW Logging, SW Shadow and HW
+    /// Shadow.
+    ///
+    /// # Panics
+    /// Panics for the other schemes, which are not epoch-commit systems.
+    pub fn commit_kind(&self) -> CommitKind {
+        match self {
+            Scheme::SwLogging => CommitKind::UndoLog,
+            Scheme::SwShadow => CommitKind::SwShadow,
+            Scheme::HwShadow => CommitKind::HwShadow,
+            _ => panic!("{self} is not an epoch-commit scheme"),
         }
     }
 
@@ -210,9 +224,10 @@ pub fn run_scheme_stats(
 ) -> (ExpResult, SystemStats, Registry) {
     match scheme {
         Scheme::Ideal => drive(IdealSystem::new_shared(Arc::clone(cfg)), trace),
-        Scheme::SwLogging => drive(SwUndoLogging::new_shared(Arc::clone(cfg)), trace),
-        Scheme::SwShadow => drive(SwShadow::new_shared(Arc::clone(cfg)), trace),
-        Scheme::HwShadow => drive(HwShadow::new_shared(Arc::clone(cfg)), trace),
+        Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => drive(
+            EpochCommitSystem::new_shared(Arc::clone(cfg), scheme.commit_kind()),
+            trace,
+        ),
         Scheme::Picl => drive(Picl::new_shared(Arc::clone(cfg), PiclLevel::Llc), trace),
         Scheme::PiclL2 => drive(Picl::new_shared(Arc::clone(cfg), PiclLevel::L2), trace),
         Scheme::NvOverlay => drive(NvOverlaySystem::new_shared(Arc::clone(cfg)), trace),
@@ -311,10 +326,11 @@ pub fn run_scheme_sharded_prof(
     };
     match scheme {
         Scheme::Ideal => drive_sharded(|_| IdealSystem::new_shared(Arc::clone(c)), trace, &exec),
-        Scheme::SwLogging => {
-            drive_sharded(|_| SwUndoLogging::new_shared(Arc::clone(c)), trace, &exec)
-        }
-        Scheme::SwShadow => drive_sharded(|_| SwShadow::new_shared(Arc::clone(c)), trace, &exec),
+        Scheme::SwLogging | Scheme::SwShadow => drive_sharded(
+            |_| EpochCommitSystem::new_shared(Arc::clone(c), scheme.commit_kind()),
+            trace,
+            &exec,
+        ),
         Scheme::HwShadow => unreachable!("HW Shadow declares itself serial-only"),
         Scheme::Picl => drive_sharded(
             |_| Picl::new_shared(Arc::clone(c), PiclLevel::Llc),

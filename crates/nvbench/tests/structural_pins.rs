@@ -14,17 +14,20 @@
 //! bytes by kind. The default pool never frees a page, so nothing else
 //! pins those paths' numbers. A third test pins the per-line state the
 //! other two never read, for every scheme on both traces, serially and at
-//! 2 shards: NVM wear, DRAM reads, writes and OID tags, the load-value
-//! oracle's image (length and an order-free digest) and its mismatch
-//! count. A deliberate model change must update the constants here.
+//! 2 shards: NVM wear, DRAM reads, writes and OID tags, the committed
+//! image of SW Logging, SW Shadow and HW Shadow (length, an order-free
+//! digest and the epochs committed), the load-value oracle's image
+//! (length and digest) and its mismatch count. A deliberate model change
+//! must update the constants here.
 
-use nvbaselines::{HwShadow, IdealSystem, Picl, PiclLevel, SwShadow, SwUndoLogging};
+use nvbaselines::{EpochCommitSystem, IdealSystem, Picl, PiclLevel};
 use nvbench::{default_jobs, gen_traces, run_ordered, EnvScale, Scheme};
 use nvoverlay::mnm::{Mnm, OmcConfig, SnapshotRetention};
 use nvoverlay::system::{NvOverlayOptions, NvOverlaySystem};
 use nvsim::addr::{Addr, CoreId, LineAddr, Token};
 use nvsim::config::Protocol;
 use nvsim::dram::Dram;
+use nvsim::linetable::LineTable;
 use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem, Runner};
 use nvsim::noc::Noc;
 use nvsim::nvm::Nvm;
@@ -119,20 +122,8 @@ fn run_row(scheme: Scheme, cfg: &Arc<SimConfig>, trace: &PackedTrace) -> Row {
             |s| s.hierarchy().noc(),
             no_master,
         ),
-        Scheme::SwLogging => row(
-            SwUndoLogging::new_shared(c()),
-            trace,
-            |s| s.hierarchy().noc(),
-            no_master,
-        ),
-        Scheme::SwShadow => row(
-            SwShadow::new_shared(c()),
-            trace,
-            |s| s.hierarchy().noc(),
-            no_master,
-        ),
-        Scheme::HwShadow => row(
-            HwShadow::new_shared(c()),
+        Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => row(
+            EpochCommitSystem::new_shared(c(), scheme.commit_kind()),
             trace,
             |s| s.hierarchy().noc(),
             no_master,
@@ -314,14 +305,15 @@ fn omc_gc_and_compaction_match_pinned_constants() {
 }
 
 /// One machine's per-line state: NVM wear as `[unique_keys,
-/// total_writes, max_key_writes]` and DRAM as `[reads, writes,
-/// oid_tags]`.
-type Lines = ([u64; 3], [u64; 3]);
+/// total_writes, max_key_writes]`, DRAM as `[reads, writes, oid_tags]`
+/// and the committed image as `[len, digest, epochs_committed]` (zeros
+/// for schemes without one).
+type Lines = ([u64; 3], [u64; 3], [u64; 3]);
 
-/// One pinned per-line run: wear and DRAM (summed over islands; the
-/// hottest key is the maximum), the oracle image as `(len, digest)`, and
-/// the load-value mismatch count.
-type LineRow = ([u64; 3], [u64; 3], (u64, u64), u64);
+/// One pinned per-line run: wear, DRAM and the committed image (summed
+/// over islands; the hottest key is the maximum), the oracle image as
+/// `(len, digest)`, and the load-value mismatch count.
+type LineRow = ([u64; 3], [u64; 3], [u64; 3], (u64, u64), u64);
 
 /// Wraps a scheme so its per-line state is read when the runner finishes
 /// it. Sharded replay drops every island machine inside the runner, so
@@ -384,17 +376,24 @@ impl<S: MemorySystem> MemorySystem for Probe<'_, S> {
     }
 }
 
-fn lines_of(nvm: &Nvm, dram: &Dram) -> Lines {
+fn lines_of(nvm: &Nvm, dram: &Dram, committed: [u64; 3]) -> Lines {
     let w = nvm.wear_report();
     (
         [w.unique_keys, w.total_writes, w.max_key_writes],
         [dram.reads(), dram.writes(), dram.oid_tag_count() as u64],
+        committed,
     )
 }
 
-/// An order-free digest of an oracle image.
-fn image_digest(image: impl Iterator<Item = (LineAddr, Token)>) -> u64 {
-    image.fold(0u64, |acc, (l, t)| {
+/// A committed image as `[len, digest, epochs_committed]`.
+fn committed_of(image: &LineTable<LineAddr, Token>, epochs: u64) -> [u64; 3] {
+    [image.len() as u64, image_digest(image), epochs]
+}
+
+/// An order-free digest of a line image (the oracle's or a committed
+/// one).
+fn image_digest(image: &LineTable<LineAddr, Token>) -> u64 {
+    image.iter().fold(0u64, |acc, (l, t)| {
         let h = (l.raw() ^ t.rotate_left(29)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         acc.wrapping_add(h ^ (h >> 31))
     })
@@ -421,19 +420,32 @@ fn line_row<S: MemorySystem>(
             (r.golden_image, r.load_value_mismatches)
         }
         Some(plan) => {
-            let r = Runner::new().run_packed_sharded(probe, trace, plan, 2);
+            let r = Runner::new()
+                .run_packed_sharded_prof(probe, trace, plan, 2, false)
+                .0;
             (r.golden_image, r.load_value_mismatches)
         }
     };
     let mut islands = sink.into_inner().expect("sink");
     islands.sort_by_key(|(i, _)| *i);
-    let (mut wear, mut dram) = ([0u64; 3], [0u64; 3]);
-    for (_, (w, d)) in islands {
+    let (mut wear, mut dram, mut committed) = ([0u64; 3], [0u64; 3], [0u64; 3]);
+    for (_, (w, d, c)) in islands {
         wear = [wear[0] + w[0], wear[1] + w[1], wear[2].max(w[2])];
         dram = [dram[0] + d[0], dram[1] + d[1], dram[2] + d[2]];
+        committed = [
+            committed[0] + c[0],
+            committed[1].wrapping_add(c[1]),
+            committed[2] + c[2],
+        ];
     }
-    let digest = image_digest(image.iter().map(|(l, t)| (l, *t)));
-    (wear, dram, (image.len() as u64, digest), mismatches)
+    let digest = image_digest(&image);
+    (
+        wear,
+        dram,
+        committed,
+        (image.len() as u64, digest),
+        mismatches,
+    )
 }
 
 fn run_line_row(
@@ -443,12 +455,24 @@ fn run_line_row(
     plan: Option<&ShardPlan>,
 ) -> LineRow {
     let c = || Arc::clone(cfg);
-    // Every scheme exposes its NVM device and its hierarchy's DRAM.
+    // Every scheme exposes its NVM device and its hierarchy's DRAM; the
+    // epoch-commit schemes also their committed image.
     macro_rules! row {
         ($build:expr) => {
             line_row(
                 || $build,
-                |s| lines_of(s.nvm(), s.hierarchy().dram()),
+                |s| lines_of(s.nvm(), s.hierarchy().dram(), [0; 3]),
+                trace,
+                plan,
+            )
+        };
+        ($build:expr, committed) => {
+            line_row(
+                || $build,
+                |s| {
+                    let committed = committed_of(s.recovered_image(), s.epochs_committed());
+                    lines_of(s.nvm(), s.hierarchy().dram(), committed)
+                },
                 trace,
                 plan,
             )
@@ -456,9 +480,10 @@ fn run_line_row(
     }
     match scheme {
         Scheme::Ideal => row!(IdealSystem::new_shared(c())),
-        Scheme::SwLogging => row!(SwUndoLogging::new_shared(c())),
-        Scheme::SwShadow => row!(SwShadow::new_shared(c())),
-        Scheme::HwShadow => row!(HwShadow::new_shared(c())),
+        Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => row!(
+            EpochCommitSystem::new_shared(c(), scheme.commit_kind()),
+            committed
+        ),
         Scheme::Picl => row!(Picl::new_shared(c(), PiclLevel::Llc)),
         Scheme::PiclL2 => row!(Picl::new_shared(c(), PiclLevel::L2)),
         Scheme::NvOverlay => row!(NvOverlaySystem::new_shared(c())),
@@ -471,39 +496,39 @@ fn run_line_row(
 #[rustfmt::skip]
 const LINE_PINS: &[LineRow] = &[
     // Serial, B+Tree: Ideal, SW Logging, SW Shadow, HW Shadow, PiCL, PiCL-L2, NVOverlay, NVOverlay+Buf
-    ([0, 0, 0], [10087, 7894, 0], (7894, 14263240910054523457), 0),
-    ([7894, 14512, 7], [11500, 14512, 0], (7894, 2309242198901865000), 0),
-    ([11867, 14484, 4], [11451, 14484, 0], (7894, 15775056642783527483), 0),
-    ([11867, 14484, 4], [11451, 14484, 0], (7894, 15775056642783527483), 0),
-    ([7894, 14505, 8], [11586, 14505, 0], (7894, 2726060519535774189), 0),
-    ([7894, 15958, 16], [11429, 14156, 0], (7894, 5363524270880486254), 0),
-    ([7894, 15713, 11], [10085, 7894, 7894], (7894, 15331796608253814805), 0),
-    ([7894, 14407, 8], [10081, 7894, 7894], (7894, 6927507255018695919), 0),
+    ([0, 0, 0], [10087, 7894, 0], [0, 0, 0], (7894, 14263240910054523457), 0),
+    ([7894, 14512, 7], [11500, 14512, 0], [7894, 2309242198901865000, 12], (7894, 2309242198901865000), 0),
+    ([11867, 14484, 4], [11451, 14484, 0], [7894, 15775056642783527483, 12], (7894, 15775056642783527483), 0),
+    ([11867, 14484, 4], [11451, 14484, 0], [7894, 15775056642783527483, 12], (7894, 15775056642783527483), 0),
+    ([7894, 14505, 8], [11586, 14505, 0], [0, 0, 0], (7894, 2726060519535774189), 0),
+    ([7894, 15958, 16], [11429, 14156, 0], [0, 0, 0], (7894, 5363524270880486254), 0),
+    ([7894, 15713, 11], [10085, 7894, 7894], [0, 0, 0], (7894, 15331796608253814805), 0),
+    ([7894, 14407, 8], [10081, 7894, 7894], [0, 0, 0], (7894, 6927507255018695919), 0),
     // Serial, Hash Table
-    ([0, 0, 0], [9509, 7108, 0], (7108, 3408221680568699379), 0),
-    ([7108, 7421, 2], [9509, 7421, 0], (7108, 3812150227755412821), 0),
-    ([7425, 7425, 1], [9509, 7425, 0], (7108, 3408221680568699379), 0),
-    ([7425, 7425, 1], [9509, 7425, 0], (7108, 3408221680568699379), 0),
-    ([7108, 7440, 2], [9509, 7440, 0], (7108, 10925837018137220416), 0),
-    ([7108, 8037, 4], [9509, 7408, 0], (7108, 3792430063651808255), 0),
-    ([7108, 7954, 4], [9509, 7108, 7108], (7108, 8517423312107117975), 0),
-    ([7108, 7379, 2], [9509, 7108, 7108], (7108, 3408221680568699379), 0),
+    ([0, 0, 0], [9509, 7108, 0], [0, 0, 0], (7108, 3408221680568699379), 0),
+    ([7108, 7421, 2], [9509, 7421, 0], [7108, 3812150227755412821, 2], (7108, 3812150227755412821), 0),
+    ([7425, 7425, 1], [9509, 7425, 0], [7108, 3408221680568699379, 2], (7108, 3408221680568699379), 0),
+    ([7425, 7425, 1], [9509, 7425, 0], [7108, 3408221680568699379, 2], (7108, 3408221680568699379), 0),
+    ([7108, 7440, 2], [9509, 7440, 0], [0, 0, 0], (7108, 10925837018137220416), 0),
+    ([7108, 8037, 4], [9509, 7408, 0], [0, 0, 0], (7108, 3792430063651808255), 0),
+    ([7108, 7954, 4], [9509, 7108, 7108], [0, 0, 0], (7108, 8517423312107117975), 0),
+    ([7108, 7379, 2], [9509, 7108, 7108], [0, 0, 0], (7108, 3408221680568699379), 0),
     // 2 shards, B+Tree: Ideal, SW Logging, SW Shadow, PiCL, PiCL-L2, NVOverlay, NVOverlay+Buf
-    ([0, 0, 0], [18719, 53783, 0], (7894, 7390995486339656635), 0),
-    ([13990, 15583, 4], [18719, 55376, 0], (7894, 7390995486339656635), 0),
-    ([15432, 15583, 2], [18719, 55376, 0], (7894, 7390995486339656635), 0),
-    ([13990, 15583, 4], [18719, 55376, 0], (7894, 4138912670543433080), 0),
-    ([13990, 15583, 4], [18719, 55376, 0], (7894, 4138912670543433080), 0),
-    ([13990, 15696, 4], [18719, 53783, 13990], (7894, 7390995486339656635), 0),
-    ([13990, 15585, 4], [18719, 53783, 13990], (7894, 7390995486339656635), 0),
+    ([0, 0, 0], [18719, 53783, 0], [0, 0, 0], (7894, 7390995486339656635), 0),
+    ([13990, 15583, 4], [18719, 55376, 0], [13990, 7544326417564304435, 82], (7894, 7390995486339656635), 0),
+    ([15432, 15583, 2], [18719, 55376, 0], [13990, 13325058086852275776, 82], (7894, 7390995486339656635), 0),
+    ([13990, 15583, 4], [18719, 55376, 0], [0, 0, 0], (7894, 4138912670543433080), 0),
+    ([13990, 15583, 4], [18719, 55376, 0], [0, 0, 0], (7894, 4138912670543433080), 0),
+    ([13990, 15696, 4], [18719, 53783, 13990], [0, 0, 0], (7894, 7390995486339656635), 0),
+    ([13990, 15585, 4], [18719, 53783, 13990], [0, 0, 0], (7894, 7390995486339656635), 0),
     // 2 shards, Hash Table
-    ([0, 0, 0], [10437, 9693, 0], (7108, 15261579232889248287), 0),
-    ([7871, 7911, 2], [10437, 9733, 0], (7108, 15261579232889248287), 0),
-    ([7911, 7911, 1], [10437, 9733, 0], (7108, 15261579232889248287), 0),
-    ([7871, 7911, 2], [10437, 9733, 0], (7108, 15261579232889248287), 0),
-    ([7871, 8036, 2], [10437, 9733, 0], (7108, 15261579232889248287), 0),
-    ([7871, 7954, 2], [10437, 9693, 7871], (7108, 15261579232889248287), 0),
-    ([7871, 7911, 2], [10437, 9693, 7871], (7108, 15261579232889248287), 0),
+    ([0, 0, 0], [10437, 9693, 0], [0, 0, 0], (7108, 15261579232889248287), 0),
+    ([7871, 7911, 2], [10437, 9733, 0], [7871, 884141190170994428, 16], (7108, 15261579232889248287), 0),
+    ([7911, 7911, 1], [10437, 9733, 0], [7871, 884141190170994428, 16], (7108, 15261579232889248287), 0),
+    ([7871, 7911, 2], [10437, 9733, 0], [0, 0, 0], (7108, 15261579232889248287), 0),
+    ([7871, 8036, 2], [10437, 9733, 0], [0, 0, 0], (7108, 15261579232889248287), 0),
+    ([7871, 7954, 2], [10437, 9693, 7871], [0, 0, 0], (7108, 15261579232889248287), 0),
+    ([7871, 7911, 2], [10437, 9693, 7871], [0, 0, 0], (7108, 15261579232889248287), 0),
 ];
 
 #[test]

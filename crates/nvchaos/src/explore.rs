@@ -21,7 +21,7 @@ use crate::rebuild::{
     rebuild_undo, undo_commit_cutoff, undo_expected, RebuildFidelity, RebuiltState,
 };
 use crate::report::{ChaosReport, Violation};
-use nvbaselines::sw_undo::SwUndoLogging;
+use nvbaselines::{CommitKind, EpochCommitSystem};
 use nvoverlay::recovery::{recover_durable, RecoveryError};
 use nvoverlay::system::NvOverlaySystem;
 use nvsim::addr::{LineAddr, Token};
@@ -220,7 +220,7 @@ pub fn prepare(trace: &Trace, simcfg: &SimConfig, cfg: ChaosConfig) -> ChaosRun 
             )
         }
         ChaosScheme::SwUndo => {
-            let mut sys = SwUndoLogging::new(&simcfg);
+            let mut sys = EpochCommitSystem::new(&simcfg, CommitKind::UndoLog);
             sys.nvm_mut().enable_fault_plane();
             let report = Runner::new().run(&mut sys, trace);
             (

@@ -78,7 +78,7 @@ pub trait MemorySystem {
     }
 
     /// Whether the scheme supports island-sharded replay
-    /// ([`Runner::run_packed_sharded`]). Schemes whose persistence
+    /// ([`Runner::run_packed_sharded_prof`]). Schemes whose persistence
     /// mechanism is inherently machine-global (e.g. whole-machine
     /// shadow checkpointing) return `false` and are replayed serially.
     fn shardable(&self) -> bool {
@@ -157,34 +157,22 @@ pub struct RunReport {
     pub golden_image: Oracle,
 }
 
-/// Deterministic trace runner.
-///
-/// `gap_cycles` models the non-memory instructions between consecutive
-/// memory accesses of one core (the paper's cores are 4-way superscalar;
-/// a recorded access stands for several instructions of surrounding
-/// work). The default of 20 cycles puts the ideal system's NVM write
-/// density in the regime the paper's Fig 17 bandwidth curves show
+/// Cycles between consecutive memory accesses of one core: the
+/// non-memory instructions a recorded access stands for (the paper's
+/// cores are 4-way superscalar). 20 cycles puts the ideal system's NVM
+/// write density in the regime the paper's Fig 17 bandwidth curves show
 /// (averages of a few GB/s against a ~7.7 GB/s device).
-#[derive(Clone, Debug)]
-pub struct Runner {
-    gap_cycles: Cycle,
-}
+pub const GAP_CYCLES: Cycle = 20;
 
-impl Default for Runner {
-    fn default() -> Self {
-        Self { gap_cycles: 20 }
-    }
-}
+/// Deterministic trace runner. Every core waits [`GAP_CYCLES`] after each
+/// access.
+#[derive(Clone, Debug, Default)]
+pub struct Runner;
 
 impl Runner {
-    /// A runner with the default inter-access gap.
+    /// A runner.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the inter-access gap in cycles.
-    pub fn with_gap(gap_cycles: Cycle) -> Self {
-        Self { gap_cycles }
+        Self
     }
 
     /// Replays `trace` against `system`. Thread *i* runs on core *i*.
@@ -257,7 +245,7 @@ impl Runner {
                 let lat = out.latency.max(1);
                 clocks[i].advance(lat - out.persist_stall.min(lat));
                 clocks[i].stall(out.persist_stall.min(lat));
-                clocks[i].advance(self.gap_cycles);
+                clocks[i].advance(GAP_CYCLES);
                 match op {
                     MemOp::Store => {
                         golden.insert(addr.line(), token);
@@ -316,27 +304,6 @@ impl Runner {
     /// recorders are absorbed into the caller's recorder (per-kind
     /// event counts are worker-invariant, event order is not).
     ///
-    /// # Panics
-    /// Panics if the plan and trace disagree (wrong thread count) or if
-    /// the factory builds a system with fewer cores than an island has
-    /// threads.
-    pub fn run_packed_sharded<S, F>(
-        &self,
-        factory: F,
-        trace: &PackedTrace,
-        plan: &crate::shard::ShardPlan,
-        workers: usize,
-    ) -> ShardedRunReport
-    where
-        S: MemorySystem,
-        F: Fn(usize) -> S + Sync,
-    {
-        self.run_packed_sharded_prof(factory, trace, plan, workers, false)
-            .0
-    }
-
-    /// [`Runner::run_packed_sharded`] with optional stall attribution.
-    ///
     /// With `profiled` set, every island accumulates a
     /// [`crate::prof::WindowCell`] per barrier window (events replayed,
     /// simulated arrival/aligned clocks, import tallies, and the
@@ -359,7 +326,9 @@ impl Runner {
     /// progress instead of letting the run hang silently.
     ///
     /// # Panics
-    /// See [`Runner::run_packed_sharded`].
+    /// Panics if the plan and trace disagree (wrong thread count) or if
+    /// the factory builds a system with fewer cores than an island has
+    /// threads.
     pub fn run_packed_sharded_prof<S, F>(
         &self,
         factory: F,
@@ -389,7 +358,6 @@ impl Runner {
             .map(|n| n.get())
             .unwrap_or(1);
         let nworkers = workers.clamp(1, islands.max(1)).min(host.max(1));
-        let gap = self.gap_cycles;
         debug_assert_eq!(
             (0..islands)
                 .map(|i| plan.island(i).threads.len())
@@ -451,7 +419,7 @@ impl Runner {
                     for w in 0..windows {
                         for run in &mut runs {
                             crate::nvtrace::set_shard(run.island as u16 + 1);
-                            run.run_window(plan, w, gap);
+                            run.run_window(plan, w);
                         }
                         if plan.is_rendezvous(w) {
                             for run in &mut runs {
@@ -725,7 +693,7 @@ impl ProgressWatchdog {
     }
 }
 
-/// Summary of one [`Runner::run_packed_sharded`].
+/// Summary of one [`Runner::run_packed_sharded_prof`].
 #[derive(Clone, Debug)]
 pub struct ShardedRunReport {
     /// Wall-clock cycles: the maximum island clock at the final barrier.
@@ -823,7 +791,7 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
     /// Replays this island's slice of window `w`: the scan-min loop of
     /// [`Runner::run_packed`] over the island's local cores, bounded by
     /// the plan's window cuts.
-    fn run_window(&mut self, plan: &crate::shard::ShardPlan, w: usize, gap: Cycle) {
+    fn run_window(&mut self, plan: &crate::shard::ShardPlan, w: usize) {
         // Events replayed are counted by cursor-sum delta around the
         // whole window — zero per-event cost, profiled or not.
         let prof_t0 = self.prof.is_some().then(|| {
@@ -863,7 +831,7 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
                 let lat = out.latency.max(1);
                 self.clocks[i].advance(lat - out.persist_stall.min(lat));
                 self.clocks[i].stall(out.persist_stall.min(lat));
-                self.clocks[i].advance(gap);
+                self.clocks[i].advance(GAP_CYCLES);
                 match op {
                     MemOp::Store => {
                         self.golden.insert(addr.line(), token);
@@ -1101,12 +1069,12 @@ mod tests {
         }
         let trace = b.build();
         let mut sys = FixedLatency::new(4);
-        let report = Runner::with_gap(2).run(&mut sys, &trace);
+        let report = Runner::new().run(&mut sys, &trace);
         assert_eq!(report.accesses, 6);
         // Equal clocks tie-break by core id deterministically.
         let cores: Vec<u16> = sys.seen.iter().map(|(c, _)| *c).collect();
         assert_eq!(cores, vec![0, 1, 0, 1, 0, 1]);
-        assert_eq!(report.cycles, 3 * (4 + 2));
+        assert_eq!(report.cycles, 3 * (4 + 20));
     }
 
     #[test]
@@ -1117,9 +1085,9 @@ mod tests {
         let t2 = b.store(ThreadId(1), Addr::new(0)); // overwrites line 0
         let trace = b.build();
         let mut sys = FixedLatency::new(4);
-        let report = Runner::with_gap(2).run(&mut sys, &trace);
+        let report = Runner::new().run(&mut sys, &trace);
         // Core 1's second access (t2) lands after core 0's first (t0):
-        // clocks: c0 access at 0, c1 access at 0, c1 access at 6.
+        // clocks: c0 access at 0, c1 access at 0, c1 access at 24.
         let _ = t0;
         assert_eq!(report.golden_image.get(LineAddr::new(0)), Some(&t2));
         assert_eq!(report.golden_image.len(), 2);
@@ -1133,9 +1101,9 @@ mod tests {
         b.store(ThreadId(0), Addr::new(64));
         let trace = b.build();
         let mut sys = FixedLatency::new(4);
-        let report = Runner::with_gap(2).run(&mut sys, &trace);
+        let report = Runner::new().run(&mut sys, &trace);
         assert_eq!(report.stall_cycles, 7);
-        assert_eq!(report.cycles, 6 + 8 + 6);
+        assert_eq!(report.cycles, 24 + 8 + 24);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --release --example compare_schemes -- "B+Tree"
 //! ```
 
-use nvoverlay_suite::baselines::{HwShadow, IdealSystem, Picl, PiclLevel, SwShadow, SwUndoLogging};
+use nvoverlay_suite::baselines::{CommitKind, EpochCommitSystem, IdealSystem, Picl, PiclLevel};
 use nvoverlay_suite::overlay::system::NvOverlaySystem;
 use nvoverlay_suite::sim::memsys::{MemorySystem, Runner};
 use nvoverlay_suite::sim::stats::NvmWriteKind;
@@ -50,9 +50,9 @@ fn main() {
 
     let mut systems: Vec<Box<dyn MemorySystem>> = vec![
         Box::new(IdealSystem::new(&cfg)),
-        Box::new(SwUndoLogging::new(&cfg)),
-        Box::new(SwShadow::new(&cfg)),
-        Box::new(HwShadow::new(&cfg)),
+        Box::new(EpochCommitSystem::new(&cfg, CommitKind::UndoLog)),
+        Box::new(EpochCommitSystem::new(&cfg, CommitKind::SwShadow)),
+        Box::new(EpochCommitSystem::new(&cfg, CommitKind::HwShadow)),
         Box::new(Picl::new(&cfg, PiclLevel::Llc)),
         Box::new(Picl::new(&cfg, PiclLevel::L2)),
         Box::new(NvOverlaySystem::new(&cfg)),

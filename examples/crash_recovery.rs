@@ -15,7 +15,7 @@
 //! cargo run --release --example crash_recovery
 //! ```
 
-use nvoverlay_suite::baselines::SwUndoLogging;
+use nvoverlay_suite::baselines::{CommitKind, EpochCommitSystem};
 use nvoverlay_suite::chaos::{prepare, ChaosConfig, ChaosScheme, RebuildFidelity, RebuiltState};
 use nvoverlay_suite::overlay::recovery::{recover_durable, RecoveryError};
 use nvoverlay_suite::overlay::system::NvOverlaySystem;
@@ -72,7 +72,7 @@ fn main() {
     );
 
     // --- SW undo logging ---------------------------------------------
-    let mut swl = SwUndoLogging::new(&cfg);
+    let mut swl = EpochCommitSystem::new(&cfg, CommitKind::UndoLog);
     let r2 = Runner::new().run(&mut swl, &trace);
     for (line, token) in &r2.golden_image {
         assert_eq!(

@@ -2,7 +2,7 @@
 //! same hierarchy, recovers consistent images, and behaves
 //! deterministically.
 
-use nvoverlay_suite::baselines::{HwShadow, IdealSystem, Picl, PiclLevel, SwShadow, SwUndoLogging};
+use nvoverlay_suite::baselines::{CommitKind, EpochCommitSystem, IdealSystem, Picl, PiclLevel};
 use nvoverlay_suite::overlay::system::NvOverlaySystem;
 use nvoverlay_suite::sim::memsys::{MemorySystem, Runner};
 use nvoverlay_suite::sim::stats::NvmWriteKind;
@@ -67,9 +67,9 @@ fn every_scheme_coherent(cfg: &SimConfig) {
         let trace = generate(w, &params());
         let factories: Vec<Box<dyn Fn() -> Box<dyn MemorySystem>>> = vec![
             Box::new(|| Box::new(IdealSystem::new(cfg))),
-            Box::new(|| Box::new(SwUndoLogging::new(cfg))),
-            Box::new(|| Box::new(SwShadow::new(cfg))),
-            Box::new(|| Box::new(HwShadow::new(cfg))),
+            Box::new(|| Box::new(EpochCommitSystem::new(cfg, CommitKind::UndoLog))),
+            Box::new(|| Box::new(EpochCommitSystem::new(cfg, CommitKind::SwShadow))),
+            Box::new(|| Box::new(EpochCommitSystem::new(cfg, CommitKind::HwShadow))),
             Box::new(|| Box::new(Picl::new(cfg, PiclLevel::Llc))),
             Box::new(|| Box::new(Picl::new(cfg, PiclLevel::L2))),
             Box::new(|| Box::new(NvOverlaySystem::new(cfg))),
@@ -92,20 +92,16 @@ fn every_scheme_coherent(cfg: &SimConfig) {
 fn software_schemes_recover_the_committed_image() {
     let cfg = cfg();
     let trace = generate(Workload::RbTree, &params());
-    let mut undo = SwUndoLogging::new(&cfg);
-    let r = Runner::new().run(&mut undo, &trace);
-    for (l, t) in &r.golden_image {
-        assert_eq!(undo.recovered_image().get(l), Some(t));
-    }
-    let mut shadow = SwShadow::new(&cfg);
-    let r = Runner::new().run(&mut shadow, &trace);
-    for (l, t) in &r.golden_image {
-        assert_eq!(shadow.recovered_image().get(l), Some(t));
-    }
-    let mut hw = HwShadow::new(&cfg);
-    let r = Runner::new().run(&mut hw, &trace);
-    for (l, t) in &r.golden_image {
-        assert_eq!(hw.recovered_image().get(l), Some(t));
+    for kind in [
+        CommitKind::UndoLog,
+        CommitKind::SwShadow,
+        CommitKind::HwShadow,
+    ] {
+        let mut sys = EpochCommitSystem::new(&cfg, kind);
+        let r = Runner::new().run(&mut sys, &trace);
+        for (l, t) in &r.golden_image {
+            assert_eq!(sys.recovered_image().get(l), Some(t), "{kind:?}");
+        }
     }
     let mut picl = Picl::new(&cfg, PiclLevel::Llc);
     let r = Runner::new().run(&mut picl, &trace);
@@ -126,7 +122,7 @@ fn all_schemes_are_deterministic() {
     };
     let factories: Vec<Box<dyn Fn() -> Box<dyn MemorySystem>>> = vec![
         Box::new(|| Box::new(IdealSystem::new(&cfg))),
-        Box::new(|| Box::new(SwUndoLogging::new(&cfg))),
+        Box::new(|| Box::new(EpochCommitSystem::new(&cfg, CommitKind::UndoLog))),
         Box::new(|| Box::new(Picl::new(&cfg, PiclLevel::L2))),
         Box::new(|| Box::new(NvOverlaySystem::new(&cfg))),
     ];
@@ -153,7 +149,7 @@ fn paper_orderings_hold_across_the_suite() {
         let rn = Runner::new().run(&mut nvo, &trace);
         let mut picl = Picl::new(&cfg, PiclLevel::Llc);
         let rp = Runner::new().run(&mut picl, &trace);
-        let mut swl = SwUndoLogging::new(&cfg);
+        let mut swl = EpochCommitSystem::new(&cfg, CommitKind::UndoLog);
         let rs = Runner::new().run(&mut swl, &trace);
 
         assert_eq!(nvo.stats().nvm.bytes(NvmWriteKind::Log), 0, "{w}");
@@ -188,7 +184,7 @@ fn epoch_marks_drive_every_scheme() {
     let mut nvo = NvOverlaySystem::new(&cfg);
     let _ = Runner::new().run(&mut nvo, &trace);
     assert!(nvo.stats().epochs_completed >= 5);
-    let mut swl = SwUndoLogging::new(&cfg);
+    let mut swl = EpochCommitSystem::new(&cfg, CommitKind::UndoLog);
     let _ = Runner::new().run(&mut swl, &trace);
     assert!(swl.epochs_committed() >= 5);
 }
