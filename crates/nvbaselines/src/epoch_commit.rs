@@ -346,15 +346,10 @@ impl MemorySystem for EpochCommitSystem {
         self.core.import_lines(entries, island, golden)
     }
 
-    fn finish(&mut self, now: Cycle) -> Cycle {
-        let end = self.commit_epoch(now);
+    fn finish(&mut self, now: Cycle) {
+        self.commit_epoch(now);
         let _ = self.core.hier.drain_dirty();
         self.core.sync_stats();
-        match self.kind {
-            // Background data writes may still be in flight.
-            CommitKind::HwShadow => (now + end).max(self.core.nvm.persist_horizon()),
-            CommitKind::UndoLog | CommitKind::SwShadow => now + end,
-        }
     }
 
     fn stats(&self) -> &SystemStats {

@@ -77,10 +77,9 @@ impl MemorySystem for IdealSystem {
         self.core.import_lines(entries, island, golden)
     }
 
-    fn finish(&mut self, now: Cycle) -> Cycle {
+    fn finish(&mut self, _now: Cycle) {
         let _ = self.core.hier.drain_dirty();
         self.core.sync_stats();
-        now
     }
 
     fn stats(&self) -> &SystemStats {

@@ -317,7 +317,7 @@ impl MemorySystem for Picl {
         self.core.import_lines(entries, island, golden)
     }
 
-    fn finish(&mut self, now: Cycle) -> Cycle {
+    fn finish(&mut self, now: Cycle) {
         self.commit_epoch(now);
         // Drain any remaining dirty data (from the epoch just opened).
         let rest = self.core.hier.drain_dirty();
@@ -326,7 +326,6 @@ impl MemorySystem for Picl {
         }
         self.commit_epoch(now);
         self.core.sync_stats();
-        self.core.nvm.persist_horizon().max(now)
     }
 
     fn stats(&self) -> &SystemStats {

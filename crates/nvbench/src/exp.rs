@@ -117,11 +117,6 @@ impl Scheme {
         }
     }
 
-    /// Instantiates NVOverlay with explicit options (ablations).
-    pub fn build_nvoverlay(cfg: &Arc<SimConfig>, opts: NvOverlayOptions) -> Box<dyn MemorySystem> {
-        Box::new(NvOverlaySystem::with_options_shared(Arc::clone(cfg), opts))
-    }
-
     /// Whether the scheme's memory system replays island-sharded —
     /// [`MemorySystem::shardable`] as a static property, so dispatchers
     /// can route without constructing a throwaway system just to ask.

@@ -29,6 +29,19 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = nvo(&["restore"]); // --store is required
     assert_eq!(out.status.code(), Some(2));
+    // The broken-rebuild self-test exists only for NVOverlay's recovery.
+    for target in [&["--scheme", "sw-undo"][..], &["--store"]] {
+        let mut args = vec!["chaos", "kmeans", "--sites", "20", "--scale", "quick"];
+        args.extend_from_slice(target);
+        args.push("--broken-recovery");
+        let out = nvo(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{target:?}: {}",
+            stderr_of(&out)
+        );
+    }
 }
 
 #[test]

@@ -342,11 +342,10 @@ impl<S: MemorySystem> MemorySystem for Probe<'_, S> {
     fn epoch_mark(&mut self, core: CoreId, now: Cycle) -> Cycle {
         self.sys.epoch_mark(core, now)
     }
-    fn finish(&mut self, now: Cycle) -> Cycle {
-        let done = self.sys.finish(now);
+    fn finish(&mut self, now: Cycle) {
+        self.sys.finish(now);
         let lines = (self.read)(&self.sys);
         self.sink.lock().expect("sink").push((self.island, lines));
-        done
     }
     fn stats(&self) -> &SystemStats {
         self.sys.stats()

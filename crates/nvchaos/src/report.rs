@@ -69,7 +69,7 @@ impl ChaosReport {
         let mut s = String::with_capacity(512);
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": {},", CHAOS_REPORT_SCHEMA);
-        let _ = writeln!(s, "  \"scheme\": {},", json_str(&self.scheme));
+        let _ = writeln!(s, "  \"scheme\": \"{}\",", json::escape(&self.scheme));
         let _ = writeln!(s, "  \"seed\": {},", self.seed);
         let _ = writeln!(s, "  \"sites_requested\": {},", self.sites_requested);
         let _ = writeln!(s, "  \"sites_explored\": {},", self.sites_explored);
@@ -80,7 +80,7 @@ impl ChaosReport {
             if i > 0 {
                 s.push_str(", ");
             }
-            let _ = write!(s, "{}: {}", json_str(name), n);
+            let _ = write!(s, "\"{}\": {}", json::escape(name), n);
         }
         s.push_str("},\n");
         let _ = writeln!(s, "  \"torn_sites\": {},", self.torn_sites);
@@ -100,10 +100,10 @@ impl ChaosReport {
             }
             let _ = write!(
                 s,
-                "\n    {{\"site\": {}, \"category\": {}, \"message\": {}}}",
+                "\n    {{\"site\": {}, \"category\": \"{}\", \"message\": \"{}\"}}",
                 v.site,
-                json_str(&v.category),
-                json_str(&v.message)
+                json::escape(&v.category),
+                json::escape(&v.message)
             );
         }
         if !self.violations.is_empty() {
@@ -193,27 +193,6 @@ impl ChaosReport {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,7 +266,7 @@ mod tests {
 
     #[test]
     fn control_chars_escape_to_unicode() {
-        assert_eq!(json_str("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json_str("tab\there"), "\"tab\\there\"");
+        assert_eq!(json::escape("a\u{1}b"), "a\\u0001b");
+        assert_eq!(json::escape("tab\there"), "tab\\there");
     }
 }

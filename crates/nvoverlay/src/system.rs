@@ -366,7 +366,7 @@ impl MemorySystem for NvOverlaySystem {
         stall
     }
 
-    fn finish(&mut self, now: Cycle) -> Cycle {
+    fn finish(&mut self, now: Cycle) {
         let versions = self.hier.drain();
         for v in versions {
             self.stats.evictions.record(v.reason);
@@ -420,7 +420,6 @@ impl MemorySystem for NvOverlaySystem {
         let rec_target = final_epoch.saturating_sub(1).max(self.mnm.rec_epoch());
         self.mnm.finish(&mut self.nvm, now, rec_target);
         self.sync_stats();
-        self.nvm.persist_horizon().max(now)
     }
 
     fn stats(&self) -> &SystemStats {

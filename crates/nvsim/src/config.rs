@@ -346,27 +346,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the per-bank backpressure window.
-    pub fn nvm_queue_depth(mut self, depth: u32) -> Self {
-        self.cfg.nvm_queue_depth = depth;
-        self
-    }
-
     /// Sets the automatic epoch length in stores per VD.
     pub fn epoch_size_stores(mut self, stores: u64) -> Self {
         self.cfg.epoch_size_stores = stores;
-        self
-    }
-
-    /// Sets the NVM bandwidth time-series bucket width.
-    pub fn bandwidth_bucket_cycles(mut self, cycles: Cycle) -> Self {
-        self.cfg.bandwidth_bucket_cycles = cycles;
-        self
-    }
-
-    /// Sets DRAM OID tagging granularity (lines per shared tag).
-    pub fn dram_oid_superblock_lines(mut self, lines: u32) -> Self {
-        self.cfg.dram_oid_superblock_lines = lines;
         self
     }
 

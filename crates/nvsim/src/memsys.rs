@@ -61,9 +61,9 @@ pub trait MemorySystem {
     /// Returns any stall the boundary imposes on the requesting core.
     fn epoch_mark(&mut self, core: CoreId, now: Cycle) -> Cycle;
 
-    /// Finishes the run: closes the final epoch, drains dirty state, and
-    /// returns the time at which everything is persistent.
-    fn finish(&mut self, now: Cycle) -> Cycle;
+    /// Finishes the run at time `now`: closes the final epoch and drains
+    /// dirty state to persistence.
+    fn finish(&mut self, now: Cycle);
 
     /// The scheme's statistics block.
     fn stats(&self) -> &SystemStats;
@@ -140,10 +140,6 @@ pub struct RunReport {
     /// retired (persistence `finish` work is reported separately, matching
     /// the paper's methodology of overlapping background persistence).
     pub cycles: Cycle,
-    /// Time at which all snapshot state was durable.
-    pub persist_done: Cycle,
-    /// Per-core final clocks.
-    pub per_core_cycles: Vec<Cycle>,
     /// Sum of persistence stalls over all cores.
     pub stall_cycles: Cycle,
     /// Accesses executed.
@@ -188,10 +184,10 @@ impl Runner {
         self.run_packed(system, &trace.to_packed())
     }
 
-    /// Replays a packed trace against `system`. This is the real replay
-    /// loop: the per-thread streams are contiguous 16-byte
-    /// [`crate::trace::PackedEvent`]s, so the cursor walk streams through
-    /// one flat vector instead of chasing nested `Vec`s.
+    /// Replays a packed trace against `system`: one run of the replay
+    /// loop to the stream ends. The per-thread streams are contiguous
+    /// 16-byte [`crate::trace::PackedEvent`]s, so the cursor walk streams
+    /// through one flat vector instead of chasing nested `Vec`s.
     ///
     /// Generic over the concrete system type: calling this with a concrete
     /// `S` monomorphizes the loop and inlines the scheme's access path
@@ -205,84 +201,10 @@ impl Runner {
         system: &mut S,
         trace: &PackedTrace,
     ) -> RunReport {
-        let n = trace.thread_count();
-        let mut clocks: Vec<CoreClock> = (0..n).map(|_| CoreClock::new()).collect();
-        let mut cursors = vec![0usize; n];
-        let mut golden = Oracle::new();
-        let mut accesses = 0u64;
-        let mut load_value_mismatches = 0u64;
-        let streams: Vec<&[PackedEvent]> =
-            (0..n).map(|i| trace.thread(ThreadId(i as u16))).collect();
-
-        // Next wake time per core, `Cycle::MAX` once its stream is
-        // drained. Core counts are small (≤64), so a linear scan-min
-        // beats a binary heap's branchy sift per event; scanning in
-        // ascending core order with a strict `<` reproduces the
-        // min-heap's (clock, core-id) tie-break exactly.
-        let mut wake: Vec<Cycle> = (0..n)
-            .map(|i| if streams[i].is_empty() { Cycle::MAX } else { 0 })
-            .collect();
-
-        loop {
-            let mut i = usize::MAX;
-            let mut t = Cycle::MAX;
-            for (c, &w) in wake.iter().enumerate() {
-                if w < t {
-                    t = w;
-                    i = c;
-                }
-            }
-            if i == usize::MAX {
-                break;
-            }
-            let core = CoreId(i as u16);
-            let events = streams[i];
-            debug_assert_eq!(clocks[i].now(), t);
-            let e = events[cursors[i]];
-            if !e.is_mark() {
-                let (op, addr, token) = (e.op(), e.addr(), e.token());
-                let out = system.access(core, op, addr, token, t);
-                let lat = out.latency.max(1);
-                clocks[i].advance(lat - out.persist_stall.min(lat));
-                clocks[i].stall(out.persist_stall.min(lat));
-                clocks[i].advance(GAP_CYCLES);
-                match op {
-                    MemOp::Store => {
-                        golden.insert(addr.line(), token);
-                    }
-                    MemOp::Load => {
-                        let expect = golden.get(addr.line()).copied().unwrap_or(0);
-                        if out.value != expect {
-                            load_value_mismatches += 1;
-                            debug_assert_eq!(out.value, expect, "stale load of {addr} on {core}");
-                        }
-                    }
-                }
-                accesses += 1;
-            } else {
-                let stall = system.epoch_mark(core, t);
-                clocks[i].stall(stall);
-                clocks[i].advance(1);
-            }
-            cursors[i] += 1;
-            wake[i] = if cursors[i] < events.len() {
-                clocks[i].now()
-            } else {
-                Cycle::MAX
-            };
-        }
-
-        let cycles = clocks.iter().map(|c| c.now()).max().unwrap_or(0);
-        let persist_done = system.finish(cycles);
-        RunReport {
-            cycles,
-            persist_done,
-            per_core_cycles: clocks.iter().map(|c| c.now()).collect(),
-            stall_cycles: clocks.iter().map(|c| c.stall_cycles()).sum(),
-            accesses,
-            load_value_mismatches,
-            golden_image: golden,
-        }
+        let mut replay = Replay::new(trace);
+        let ends: Vec<usize> = replay.streams.iter().map(|s| s.len()).collect();
+        replay.run(system, |i| ends[i]);
+        replay.finish(system)
     }
 
     /// Replays a packed trace sharded across islands (see
@@ -423,7 +345,8 @@ impl Runner {
                         }
                         if plan.is_rendezvous(w) {
                             for run in &mut runs {
-                                clock_pub[run.island].store(run.max_clock(), Ordering::Relaxed);
+                                clock_pub[run.island]
+                                    .store(run.replay.max_clock(), Ordering::Relaxed);
                                 epoch_pub[run.island]
                                     .store(run.sys.epoch_floor(), Ordering::Relaxed);
                             }
@@ -507,7 +430,6 @@ impl Runner {
         let mut island_profiles: Vec<crate::prof::IslandProfile> = Vec::new();
         let mut report = ShardedRunReport {
             cycles: 0,
-            persist_done: 0,
             stall_cycles: 0,
             accesses: 0,
             load_value_mismatches: 0,
@@ -526,11 +448,10 @@ impl Runner {
                 .into_inner()
                 .expect("island slot")
                 .expect("every island ran");
-            report.cycles = report.cycles.max(o.cycles);
-            report.persist_done = report.persist_done.max(o.persist_done);
-            report.stall_cycles += o.stall_cycles;
-            report.accesses += o.accesses;
-            report.load_value_mismatches += o.mismatches;
+            report.cycles = report.cycles.max(o.report.cycles);
+            report.stall_cycles += o.report.stall_cycles;
+            report.accesses += o.report.accesses;
+            report.load_value_mismatches += o.report.load_value_mismatches;
             report.imported_lines += o.imported;
             if first {
                 report.stats = o.stats;
@@ -542,7 +463,7 @@ impl Runner {
                     .metrics
                     .merge(&crate::metrics::Registry::from_frozen(o.metrics));
             }
-            for (line, token) in &o.golden {
+            for (line, token) in &o.report.golden_image {
                 report.golden_image.insert(line, *token);
             }
             if let Some(p) = o.prof {
@@ -571,6 +492,129 @@ impl Runner {
             }
         });
         (report, profile)
+    }
+}
+
+/// The replay state of one machine: per-core clocks and cursors over
+/// its per-thread streams (thread *i* runs on core *i*), the golden
+/// load-value oracle, and the access and mismatch counts. Serial replay
+/// runs it once to the stream ends; an island runs it window by window.
+struct Replay<'t> {
+    clocks: Vec<CoreClock>,
+    cursors: Vec<usize>,
+    streams: Vec<&'t [PackedEvent]>,
+    golden: Oracle,
+    accesses: u64,
+    mismatches: u64,
+}
+
+impl<'t> Replay<'t> {
+    fn new(trace: &'t PackedTrace) -> Self {
+        let n = trace.thread_count();
+        Self {
+            clocks: (0..n).map(|_| CoreClock::new()).collect(),
+            cursors: vec![0; n],
+            streams: (0..n).map(|i| trace.thread(ThreadId(i as u16))).collect(),
+            golden: Oracle::new(),
+            accesses: 0,
+            mismatches: 0,
+        }
+    }
+
+    fn max_clock(&self) -> Cycle {
+        self.clocks.iter().map(|c| c.now()).max().unwrap_or(0)
+    }
+
+    /// Replays every core `i` up to event `end(i)` of its stream, always
+    /// advancing the core with the smallest clock.
+    fn run<S: MemorySystem + ?Sized>(&mut self, system: &mut S, end: impl Fn(usize) -> usize) {
+        let Self {
+            clocks,
+            cursors,
+            streams,
+            golden,
+            ..
+        } = self;
+        // Index reborrowed slices, not the `Vec`s behind `&mut`: indexing
+        // through the `Vec`s measured a few percent slower serial replay.
+        let (clocks, cursors, streams) = (&mut clocks[..], &mut cursors[..], &streams[..]);
+        // Next wake time per core, `Cycle::MAX` once it reaches its end.
+        // Core counts are small (≤64), so a linear scan-min beats a
+        // binary heap's branchy sift per event; scanning in ascending
+        // core order with a strict `<` reproduces the min-heap's
+        // (clock, core-id) tie-break exactly.
+        let mut wake: Vec<Cycle> = (0..streams.len())
+            .map(|i| {
+                if cursors[i] < end(i) {
+                    clocks[i].now()
+                } else {
+                    Cycle::MAX
+                }
+            })
+            .collect();
+        let (mut accesses, mut mismatches) = (0u64, 0u64);
+        loop {
+            let mut i = usize::MAX;
+            let mut t = Cycle::MAX;
+            for (c, &w) in wake.iter().enumerate() {
+                if w < t {
+                    t = w;
+                    i = c;
+                }
+            }
+            if i == usize::MAX {
+                break;
+            }
+            let core = CoreId(i as u16);
+            debug_assert_eq!(clocks[i].now(), t);
+            let e = streams[i][cursors[i]];
+            if !e.is_mark() {
+                let (op, addr, token) = (e.op(), e.addr(), e.token());
+                let out = system.access(core, op, addr, token, t);
+                let lat = out.latency.max(1);
+                clocks[i].advance(lat - out.persist_stall.min(lat));
+                clocks[i].stall(out.persist_stall.min(lat));
+                clocks[i].advance(GAP_CYCLES);
+                match op {
+                    MemOp::Store => {
+                        golden.insert(addr.line(), token);
+                    }
+                    MemOp::Load => {
+                        let expect = golden.get(addr.line()).copied().unwrap_or(0);
+                        if out.value != expect {
+                            mismatches += 1;
+                            debug_assert_eq!(out.value, expect, "stale load of {addr} on {core}");
+                        }
+                    }
+                }
+                accesses += 1;
+            } else {
+                let stall = system.epoch_mark(core, t);
+                clocks[i].stall(stall);
+                clocks[i].advance(1);
+            }
+            cursors[i] += 1;
+            wake[i] = if cursors[i] < end(i) {
+                clocks[i].now()
+            } else {
+                Cycle::MAX
+            };
+        }
+        self.accesses += accesses;
+        self.mismatches += mismatches;
+    }
+
+    /// Finishes `system` at the largest core clock and reports the run.
+    fn finish<S: MemorySystem + ?Sized>(self, system: &mut S) -> RunReport {
+        let cycles = self.max_clock();
+        system.finish(cycles);
+        RunReport {
+            cycles,
+            stall_cycles: self.clocks.iter().map(|c| c.stall_cycles()).sum(),
+            accesses: self.accesses,
+            load_value_mismatches: self.mismatches,
+            golden_image: self.golden,
+        }
     }
 }
 
@@ -698,8 +742,6 @@ impl ProgressWatchdog {
 pub struct ShardedRunReport {
     /// Wall-clock cycles: the maximum island clock at the final barrier.
     pub cycles: Cycle,
-    /// Latest island persist-done time.
-    pub persist_done: Cycle,
     /// Persistence stalls summed over all islands' cores.
     pub stall_cycles: Cycle,
     /// Accesses executed across all islands.
@@ -728,15 +770,10 @@ pub struct ShardedRunReport {
 
 /// Plain-data result of one island, returned from its worker.
 struct IslandOutcome {
-    cycles: Cycle,
-    persist_done: Cycle,
-    stall_cycles: Cycle,
-    accesses: u64,
-    mismatches: u64,
+    report: RunReport,
     imported: u64,
     stats: SystemStats,
     metrics: crate::metrics::FrozenRegistry,
-    golden: Oracle,
     prof: Option<crate::prof::IslandProfile>,
 }
 
@@ -744,12 +781,7 @@ struct IslandOutcome {
 struct IslandRun<'t, S> {
     sys: S,
     island: usize,
-    clocks: Vec<CoreClock>,
-    cursors: Vec<usize>,
-    streams: Vec<&'t [PackedEvent]>,
-    golden: Oracle,
-    accesses: u64,
-    mismatches: u64,
+    replay: Replay<'t>,
     imported: u64,
     /// Stall-attribution accumulator, owned by this island's worker
     /// (thread-local by construction — no synchronization needed).
@@ -758,23 +790,13 @@ struct IslandRun<'t, S> {
 
 impl<'t, S: MemorySystem> IslandRun<'t, S> {
     fn new(sys: S, plan: &'t crate::shard::ShardPlan, island: usize, profiled: bool) -> Self {
-        // Stream the plan's pre-split island segment (local thread `l`
-        // is the island's core `l`) — contiguous in memory, instead of
-        // strided slices of the global trace.
-        let seg = plan.island_trace(island);
-        let streams: Vec<&[PackedEvent]> = (0..seg.thread_count())
-            .map(|l| seg.thread(crate::addr::ThreadId(l as u16)))
-            .collect();
-        let n = streams.len();
         Self {
             sys,
             island,
-            clocks: (0..n).map(|_| CoreClock::new()).collect(),
-            cursors: vec![0; n],
-            streams,
-            golden: Oracle::new(),
-            accesses: 0,
-            mismatches: 0,
+            // Stream the plan's pre-split island segment (local thread
+            // `l` is the island's core `l`) — contiguous in memory,
+            // instead of strided slices of the global trace.
+            replay: Replay::new(plan.island_trace(island)),
             imported: 0,
             prof: profiled.then(|| crate::prof::IslandProfile {
                 island,
@@ -784,87 +806,24 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
         }
     }
 
-    fn max_clock(&self) -> Cycle {
-        self.clocks.iter().map(|c| c.now()).max().unwrap_or(0)
-    }
-
-    /// Replays this island's slice of window `w`: the scan-min loop of
-    /// [`Runner::run_packed`] over the island's local cores, bounded by
-    /// the plan's window cuts.
+    /// Replays this island's slice of window `w`: the shared replay
+    /// loop over the island's local cores, bounded by the plan's window
+    /// cuts.
     fn run_window(&mut self, plan: &crate::shard::ShardPlan, w: usize) {
         // Events replayed are counted by cursor-sum delta around the
         // whole window — zero per-event cost, profiled or not.
         let prof_t0 = self.prof.is_some().then(|| {
             (
                 std::time::Instant::now(),
-                self.cursors.iter().sum::<usize>(),
+                self.replay.cursors.iter().sum::<usize>(),
             )
         });
         let cuts = &plan.island(self.island).cuts;
-        let n = self.streams.len();
-        let mut wake: Vec<Cycle> = (0..n)
-            .map(|l| {
-                if self.cursors[l] < cuts[l][w] {
-                    self.clocks[l].now()
-                } else {
-                    Cycle::MAX
-                }
-            })
-            .collect();
-        loop {
-            let mut i = usize::MAX;
-            let mut t = Cycle::MAX;
-            for (c, &wk) in wake.iter().enumerate() {
-                if wk < t {
-                    t = wk;
-                    i = c;
-                }
-            }
-            if i == usize::MAX {
-                break;
-            }
-            let core = CoreId(i as u16);
-            let e = self.streams[i][self.cursors[i]];
-            if !e.is_mark() {
-                let (op, addr, token) = (e.op(), e.addr(), e.token());
-                let out = self.sys.access(core, op, addr, token, t);
-                let lat = out.latency.max(1);
-                self.clocks[i].advance(lat - out.persist_stall.min(lat));
-                self.clocks[i].stall(out.persist_stall.min(lat));
-                self.clocks[i].advance(GAP_CYCLES);
-                match op {
-                    MemOp::Store => {
-                        self.golden.insert(addr.line(), token);
-                    }
-                    MemOp::Load => {
-                        let expect = self.golden.get(addr.line()).copied().unwrap_or(0);
-                        if out.value != expect {
-                            self.mismatches += 1;
-                            debug_assert_eq!(
-                                out.value, expect,
-                                "stale load of {addr} on island {} {core}",
-                                self.island
-                            );
-                        }
-                    }
-                }
-                self.accesses += 1;
-            } else {
-                let stall = self.sys.epoch_mark(core, t);
-                self.clocks[i].stall(stall);
-                self.clocks[i].advance(1);
-            }
-            self.cursors[i] += 1;
-            wake[i] = if self.cursors[i] < cuts[i][w] {
-                self.clocks[i].now()
-            } else {
-                Cycle::MAX
-            };
-        }
+        self.replay.run(&mut self.sys, |l| cuts[l][w]);
         if let Some((t0, events_before)) = prof_t0 {
             let cell = crate::prof::WindowCell {
-                events: (self.cursors.iter().sum::<usize>() - events_before) as u64,
-                arrive_clock: self.max_clock(),
+                events: (self.replay.cursors.iter().sum::<usize>() - events_before) as u64,
+                arrive_clock: self.replay.max_clock(),
                 compute_ns: t0.elapsed().as_nanos() as u64,
                 ..Default::default()
             };
@@ -879,11 +838,11 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
     fn barrier_sync(&mut self, plan: &crate::shard::ShardPlan, w: usize, t_max: Cycle, e_max: u64) {
         crate::nvtrace::TraceScope::new(crate::nvtrace::Track::System).emit(
             crate::nvtrace::EventKind::ShardBarrier,
-            self.max_clock(),
+            self.replay.max_clock(),
             w as u64,
             t_max,
         );
-        for c in &mut self.clocks {
+        for c in &mut self.replay.clocks {
             let now = c.now();
             if now < t_max {
                 c.advance(t_max - now);
@@ -892,14 +851,16 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
         let sync_t0 = self.prof.is_some().then(std::time::Instant::now);
         let stall = self.sys.raise_epoch_floor(e_max, t_max);
         if stall > 0 {
-            for c in &mut self.clocks {
+            for c in &mut self.replay.clocks {
                 c.stall(stall);
             }
         }
         let exch_t0 = sync_t0.map(|t0| (t0.elapsed().as_nanos() as u64, std::time::Instant::now()));
-        let applied = self
-            .sys
-            .import_lines(plan.exchange(w), self.island as u16, &mut self.golden);
+        let applied = self.sys.import_lines(
+            plan.exchange(w),
+            self.island as u16,
+            &mut self.replay.golden,
+        );
         self.imported += applied;
         if let Some((sync_ns, exch_t0)) = exch_t0 {
             let cell = self.prof.as_mut().expect("profiled").cells[w];
@@ -933,7 +894,7 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
         if cfg!(debug_assertions) {
             let cuts = &plan.island(self.island).cuts;
             let (mut marks, mut stores) = (0u64, 0u64);
-            for (l, stream) in self.streams.iter().enumerate() {
+            for (l, stream) in self.replay.streams.iter().enumerate() {
                 let lo = if w == 0 { 0 } else { cuts[l][w - 1] };
                 for e in &stream[lo..cuts[l][w]] {
                     marks += u64::from(e.is_mark());
@@ -965,23 +926,18 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
     fn finish(self) -> IslandOutcome {
         let IslandRun {
             mut sys,
-            clocks,
-            golden,
-            accesses,
-            mismatches,
+            replay,
             imported,
             mut prof,
             ..
         } = self;
-        let cycles = clocks.iter().map(|c| c.now()).max().unwrap_or(0);
         let finish_t0 = prof.is_some().then(std::time::Instant::now);
-        let persist_done = sys.finish(cycles);
+        let report = replay.finish(&mut sys);
         if let (Some(t0), Some(p)) = (finish_t0, prof.as_mut()) {
             p.finish_ns = t0.elapsed().as_nanos() as u64;
-            p.final_clock = cycles;
+            p.final_clock = report.cycles;
         }
         let package_t0 = prof.is_some().then(std::time::Instant::now);
-        let stall_cycles = clocks.iter().map(|c| c.stall_cycles()).sum();
         let stats = sys.stats().clone();
         let metrics = sys.metrics().into_frozen();
         // Deallocating the island sub-machine is real per-island wall
@@ -993,15 +949,10 @@ impl<'t, S: MemorySystem> IslandRun<'t, S> {
             p.package_ns = t0.elapsed().as_nanos() as u64;
         }
         IslandOutcome {
-            cycles,
-            persist_done,
-            stall_cycles,
-            accesses,
-            mismatches,
+            report,
             imported,
             stats,
             metrics,
-            golden,
             prof,
         }
     }
@@ -1052,9 +1003,7 @@ mod tests {
         fn epoch_mark(&mut self, _core: CoreId, _now: Cycle) -> Cycle {
             7
         }
-        fn finish(&mut self, now: Cycle) -> Cycle {
-            now
-        }
+        fn finish(&mut self, _now: Cycle) {}
         fn stats(&self) -> &SystemStats {
             &self.stats
         }
