@@ -1,129 +1,8 @@
-//! Shared plumbing for the baseline schemes.
+//! Shared parts of the baseline schemes: the epoch-commit write set and
+//! the NVM entry sizes.
 
-use nvsim::addr::{CoreId, LineAddr};
-use nvsim::clock::Cycle;
-use nvsim::config::SimConfig;
-use nvsim::hierarchy::{Hierarchy, HierarchyEvent};
+use nvsim::addr::LineAddr;
 use nvsim::linetable::LineTable;
-use nvsim::nvm::Nvm;
-use nvsim::stats::SystemStats;
-use std::sync::Arc;
-
-/// The parts every baseline owns: the shared hierarchy, an NVM device,
-/// the stats block and a per-core "resume time" used to model global
-/// quiesce stalls (epoch flushes that halt all cores).
-pub struct BaselineCore {
-    /// The non-versioned MESI hierarchy.
-    pub hier: Hierarchy,
-    /// The scheme's NVM device.
-    pub nvm: Nvm,
-    /// Statistics (synced from devices at `finish`).
-    pub stats: SystemStats,
-    /// Per-core earliest resume time after a global stall.
-    pub core_resume: Vec<Cycle>,
-    /// Recycled scratch copy of the hierarchy's per-access events —
-    /// schemes `mem::take` it around their handler loop so the hot path
-    /// never allocates (see [`BaselineCore::take_event_scratch`]).
-    pub ev_scratch: Vec<HierarchyEvent>,
-}
-
-impl BaselineCore {
-    /// Builds the shared parts from a validated configuration.
-    ///
-    /// # Panics
-    /// Panics if `cfg` does not validate.
-    pub fn new(cfg: &SimConfig) -> Self {
-        Self::new_shared(Arc::new(cfg.clone()))
-    }
-
-    /// Builds the shared parts over a shared configuration handle.
-    ///
-    /// # Panics
-    /// Panics if `cfg` does not validate.
-    pub fn new_shared(cfg: Arc<SimConfig>) -> Self {
-        let nvm = Nvm::new(
-            cfg.nvm_banks,
-            cfg.nvm_write_latency,
-            cfg.nvm_read_latency,
-            cfg.nvm_queue_depth,
-            cfg.bandwidth_bucket_cycles,
-        );
-        Self {
-            nvm,
-            stats: SystemStats::new(cfg.bandwidth_bucket_cycles),
-            core_resume: vec![0; cfg.cores as usize],
-            ev_scratch: Vec::new(),
-            hier: Hierarchy::new_shared(cfg),
-        }
-    }
-
-    /// Takes the recycled event buffer, refilled with the hierarchy's
-    /// latest events. The caller iterates it (the borrow on `self` is
-    /// released) and MUST hand it back via
-    /// [`BaselineCore::return_event_scratch`] so the next access reuses
-    /// the capacity instead of allocating.
-    pub fn take_event_scratch(&mut self) -> Vec<HierarchyEvent> {
-        let mut buf = std::mem::take(&mut self.ev_scratch);
-        buf.clear();
-        buf.extend_from_slice(self.hier.events());
-        buf
-    }
-
-    /// Returns the scratch buffer taken by
-    /// [`BaselineCore::take_event_scratch`].
-    pub fn return_event_scratch(&mut self, buf: Vec<HierarchyEvent>) {
-        self.ev_scratch = buf;
-    }
-
-    /// Stall this core owes from a previous global quiesce.
-    pub fn pending_stall(&mut self, core: CoreId, now: Cycle) -> Cycle {
-        let r = self.core_resume[core.index()];
-        r.saturating_sub(now)
-    }
-
-    /// Halts every core until `t` (global quiesce, e.g. a software epoch
-    /// flush or a synchronous mapping-table update).
-    pub fn stall_all_until(&mut self, t: Cycle) {
-        for r in &mut self.core_resume {
-            *r = (*r).max(t);
-        }
-    }
-
-    /// Installs a cross-island line at its DRAM home during a sharded
-    /// replay barrier (delegates to
-    /// [`Hierarchy::import_line`]). Baselines share this so every
-    /// scheme's `MemorySystem::import_line` behaves identically.
-    pub fn import_line(&mut self, line: nvsim::addr::LineAddr, token: nvsim::addr::Token) -> bool {
-        self.hier.import_line(line, token)
-    }
-
-    /// Batched variant of [`BaselineCore::import_line`] (delegates to
-    /// [`Hierarchy::import_lines`]): one pass over the sorted exchange
-    /// run, applied deposits mirrored into `golden`.
-    pub fn import_lines(
-        &mut self,
-        entries: &[nvsim::shard::ExchangeEntry],
-        island: u16,
-        golden: &mut nvsim::memsys::Oracle,
-    ) -> u64 {
-        self.hier.import_lines(entries, island, golden)
-    }
-
-    /// Copies device counters into the stats block.
-    pub fn sync_stats(&mut self) {
-        self.stats.nvm = self.nvm.stats().clone();
-        self.stats.nvm_bandwidth = self.nvm.bandwidth().clone();
-        self.stats.access = self.hier.counters().clone();
-    }
-}
-
-impl std::fmt::Debug for BaselineCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineCore")
-            .field("hier", &self.hier)
-            .finish()
-    }
-}
 
 /// The lines a software or shadow scheme must flush at the next epoch
 /// boundary, in first-store order.
@@ -164,11 +43,6 @@ impl WriteSet {
         self.slot.clear();
         self.order.drain(..).flatten().collect()
     }
-
-    /// Lines currently in the set.
-    pub(crate) fn len(&self) -> usize {
-        self.slot.len()
-    }
 }
 
 /// Size in bytes of one undo/redo log entry (paper §VII-B: "each log
@@ -198,9 +72,9 @@ mod tests {
         assert!(ws.remove(l(1)));
         ws.insert(l(1)); // evicted, then dirtied again: joins at the end
         assert!(!ws.remove(l(9)));
-        assert_eq!(ws.len(), 3);
+        assert_eq!(ws.slot.len(), 3);
         assert_eq!(ws.take(), vec![l(2), l(4), l(1)]);
-        assert_eq!(ws.len(), 0);
+        assert_eq!(ws.slot.len(), 0);
         assert!(ws.take().is_empty());
     }
 
@@ -225,7 +99,7 @@ mod tests {
                 }
                 _ => assert_eq!(ws.take(), std::mem::take(&mut model), "step {step}"),
             }
-            assert_eq!(ws.len(), model.len(), "step {step}");
+            assert_eq!(ws.slot.len(), model.len(), "step {step}");
         }
     }
 }

@@ -36,17 +36,17 @@
 //!   than NVOverlay on L2-thrashing workloads like kmeans (Fig 12). Its
 //!   checkpoint quiesces the whole machine, so it replays only serially.
 
-use crate::common::{BaselineCore, WriteSet, DATA_BYTES, LOG_ENTRY_BYTES, TABLE_ENTRY_BYTES};
+use crate::common::{WriteSet, DATA_BYTES, LOG_ENTRY_BYTES, TABLE_ENTRY_BYTES};
 use nvoverlay::mnm::{NvmLoc, RadixTable};
-use nvsim::addr::{Addr, CoreId, LineAddr, Token};
+use nvsim::addr::{CoreId, LineAddr, Token};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
 use nvsim::fault::PersistPayload;
-use nvsim::hierarchy::HierarchyEvent;
+use nvsim::hierarchy::{Hierarchy, HierarchyEvent};
 use nvsim::linetable::LineTable;
-use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
+use nvsim::memsys::{SchemeCore, SchemeHooks};
 use nvsim::nvtrace::{EventKind, TraceScope, Track};
-use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
+use nvsim::stats::{EvictReason, NvmWriteKind};
 use std::sync::Arc;
 
 /// Which §VI-B scheme an [`EpochCommitSystem`] models.
@@ -62,9 +62,10 @@ pub enum CommitKind {
 
 /// A write-set-tracking scheme that persists and commits each epoch at
 /// its boundary.
+#[derive(Debug)]
 pub struct EpochCommitSystem {
     kind: CommitKind,
-    core: BaselineCore,
+    core: SchemeCore<Hierarchy>,
     /// Lines dirtied this epoch, in first-store order.
     write_set: WriteSet,
     /// Image as of the last committed epoch (what recovery reproduces).
@@ -88,29 +89,13 @@ impl EpochCommitSystem {
     pub fn new_shared(cfg: Arc<SimConfig>, kind: CommitKind) -> Self {
         Self {
             kind,
-            core: BaselineCore::new_shared(cfg),
+            core: SchemeCore::new(Hierarchy::new_shared(cfg)),
             write_set: WriteSet::default(),
             committed_image: LineTable::new(),
             epochs_committed: 0,
             table: RadixTable::new(),
             shadow_flip: LineTable::new(),
         }
-    }
-
-    /// The underlying hierarchy (inspection/debugging).
-    pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
-        &self.core.hier
-    }
-
-    /// The scheme's NVM device (inspection: byte and wear accounting).
-    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
-        &self.core.nvm
-    }
-
-    /// Mutable device access — used by the chaos harness to attach and
-    /// harvest the persistence-order fault plane around a run.
-    pub fn nvm_mut(&mut self) -> &mut nvsim::nvm::Nvm {
-        &mut self.core.nvm
     }
 
     /// The image recovery would restore: the last committed epoch (for
@@ -223,11 +208,24 @@ impl EpochCommitSystem {
         self.core.stall_all_until(done);
         done.saturating_sub(now)
     }
+}
 
-    fn handle_events(&mut self, now: Cycle) -> Cycle {
+nvsim::deref_scheme_core!(EpochCommitSystem, Hierarchy);
+
+impl SchemeHooks for EpochCommitSystem {
+    type Hier = Hierarchy;
+
+    fn label(&self) -> &'static str {
+        match self.kind {
+            CommitKind::UndoLog => "SW Logging",
+            CommitKind::SwShadow => "SW Shadow",
+            CommitKind::HwShadow => "HW Shadow",
+        }
+    }
+
+    fn on_events(&mut self, events: &[HierarchyEvent], now: Cycle) -> Cycle {
         let mut stall = 0;
-        let events = self.core.take_event_scratch();
-        for e in events.iter().copied() {
+        for &e in events {
             match e {
                 HierarchyEvent::StoreCommitted {
                     line,
@@ -285,93 +283,32 @@ impl EpochCommitSystem {
                 HierarchyEvent::L2Writeback { .. } | HierarchyEvent::LlcWriteback { .. } => {}
             }
         }
-        self.core.return_event_scratch(events);
         stall
     }
-}
 
-impl MemorySystem for EpochCommitSystem {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            CommitKind::UndoLog => "SW Logging",
-            CommitKind::SwShadow => "SW Shadow",
-            CommitKind::HwShadow => "HW Shadow",
-        }
+    fn on_mark(&mut self, _core: CoreId, now: Cycle) -> Cycle {
+        self.commit_epoch(now)
     }
 
-    fn access(
-        &mut self,
-        core: CoreId,
-        op: MemOp,
-        addr: Addr,
-        token: Token,
-        now: Cycle,
-    ) -> AccessOutcome {
-        let quiesce = self.core.pending_stall(core, now);
-        let (lat, value) = self.core.hier.access(core, op, addr, token);
-        let stall = self.handle_events(now + quiesce + lat);
-        let persist_stall = quiesce + stall;
-        self.core.stats.persist_stall_cycles += persist_stall;
-        AccessOutcome {
-            latency: lat + persist_stall,
-            persist_stall,
-            value,
-        }
-    }
-
-    fn epoch_mark(&mut self, _core: CoreId, now: Cycle) -> Cycle {
-        let stall = self.commit_epoch(now);
-        self.core.stats.persist_stall_cycles += stall;
-        stall
+    fn on_finish(&mut self, now: Cycle) {
+        self.commit_epoch(now);
+        let _ = self.core.hier.drain_dirty();
     }
 
     /// ThyNVM-style checkpointing quiesces *every* core at a global
     /// barrier — there is no per-VD machine to carve islands out of, so
     /// HW Shadow declares itself serial-only and `nvbench` falls back to
     /// the serial replay path.
-    fn shardable(&self) -> bool {
+    fn can_shard(&self) -> bool {
         self.kind != CommitKind::HwShadow
-    }
-
-    fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
-        self.core.import_line(line, token)
-    }
-
-    fn import_lines(
-        &mut self,
-        entries: &[nvsim::shard::ExchangeEntry],
-        island: u16,
-        golden: &mut nvsim::memsys::Oracle,
-    ) -> u64 {
-        self.core.import_lines(entries, island, golden)
-    }
-
-    fn finish(&mut self, now: Cycle) {
-        self.commit_epoch(now);
-        let _ = self.core.hier.drain_dirty();
-        self.core.sync_stats();
-    }
-
-    fn stats(&self) -> &SystemStats {
-        &self.core.stats
-    }
-}
-
-impl std::fmt::Debug for EpochCommitSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochCommitSystem")
-            .field("kind", &self.kind)
-            .field("write_set", &self.write_set.len())
-            .field("epochs_committed", &self.epochs_committed)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvsim::addr::ThreadId;
-    use nvsim::memsys::Runner;
+    use nvsim::addr::{Addr, ThreadId};
+    use nvsim::memsys::{MemorySystem, Runner};
     use nvsim::trace::{Trace, TraceBuilder};
 
     fn cfg(epoch: u64) -> SimConfig {

@@ -2,96 +2,53 @@
 //! of Fig 11 ("All numbers are normalized to baseline execution without
 //! snapshotting").
 
-use crate::common::BaselineCore;
-use nvsim::addr::{Addr, CoreId, LineAddr, Token};
-use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
-use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
-use nvsim::stats::SystemStats;
+use nvsim::hierarchy::Hierarchy;
+use nvsim::memsys::{SchemeCore, SchemeHooks};
+use nvsim::Cycle;
+use std::sync::Arc;
 
-/// A system that runs the hierarchy and persists nothing.
+/// A system that runs the hierarchy and persists nothing: the empty
+/// scheme. It ignores every event and only writes dirty data back to
+/// DRAM at the end.
 #[derive(Debug)]
 pub struct IdealSystem {
-    core: BaselineCore,
+    core: SchemeCore<Hierarchy>,
 }
 
 impl IdealSystem {
     /// Creates the ideal system.
     pub fn new(cfg: &SimConfig) -> Self {
-        Self::new_shared(std::sync::Arc::new(cfg.clone()))
+        Self::new_shared(Arc::new(cfg.clone()))
     }
 
     /// Creates the ideal system over a shared configuration handle.
-    pub fn new_shared(cfg: std::sync::Arc<SimConfig>) -> Self {
+    pub fn new_shared(cfg: Arc<SimConfig>) -> Self {
         Self {
-            core: BaselineCore::new_shared(cfg),
+            core: SchemeCore::new(Hierarchy::new_shared(cfg)),
         }
-    }
-
-    /// The underlying hierarchy (inspection/debugging).
-    pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
-        &self.core.hier
-    }
-
-    /// The scheme's NVM device (inspection: byte and wear accounting).
-    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
-        &self.core.nvm
     }
 }
 
-impl MemorySystem for IdealSystem {
-    fn name(&self) -> &'static str {
+nvsim::deref_scheme_core!(IdealSystem, Hierarchy);
+
+impl SchemeHooks for IdealSystem {
+    type Hier = Hierarchy;
+
+    fn label(&self) -> &'static str {
         "Ideal"
     }
 
-    fn access(
-        &mut self,
-        core: CoreId,
-        op: MemOp,
-        addr: Addr,
-        token: Token,
-        _now: Cycle,
-    ) -> AccessOutcome {
-        let (latency, value) = self.core.hier.access(core, op, addr, token);
-        AccessOutcome {
-            latency,
-            persist_stall: 0,
-            value,
-        }
-    }
-
-    fn epoch_mark(&mut self, _core: CoreId, _now: Cycle) -> Cycle {
-        0
-    }
-
-    fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
-        self.core.import_line(line, token)
-    }
-
-    fn import_lines(
-        &mut self,
-        entries: &[nvsim::shard::ExchangeEntry],
-        island: u16,
-        golden: &mut nvsim::memsys::Oracle,
-    ) -> u64 {
-        self.core.import_lines(entries, island, golden)
-    }
-
-    fn finish(&mut self, _now: Cycle) {
+    fn on_finish(&mut self, _now: Cycle) {
         let _ = self.core.hier.drain_dirty();
-        self.core.sync_stats();
-    }
-
-    fn stats(&self) -> &SystemStats {
-        &self.core.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvsim::addr::ThreadId;
-    use nvsim::memsys::Runner;
+    use nvsim::addr::{Addr, ThreadId};
+    use nvsim::memsys::{MemorySystem, Runner};
     use nvsim::trace::TraceBuilder;
 
     #[test]

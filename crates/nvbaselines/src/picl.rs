@@ -15,15 +15,16 @@
 //! lost below the L2 so bouncing lines are re-logged — the source of its
 //! extra slowdown and 1.8×–2.3× write amplification.
 
-use crate::common::{BaselineCore, DATA_BYTES, LOG_ENTRY_BYTES};
-use nvsim::addr::{Addr, CoreId, LineAddr, Token};
+use crate::common::{DATA_BYTES, LOG_ENTRY_BYTES};
+use nvsim::addr::{CoreId, LineAddr, Token, VdId};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
-use nvsim::fastmap::{FastHashMap, FastHashSet};
-use nvsim::hierarchy::{EpochId, HierarchyEvent};
-use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
+use nvsim::hierarchy::{EpochId, Hierarchy, HierarchyEvent};
+use nvsim::linetable::LineTable;
+use nvsim::memsys::{SchemeCore, SchemeHooks};
 use nvsim::nvtrace::{EventKind, TraceScope, Track};
-use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
+use nvsim::stats::{EvictReason, NvmWriteKind};
+use std::sync::Arc;
 
 /// Where PiCL's version tracking and tag walks live.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,18 +36,19 @@ pub enum PiclLevel {
 }
 
 /// The PiCL hardware undo-logging scheme.
+#[derive(Debug)]
 pub struct Picl {
-    core: BaselineCore,
+    core: SchemeCore<Hierarchy>,
     level: PiclLevel,
     walker_enabled: bool,
     /// PiCL-L2 only: lines currently resident in an L2 whose pre-image has
     /// been logged this epoch (tags are lost when a line leaves the L2,
     /// forcing a conservative re-log on return).
-    logged_resident: FastHashSet<LineAddr>,
+    logged_resident: LineTable<LineAddr, ()>,
     /// Undo log of not-yet-committed epochs: (epoch, line, pre-image).
     undo: Vec<(EpochId, LineAddr, Token)>,
     /// NVM home image (data writes land here).
-    nvm_image: FastHashMap<LineAddr, Token>,
+    nvm_image: LineTable<LineAddr, Token>,
     /// Last epoch whose data is fully on NVM.
     committed_epoch: EpochId,
     walk_writes: u64,
@@ -55,47 +57,28 @@ pub struct Picl {
 impl Picl {
     /// Creates PiCL at the given tracking level.
     pub fn new(cfg: &SimConfig, level: PiclLevel) -> Self {
-        Self::with_walker(cfg, level, true)
+        Self::new_shared(Arc::new(cfg.clone()), level)
     }
 
     /// Creates PiCL over a shared configuration handle.
-    pub fn new_shared(cfg: std::sync::Arc<SimConfig>, level: PiclLevel) -> Self {
+    pub fn new_shared(cfg: Arc<SimConfig>, level: PiclLevel) -> Self {
         Self::with_walker_shared(cfg, level, true)
     }
 
     /// Creates PiCL with the tag walker optionally disabled (the Fig 15b
     /// ablation — without its walker PiCL can only persist data through
     /// natural evictions).
-    pub fn with_walker(cfg: &SimConfig, level: PiclLevel, walker_enabled: bool) -> Self {
-        Self::with_walker_shared(std::sync::Arc::new(cfg.clone()), level, walker_enabled)
-    }
-
-    /// [`Picl::with_walker`] over a shared configuration handle.
-    pub fn with_walker_shared(
-        cfg: std::sync::Arc<SimConfig>,
-        level: PiclLevel,
-        walker_enabled: bool,
-    ) -> Self {
+    pub fn with_walker_shared(cfg: Arc<SimConfig>, level: PiclLevel, walker_enabled: bool) -> Self {
         Self {
-            core: BaselineCore::new_shared(cfg),
+            core: SchemeCore::new(Hierarchy::new_shared(cfg)),
             level,
             walker_enabled,
-            logged_resident: FastHashSet::default(),
+            logged_resident: LineTable::new(),
             undo: Vec::new(),
-            nvm_image: FastHashMap::default(),
+            nvm_image: LineTable::new(),
             committed_epoch: 0,
             walk_writes: 0,
         }
-    }
-
-    /// The underlying hierarchy (inspection/debugging).
-    pub fn hierarchy(&self) -> &nvsim::hierarchy::Hierarchy {
-        &self.core.hier
-    }
-
-    /// The scheme's NVM device (inspection: byte and wear accounting).
-    pub fn nvm(&self) -> &nvsim::nvm::Nvm {
-        &self.core.nvm
     }
 
     /// Data writes issued by the tag walker so far (Fig 15).
@@ -110,12 +93,12 @@ impl Picl {
 
     /// The image crash recovery would produce: NVM home data with the
     /// undo log of uncommitted epochs applied in reverse.
-    pub fn recovered_image(&self) -> FastHashMap<LineAddr, Token> {
+    pub fn recovered_image(&self) -> LineTable<LineAddr, Token> {
         let mut img = self.nvm_image.clone();
         for (epoch, line, old) in self.undo.iter().rev() {
             if *epoch > self.committed_epoch {
                 if *old == 0 {
-                    img.remove(line);
+                    img.remove(*line);
                 } else {
                     img.insert(*line, *old);
                 }
@@ -154,7 +137,7 @@ impl Picl {
     /// Epoch-boundary pipeline: advance the global epoch, then tag-walk
     /// the previous epoch's dirty lines to NVM (background).
     fn commit_epoch(&mut self, now: Cycle) {
-        let ending = self.core.hier.epoch(nvsim::addr::VdId(0));
+        let ending = self.core.hier.epoch(VdId(0));
         self.core.hier.advance_all_epochs();
         self.core.stats.epochs_completed += 1;
         self.logged_resident.clear();
@@ -168,37 +151,23 @@ impl Picl {
         let walker = TraceScope::new(Track::Scheme);
         walker.emit(EventKind::TagWalkStart, now, ending, 0);
         let walk_writes_before = self.walk_writes;
-        match self.level {
-            PiclLevel::Llc => {
-                // Inclusive-LLC walk: covers the LLC and (since our
-                // substrate LLC is non-inclusive) the L2s it would have
-                // contained.
-                let dirty = self.core.hier.dirty_llc_lines(|_, oid| oid <= ending);
-                for d in dirty {
-                    self.core.hier.clean_llc_line(d.line);
-                    let _ = self.write_home(now, d.line, d.token, EvictReason::TagWalk);
-                    self.walk_writes += 1;
-                }
-                for vd in 0..self.core.hier.config().vd_count() {
-                    let vd = nvsim::addr::VdId(vd);
-                    let dirty = self.core.hier.dirty_l2_lines(vd, |_, oid| oid <= ending);
-                    for d in dirty {
-                        self.core.hier.clean_l2_line(vd, d.line);
-                        let _ = self.write_home(now, d.line, d.token, EvictReason::TagWalk);
-                        self.walk_writes += 1;
-                    }
-                }
+        if self.level == PiclLevel::Llc {
+            // Inclusive-LLC walk: covers the LLC and (since our substrate
+            // LLC is non-inclusive) the L2s it would have contained.
+            let dirty = self.core.hier.dirty_llc_lines(|_, oid| oid <= ending);
+            for d in dirty {
+                self.core.hier.clean_llc_line(d.line);
+                let _ = self.write_home(now, d.line, d.token, EvictReason::TagWalk);
+                self.walk_writes += 1;
             }
-            PiclLevel::L2 => {
-                for vd in 0..self.core.hier.config().vd_count() {
-                    let vd = nvsim::addr::VdId(vd);
-                    let dirty = self.core.hier.dirty_l2_lines(vd, |_, oid| oid <= ending);
-                    for d in dirty {
-                        self.core.hier.clean_l2_line(vd, d.line);
-                        let _ = self.write_home(now, d.line, d.token, EvictReason::TagWalk);
-                        self.walk_writes += 1;
-                    }
-                }
+        }
+        for vd in 0..self.core.hier.config().vd_count() {
+            let vd = VdId(vd);
+            let dirty = self.core.hier.dirty_l2_lines(vd, |_, oid| oid <= ending);
+            for d in dirty {
+                self.core.hier.clean_l2_line(vd, d.line);
+                let _ = self.write_home(now, d.line, d.token, EvictReason::TagWalk);
+                self.walk_writes += 1;
             }
         }
         walker.emit(
@@ -212,11 +181,23 @@ impl Picl {
         self.committed_epoch = ending;
         self.undo.retain(|(e, _, _)| *e > ending);
     }
+}
 
-    fn handle_events(&mut self, now: Cycle) -> Cycle {
+nvsim::deref_scheme_core!(Picl, Hierarchy);
+
+impl SchemeHooks for Picl {
+    type Hier = Hierarchy;
+
+    fn label(&self) -> &'static str {
+        match self.level {
+            PiclLevel::Llc => "PiCL",
+            PiclLevel::L2 => "PiCL-L2",
+        }
+    }
+
+    fn on_events(&mut self, events: &[HierarchyEvent], now: Cycle) -> Cycle {
         let mut stall = 0;
-        let events = self.core.take_event_scratch();
-        for e in events.iter().copied() {
+        for &e in events {
             match e {
                 HierarchyEvent::StoreCommitted {
                     line,
@@ -229,14 +210,14 @@ impl Picl {
                         PiclLevel::Llc => first_in_epoch,
                         // Tags are lost below the L2: re-log whenever the
                         // line is not a known-logged resident.
-                        PiclLevel::L2 => !self.logged_resident.contains(&line),
+                        PiclLevel::L2 => !self.logged_resident.contains_key(line),
                     };
                     if must_log {
                         // Background hardware logging: only NVM queue
                         // backpressure is visible to the core.
                         stall = stall.max(self.log_pre_image(now, line, old_token, new_oid));
                         if self.level == PiclLevel::L2 {
-                            self.logged_resident.insert(line);
+                            self.logged_resident.insert(line, ());
                         }
                     }
                 }
@@ -253,7 +234,7 @@ impl Picl {
                         // Persistence boundary at the L2: the line's data
                         // must be home before the tag is lost.
                         stall = stall.max(self.write_home(now, line, token, reason));
-                        self.logged_resident.remove(&line);
+                        self.logged_resident.remove(line);
                     }
                 }
                 HierarchyEvent::LlcWriteback {
@@ -268,56 +249,15 @@ impl Picl {
                 }
             }
         }
-        self.core.return_event_scratch(events);
         stall
     }
-}
 
-impl MemorySystem for Picl {
-    fn name(&self) -> &'static str {
-        match self.level {
-            PiclLevel::Llc => "PiCL",
-            PiclLevel::L2 => "PiCL-L2",
-        }
-    }
-
-    fn access(
-        &mut self,
-        core: CoreId,
-        op: MemOp,
-        addr: Addr,
-        token: Token,
-        now: Cycle,
-    ) -> AccessOutcome {
-        let (lat, value) = self.core.hier.access(core, op, addr, token);
-        let stall = self.handle_events(now + lat);
-        self.core.stats.persist_stall_cycles += stall;
-        AccessOutcome {
-            latency: lat + stall,
-            persist_stall: stall,
-            value,
-        }
-    }
-
-    fn epoch_mark(&mut self, _core: CoreId, now: Cycle) -> Cycle {
+    fn on_mark(&mut self, _core: CoreId, now: Cycle) -> Cycle {
         self.commit_epoch(now);
         0
     }
 
-    fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
-        self.core.import_line(line, token)
-    }
-
-    fn import_lines(
-        &mut self,
-        entries: &[nvsim::shard::ExchangeEntry],
-        island: u16,
-        golden: &mut nvsim::memsys::Oracle,
-    ) -> u64 {
-        self.core.import_lines(entries, island, golden)
-    }
-
-    fn finish(&mut self, now: Cycle) {
+    fn on_finish(&mut self, now: Cycle) {
         self.commit_epoch(now);
         // Drain any remaining dirty data (from the epoch just opened).
         let rest = self.core.hier.drain_dirty();
@@ -325,29 +265,14 @@ impl MemorySystem for Picl {
             let _ = self.write_home(now, d.line, d.token, EvictReason::Drain);
         }
         self.commit_epoch(now);
-        self.core.sync_stats();
-    }
-
-    fn stats(&self) -> &SystemStats {
-        &self.core.stats
-    }
-}
-
-impl std::fmt::Debug for Picl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Picl")
-            .field("level", &self.level)
-            .field("committed_epoch", &self.committed_epoch)
-            .field("walk_writes", &self.walk_writes)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvsim::addr::ThreadId;
-    use nvsim::memsys::Runner;
+    use nvsim::addr::{Addr, ThreadId};
+    use nvsim::memsys::{MemorySystem, Runner};
     use nvsim::trace::TraceBuilder;
 
     fn cfg(epoch: u64) -> SimConfig {
@@ -386,7 +311,7 @@ mod tests {
             "walk writes each line"
         );
         for (l, t) in &report.golden_image {
-            assert_eq!(sys.recovered_image().get(&l), Some(t));
+            assert_eq!(sys.recovered_image().get(l), Some(t));
         }
     }
 
@@ -406,7 +331,7 @@ mod tests {
         let report = Runner::new().run(&mut sys, &trace);
         let img = sys.recovered_image();
         for (l, t) in &report.golden_image {
-            assert_eq!(img.get(&l), Some(t));
+            assert_eq!(img.get(l), Some(t));
         }
         let _ = a1;
         assert!(sys.committed_epoch() >= 2);

@@ -648,7 +648,8 @@ fn micros(secs: f64) -> u64 {
 /// workload through `run_scheme_sharded_prof`, prints the human-readable
 /// bottleneck table (six-bucket wall-time decomposition, Amdahl-style
 /// scaling forecast, per-window straggler diagnosis), and writes the
-/// machine-readable profile JSON with its wall-clock fields strictly
+/// machine-readable profile JSON to `--out` (stdout with `--json`; no
+/// file without `--out`) with its wall-clock fields strictly
 /// segregated from the identity-checkable structural counters
 /// (`--structural-out` emits the latter alone, for CI `cmp`).
 /// `--chrome` additionally renders per-island utilization lanes and the
@@ -698,16 +699,14 @@ fn cmd_profile(flags: HashMap<String, String>) {
     if flags.contains_key("json") {
         print!("{full}");
     }
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "nvo_profile.json".to_string());
-    std::fs::write(&out, &full).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
-    if !flags.contains_key("json") {
-        println!("wrote {out}");
+    if let Some(out) = flags.get("out") {
+        std::fs::write(out, &full).unwrap_or_else(|e| {
+            eprintln!("cannot write {out}: {e}");
+            exit(1);
+        });
+        if !flags.contains_key("json") {
+            println!("wrote {out}");
+        }
     }
     if let Some(path) = flags.get("structural-out") {
         std::fs::write(path, profile_structural_json(&p)).unwrap_or_else(|e| {

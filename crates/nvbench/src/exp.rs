@@ -89,17 +89,33 @@ impl Scheme {
     /// is shared (`Arc` bump), not cloned, so matrix sweeps hand every
     /// cell the same immutable config.
     pub fn build(&self, cfg: &Arc<SimConfig>) -> Box<dyn MemorySystem> {
-        match self {
-            Scheme::Ideal => Box::new(IdealSystem::new_shared(Arc::clone(cfg))),
-            Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => Box::new(
-                EpochCommitSystem::new_shared(Arc::clone(cfg), self.commit_kind()),
-            ),
-            Scheme::Picl => Box::new(Picl::new_shared(Arc::clone(cfg), PiclLevel::Llc)),
-            Scheme::PiclL2 => Box::new(Picl::new_shared(Arc::clone(cfg), PiclLevel::L2)),
-            Scheme::NvOverlay => Box::new(NvOverlaySystem::new_shared(Arc::clone(cfg))),
-            Scheme::NvOverlayBuffered => {
-                Box::new(NvOverlaySystem::with_omc_buffer_shared(Arc::clone(cfg)))
+        struct Boxed<'a>(&'a Arc<SimConfig>);
+        impl Build for Boxed<'_> {
+            type Out = Box<dyn MemorySystem>;
+            fn with<S: MemorySystem + 'static>(
+                self,
+                build: impl Fn(Arc<SimConfig>) -> S + Sync,
+            ) -> Self::Out {
+                Box::new(build(Arc::clone(self.0)))
             }
+        }
+        self.dispatch(Boxed(cfg))
+    }
+
+    /// Hands the scheme's concrete constructor to `b` — the one place a
+    /// scheme meets its type, so each replay path monomorphizes over
+    /// the system it runs.
+    fn dispatch<B: Build>(self, b: B) -> B::Out {
+        match self {
+            Scheme::Ideal => b.with(IdealSystem::new_shared),
+            Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => {
+                let kind = self.commit_kind();
+                b.with(move |c| EpochCommitSystem::new_shared(c, kind))
+            }
+            Scheme::Picl => b.with(|c| Picl::new_shared(c, PiclLevel::Llc)),
+            Scheme::PiclL2 => b.with(|c| Picl::new_shared(c, PiclLevel::L2)),
+            Scheme::NvOverlay => b.with(NvOverlaySystem::new_shared),
+            Scheme::NvOverlayBuffered => b.with(NvOverlaySystem::with_omc_buffer_shared),
         }
     }
 
@@ -124,6 +140,16 @@ impl Scheme {
     pub fn shardable(&self) -> bool {
         !matches!(self, Scheme::HwShadow)
     }
+}
+
+/// A use of one scheme's constructor, generic over the system type it
+/// builds (see [`Scheme::dispatch`]).
+trait Build {
+    type Out;
+    fn with<S: MemorySystem + 'static>(
+        self,
+        build: impl Fn(Arc<SimConfig>) -> S + Sync,
+    ) -> Self::Out;
 }
 
 impl fmt::Display for Scheme {
@@ -200,15 +226,6 @@ pub fn run_scheme(scheme: Scheme, cfg: &Arc<SimConfig>, trace: &PackedTrace) -> 
     run_scheme_stats(scheme, cfg, trace).0
 }
 
-/// Drives one concrete system through the replay loop. Monomorphized per
-/// scheme type so the scheme's whole access path inlines into its loop —
-/// this is the hot part of every figure sweep; keep it free of `dyn`.
-fn drive<S: MemorySystem>(mut sys: S, trace: &PackedTrace) -> (ExpResult, SystemStats, Registry) {
-    let report = Runner::new().run_packed(&mut sys, trace);
-    let res = ExpResult::from_stats(sys.stats(), report.cycles, report.stall_cycles);
-    (res, sys.stats().clone(), sys.metrics())
-}
-
 /// Like [`run_scheme`], but also returns the scheme's full stats block
 /// (for [`SystemStats::merge`]-based aggregation) and its hierarchical
 /// metrics registry (for the flat exporters).
@@ -217,20 +234,24 @@ pub fn run_scheme_stats(
     cfg: &Arc<SimConfig>,
     trace: &PackedTrace,
 ) -> (ExpResult, SystemStats, Registry) {
-    match scheme {
-        Scheme::Ideal => drive(IdealSystem::new_shared(Arc::clone(cfg)), trace),
-        Scheme::SwLogging | Scheme::SwShadow | Scheme::HwShadow => drive(
-            EpochCommitSystem::new_shared(Arc::clone(cfg), scheme.commit_kind()),
-            trace,
-        ),
-        Scheme::Picl => drive(Picl::new_shared(Arc::clone(cfg), PiclLevel::Llc), trace),
-        Scheme::PiclL2 => drive(Picl::new_shared(Arc::clone(cfg), PiclLevel::L2), trace),
-        Scheme::NvOverlay => drive(NvOverlaySystem::new_shared(Arc::clone(cfg)), trace),
-        Scheme::NvOverlayBuffered => drive(
-            NvOverlaySystem::with_omc_buffer_shared(Arc::clone(cfg)),
-            trace,
-        ),
+    /// Drives one concrete system through the replay loop. Monomorphized
+    /// per scheme type so the scheme's whole access path inlines into its
+    /// loop — this is the hot part of every figure sweep; keep it free of
+    /// `dyn`.
+    struct Serial<'a>(&'a Arc<SimConfig>, &'a PackedTrace);
+    impl Build for Serial<'_> {
+        type Out = (ExpResult, SystemStats, Registry);
+        fn with<S: MemorySystem + 'static>(
+            self,
+            build: impl Fn(Arc<SimConfig>) -> S + Sync,
+        ) -> Self::Out {
+            let mut sys = build(Arc::clone(self.0));
+            let report = Runner::new().run_packed(&mut sys, self.1);
+            let res = ExpResult::from_stats(sys.stats(), report.cycles, report.stall_cycles);
+            (res, sys.stats().clone(), sys.metrics())
+        }
     }
+    scheme.dispatch(Serial(cfg, trace))
 }
 
 /// Outcome of one sharded scheme run: the standard result triple plus
@@ -312,77 +333,55 @@ pub fn run_scheme_sharded_prof(
     let plan = nvsim::ShardPlan::cached(trace, cfg);
     let plan_build_ns = plan_t0.elapsed().as_nanos() as u64;
     let icfg = Arc::new(cfg.island_config());
-    let c = &icfg;
-    let exec = ShardExec {
+    scheme.dispatch(ShardExec {
+        cfg: &icfg,
+        trace,
         plan: &plan,
         shards,
         profiled,
         plan_build_ns,
-    };
-    match scheme {
-        Scheme::Ideal => drive_sharded(|_| IdealSystem::new_shared(Arc::clone(c)), trace, &exec),
-        Scheme::SwLogging | Scheme::SwShadow => drive_sharded(
-            |_| EpochCommitSystem::new_shared(Arc::clone(c), scheme.commit_kind()),
-            trace,
-            &exec,
-        ),
-        Scheme::HwShadow => unreachable!("HW Shadow declares itself serial-only"),
-        Scheme::Picl => drive_sharded(
-            |_| Picl::new_shared(Arc::clone(c), PiclLevel::Llc),
-            trace,
-            &exec,
-        ),
-        Scheme::PiclL2 => drive_sharded(
-            |_| Picl::new_shared(Arc::clone(c), PiclLevel::L2),
-            trace,
-            &exec,
-        ),
-        Scheme::NvOverlay => {
-            drive_sharded(|_| NvOverlaySystem::new_shared(Arc::clone(c)), trace, &exec)
-        }
-        Scheme::NvOverlayBuffered => drive_sharded(
-            |_| NvOverlaySystem::with_omc_buffer_shared(Arc::clone(c)),
-            trace,
-            &exec,
-        ),
-    }
+    })
 }
 
-/// Execution knobs shared by every scheme arm of the sharded dispatch.
+/// The sharded replay: monomorphized per scheme type (see
+/// [`run_scheme_stats`] for why).
 struct ShardExec<'p> {
+    cfg: &'p Arc<SimConfig>,
+    trace: &'p PackedTrace,
     plan: &'p nvsim::ShardPlan,
     shards: usize,
     profiled: bool,
     plan_build_ns: u64,
 }
 
-/// Monomorphized sharded driver (see [`drive`] for why).
-fn drive_sharded<S, F>(factory: F, trace: &PackedTrace, exec: &ShardExec<'_>) -> ShardedSchemeRun
-where
-    S: MemorySystem,
-    F: Fn(usize) -> S + Sync,
-{
-    let (report, mut profile) = Runner::new().run_packed_sharded_prof(
-        factory,
-        trace,
-        exec.plan,
-        exec.shards,
-        exec.profiled,
-    );
-    if let Some(p) = profile.as_mut() {
-        p.plan_build_ns = exec.plan_build_ns;
-    }
-    let result = ExpResult::from_stats(&report.stats, report.cycles, report.stall_cycles);
-    ShardedSchemeRun {
-        result,
-        stats: report.stats,
-        metrics: report.metrics,
-        sharded: true,
-        islands: report.islands,
-        windows: report.windows,
-        rendezvous_windows: report.rendezvous_windows,
-        imported_lines: report.imported_lines,
-        profile,
+impl Build for ShardExec<'_> {
+    type Out = ShardedSchemeRun;
+    fn with<S: MemorySystem + 'static>(
+        self,
+        build: impl Fn(Arc<SimConfig>) -> S + Sync,
+    ) -> Self::Out {
+        let (report, mut profile) = Runner::new().run_packed_sharded_prof(
+            |_| build(Arc::clone(self.cfg)),
+            self.trace,
+            self.plan,
+            self.shards,
+            self.profiled,
+        );
+        if let Some(p) = profile.as_mut() {
+            p.plan_build_ns = self.plan_build_ns;
+        }
+        let result = ExpResult::from_stats(&report.stats, report.cycles, report.stall_cycles);
+        ShardedSchemeRun {
+            result,
+            stats: report.stats,
+            metrics: report.metrics,
+            sharded: true,
+            islands: report.islands,
+            windows: report.windows,
+            rendezvous_windows: report.rendezvous_windows,
+            imported_lines: report.imported_lines,
+            profile,
+        }
     }
 }
 

@@ -103,3 +103,22 @@ fn store_errors_use_the_30_range_with_variant_names() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn profile_without_out_writes_no_file() {
+    let dir = temp_store("profile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_nvo"))
+        .args(["profile", "B+Tree", "--scale", "quick", "--shards", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("nvo binary runs");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.file_name())
+        .collect();
+    assert!(left.is_empty(), "nvo profile left {left:?} behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -212,19 +212,19 @@ pub fn prepare(trace: &Trace, simcfg: &SimConfig, cfg: ChaosConfig) -> ChaosRun 
     let (plane, run_cycles) = match cfg.scheme {
         ChaosScheme::NvOverlay => {
             let mut sys = NvOverlaySystem::new(&simcfg);
-            sys.nvm_mut().enable_fault_plane();
+            sys.nvm.enable_fault_plane();
             let report = Runner::new().run(&mut sys, trace);
             (
-                sys.nvm_mut().take_fault_plane().expect("plane attached"),
+                sys.nvm.take_fault_plane().expect("plane attached"),
                 report.cycles,
             )
         }
         ChaosScheme::SwUndo => {
             let mut sys = EpochCommitSystem::new(&simcfg, CommitKind::UndoLog);
-            sys.nvm_mut().enable_fault_plane();
+            sys.nvm.enable_fault_plane();
             let report = Runner::new().run(&mut sys, trace);
             (
-                sys.nvm_mut().take_fault_plane().expect("plane attached"),
+                sys.nvm.take_fault_plane().expect("plane attached"),
                 report.cycles,
             )
         }
@@ -598,6 +598,63 @@ mod tests {
             report.violations
         );
         assert!(report.sites_explored > 0);
+    }
+
+    /// The SW-undo checker's self-test: at a crash in the middle of a
+    /// real epoch flush, an image that skips the undo rollback must fail
+    /// the checks `check_sw_undo` applies, while the real rollback passes
+    /// them at the same cut.
+    #[test]
+    fn sw_undo_checker_catches_a_skipped_rollback() {
+        // The trace and machine of `nvo chaos kmeans --scheme sw-undo
+        // --scale quick`.
+        let params = nvworkloads::SuiteParams {
+            threads: 16,
+            ops: 4_000,
+            warmup_ops: 40_000,
+            seed: 0xC0FFEE,
+        };
+        let trace = nvworkloads::generate(nvworkloads::Workload::Kmeans, &params);
+        let simcfg = SimConfig::builder().epoch_size_stores(800).build().unwrap();
+        let run = prepare(&trace, &simcfg, ChaosConfig::new(ChaosScheme::SwUndo));
+        let records = run.plane().records();
+        // The home writes of the first epoch flush after a commit, with
+        // at least two writes: crash halfway through it, every write
+        // issued before the site durable. Committed data precedes it and
+        // its commit marker never issued.
+        let flush_of = |epoch: u64| -> Vec<usize> {
+            let home = |r: &WriteRecord| matches!(r.payload, Some(PersistPayload::DataHome { epoch: e, .. }) if e == epoch);
+            (0..records.len()).filter(|&i| home(&records[i])).collect()
+        };
+        let flush = (1..)
+            .map(flush_of)
+            .find(|f| f.len() >= 2)
+            .expect("a multi-line flush after the first commit");
+        let site = flush[flush.len() / 2];
+        let cut = run.plane().cut_with_durable_prefix(site, usize::MAX, false);
+        let expected = undo_expected(run.plane(), &cut);
+        assert_eq!(
+            rebuild_undo(run.plane(), &cut),
+            expected,
+            "the real rollback passes"
+        );
+
+        // Broken recovery: the surviving home data as it stands, the open
+        // epoch's overwrites included.
+        let mut broken = FastHashMap::default();
+        for r in &records[..site] {
+            if let Some(PersistPayload::DataHome { line, token, .. }) = r.payload {
+                if cut.survives(r.id) {
+                    broken.insert(line, token);
+                }
+            }
+        }
+        let mut violations = Vec::new();
+        crate::invariants::check_prefix_cut(&run.oracle, &broken, &mut violations);
+        assert!(
+            broken != expected || !violations.is_empty(),
+            "an image without the undo rollback must be caught"
+        );
     }
 
     #[test]

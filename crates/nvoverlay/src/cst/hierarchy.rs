@@ -194,6 +194,11 @@ fn newer_oid(a: u16, b: u16) -> bool {
 impl LinePolicy for VersionPolicy {
     type Tag = VTag;
     type Ver = Rv;
+    type Event = CstEvent;
+
+    fn events_mut(&mut self) -> &mut Vec<CstEvent> {
+        &mut self.events
+    }
 
     fn settled(tag: VTag) -> VTag {
         VTag {
@@ -490,6 +495,10 @@ impl std::ops::DerefMut for VersionedHierarchy {
     }
 }
 
+impl nvsim::memsys::Machine for VersionedHierarchy {
+    type Policy = VersionPolicy;
+}
+
 impl VersionedHierarchy {
     /// Builds the hierarchy.
     ///
@@ -554,22 +563,9 @@ impl VersionedHierarchy {
         reg.set_counter(&p("dram.oid_tags"), self.dram.oid_tag_count() as u64);
     }
 
-    /// Events produced since the last [`VersionedHierarchy::take_events`].
-    pub fn events(&self) -> &[CstEvent] {
-        &self.policy.events
-    }
-
     /// Drains the event buffer (system-side consumption).
     pub fn take_events(&mut self) -> Vec<CstEvent> {
         std::mem::take(&mut self.policy.events)
-    }
-
-    /// Drains the event buffer into `buf` by swapping — the hot-path
-    /// variant of [`VersionedHierarchy::take_events`]: the consumer hands
-    /// back its (cleared) scratch vector so neither side reallocates.
-    pub fn swap_events(&mut self, buf: &mut Vec<CstEvent>) {
-        debug_assert!(buf.is_empty(), "swap_events expects a cleared buffer");
-        std::mem::swap(&mut self.policy.events, buf);
     }
 
     /// Advances a VD's epoch by one for an explicit mark or the system's

@@ -1,5 +1,6 @@
 //! The complete NVOverlay machine: CST frontend + MNM backend behind the
-//! [`MemorySystem`] trait.
+//! [`MemorySystem`](nvsim::memsys::MemorySystem) trait, through the
+//! scheme hooks every scheme implements.
 //!
 //! The system owns the versioned hierarchy, the OMC array and the NVM
 //! device. After every access it drains the frontend's events:
@@ -13,14 +14,15 @@
 use crate::cst::{AdvanceCause, CstConfig, CstEvent, VersionOut, VersionedHierarchy};
 use crate::mnm::{Mnm, OmcConfig};
 use crate::recovery::{self, RecoveredImage, RecoveryError};
-use nvsim::addr::{Addr, CoreId, LineAddr, Token, VdId};
+use nvsim::addr::{CoreId, LineAddr, Token, VdId};
 use nvsim::clock::Cycle;
 use nvsim::config::SimConfig;
 use nvsim::fault::PersistPayload;
-use nvsim::memsys::{AccessOutcome, MemOp, MemorySystem};
-use nvsim::nvm::Nvm;
+use nvsim::memsys::{SchemeCore, SchemeHooks};
+use nvsim::metrics::Registry;
 use nvsim::nvtrace::{EventKind, TraceScope, Track};
-use nvsim::stats::{EvictReason, NvmWriteKind, SystemStats};
+use nvsim::stats::{EvictReason, NvmWriteKind};
+use std::sync::Arc;
 
 /// Builder-style options for [`NvOverlaySystem`].
 #[derive(Clone, Debug)]
@@ -48,15 +50,11 @@ impl Default for NvOverlayOptions {
 }
 
 /// The full NVOverlay system under simulation.
+#[derive(Debug)]
 pub struct NvOverlaySystem {
-    hier: VersionedHierarchy,
+    core: SchemeCore<VersionedHierarchy>,
     mnm: Mnm,
-    nvm: Nvm,
     opts: NvOverlayOptions,
-    stats: SystemStats,
-    /// Recycled event buffer for the per-access drain (swapped with the
-    /// hierarchy's buffer instead of allocating each access).
-    ev_scratch: Vec<CstEvent>,
     /// Epoch advances forced by shard-barrier Lamport sync
     /// (`raise_epoch_floor`), for the profiler's epoch-sync attribution.
     /// Deterministic: the barrier schedule depends only on the plan.
@@ -72,7 +70,7 @@ impl NvOverlaySystem {
     }
 
     /// [`NvOverlaySystem::new`] over a shared configuration handle.
-    pub fn new_shared(cfg: std::sync::Arc<SimConfig>) -> Self {
+    pub fn new_shared(cfg: Arc<SimConfig>) -> Self {
         Self::with_options_shared(cfg, NvOverlayOptions::default())
     }
 
@@ -81,7 +79,7 @@ impl NvOverlaySystem {
     /// # Panics
     /// Panics if `cfg` does not validate or `omc_count` is zero.
     pub fn with_options(cfg: &SimConfig, opts: NvOverlayOptions) -> Self {
-        Self::with_options_shared(std::sync::Arc::new(cfg.clone()), opts)
+        Self::with_options_shared(Arc::new(cfg.clone()), opts)
     }
 
     /// [`NvOverlaySystem::with_options`] over a shared configuration —
@@ -89,38 +87,19 @@ impl NvOverlaySystem {
     ///
     /// # Panics
     /// Panics if `cfg` does not validate or `omc_count` is zero.
-    pub fn with_options_shared(cfg: std::sync::Arc<SimConfig>, opts: NvOverlayOptions) -> Self {
-        let mnm = Mnm::new(opts.omc_count, cfg.vd_count() as usize, opts.omc.clone());
-        let nvm = Nvm::new(
-            cfg.nvm_banks,
-            cfg.nvm_write_latency,
-            cfg.nvm_read_latency,
-            cfg.nvm_queue_depth,
-            cfg.bandwidth_bucket_cycles,
-        );
-        let bucket = cfg.bandwidth_bucket_cycles;
-        let hier = VersionedHierarchy::new_shared(cfg, opts.cst.clone());
+    pub fn with_options_shared(cfg: Arc<SimConfig>, opts: NvOverlayOptions) -> Self {
         Self {
-            hier,
-            mnm,
-            nvm,
+            mnm: Mnm::new(opts.omc_count, cfg.vd_count() as usize, opts.omc.clone()),
+            core: SchemeCore::new(VersionedHierarchy::new_shared(cfg, opts.cst.clone())),
             opts,
-            stats: SystemStats::new(bucket),
-            ev_scratch: Vec::new(),
             sync_epoch_raises: 0,
             sync_stall_cycles: 0,
         }
     }
 
-    /// Convenience: a system with the battery-backed OMC buffer enabled
-    /// (geometry mirroring the LLC, as in the paper's Fig 16 experiment).
-    pub fn with_omc_buffer(cfg: &SimConfig) -> Self {
-        Self::with_omc_buffer_shared(std::sync::Arc::new(cfg.clone()))
-    }
-
-    /// [`NvOverlaySystem::with_omc_buffer`] over a shared configuration
-    /// handle.
-    pub fn with_omc_buffer_shared(cfg: std::sync::Arc<SimConfig>) -> Self {
+    /// A system with the battery-backed OMC buffer enabled (geometry
+    /// mirroring the LLC, as in the paper's Fig 16 experiment).
+    pub fn with_omc_buffer_shared(cfg: Arc<SimConfig>) -> Self {
         let sets = cfg.llc.sets();
         let opts = NvOverlayOptions {
             omc: OmcConfig {
@@ -132,25 +111,9 @@ impl NvOverlaySystem {
         Self::with_options_shared(cfg, opts)
     }
 
-    /// The versioned hierarchy (inspection).
-    pub fn hierarchy(&self) -> &VersionedHierarchy {
-        &self.hier
-    }
-
     /// The MNM backend (inspection).
     pub fn mnm(&self) -> &Mnm {
         &self.mnm
-    }
-
-    /// The NVM device (byte accounting, bandwidth series).
-    pub fn nvm(&self) -> &Nvm {
-        &self.nvm
-    }
-
-    /// Mutable device access — used by the chaos harness to attach and
-    /// harvest the persistence-order fault plane around a run.
-    pub fn nvm_mut(&mut self) -> &mut Nvm {
-        &mut self.nvm
     }
 
     /// The persisted recoverable epoch.
@@ -179,7 +142,6 @@ impl NvOverlaySystem {
     /// Handles a version arriving at the backend; returns backpressure
     /// stall for the in-flight access.
     fn persist_version(&mut self, v: VersionOut, now: Cycle) -> Cycle {
-        self.stats.evictions.record(v.reason);
         if v.reason == EvictReason::StoreEviction {
             TraceScope::new(Track::System).emit(
                 EventKind::StoreEviction,
@@ -188,9 +150,7 @@ impl NvOverlaySystem {
                 v.abs_epoch,
             );
         }
-        let stall = self
-            .mnm
-            .receive_version(&mut self.nvm, now, v.line, v.token, v.abs_epoch);
+        let stall = self.receive(v, now);
         if stall > 0 {
             TraceScope::new(Track::System).emit(
                 EventKind::OmcBackpressure,
@@ -202,50 +162,72 @@ impl NvOverlaySystem {
         stall
     }
 
-    /// Handles an epoch advance: context dumps + tag walk + min-ver
-    /// report. Background work — no stall beyond what the hierarchy
-    /// already charged.
-    fn on_epoch_advance(&mut self, vd: VdId, ended_epoch: u64, now: Cycle) {
-        self.stats.epochs_completed += 1;
+    /// Counts a version's eviction and hands it to its OMC; returns the
+    /// NVM backpressure stall.
+    fn receive(&mut self, v: VersionOut, now: Cycle) -> Cycle {
+        self.core.stats.evictions.record(v.reason);
+        self.mnm
+            .receive_version(&mut self.core.nvm, now, v.line, v.token, v.abs_epoch)
+    }
+
+    /// Dumps `vd`'s processor contexts for the epoch it just ended: one
+    /// context NVM write per core, and the blob the OMC records so
+    /// recovery can check it is present (§V-E).
+    fn dump_contexts(&mut self, vd: VdId, ended_epoch: u64, now: Cycle) {
+        self.core.stats.epochs_completed += 1;
         TraceScope::new(Track::Vd(vd.0)).emit(
             EventKind::EpochAdvance,
             now,
             ended_epoch,
             ended_epoch + 1,
         );
-        let cores = self.hier.config().cores_per_vd as u64;
-        let bytes = self.hier.cst_config().context_bytes_per_core;
+        let cores = self.core.hier.config().cores_per_vd as u64;
+        let bytes = self.core.hier.cst_config().context_bytes_per_core;
+        // The context blob is modeled as a deterministic token derived
+        // from (vd, epoch).
         let blob = ((vd.0 as u64) << 48) | ended_epoch;
         for c in 0..cores {
-            self.nvm
-                .write(now, vd.0 as u64 * 64 + c, NvmWriteKind::Context, bytes);
-            self.nvm.annotate_last(PersistPayload::Context {
+            let nvm = &mut self.core.nvm;
+            nvm.write(now, vd.0 as u64 * 64 + c, NvmWriteKind::Context, bytes);
+            nvm.annotate_last(PersistPayload::Context {
                 vd: vd.0,
                 epoch: ended_epoch,
                 blob,
             });
         }
-        // The context blob is modeled as a deterministic token derived
-        // from (vd, epoch); recovery checks it is present (§V-E).
         self.mnm.record_context(vd, ended_epoch, blob);
+    }
+
+    /// Handles an epoch advance: context dumps + tag walk + min-ver
+    /// report. Background work — no stall beyond what the hierarchy
+    /// already charged.
+    fn on_epoch_advance(&mut self, vd: VdId, ended_epoch: u64, now: Cycle) {
+        self.dump_contexts(vd, ended_epoch, now);
         if self.opts.walk_on_epoch_advance {
             let walker = TraceScope::new(Track::Vd(vd.0));
             walker.emit(EventKind::TagWalkStart, now, ended_epoch, 0);
-            let (versions, min_ver) = self.hier.tag_walk(vd);
+            let (versions, min_ver) = self.core.hier.tag_walk(vd);
             walker.emit(EventKind::TagWalkEnd, now, min_ver, versions.len() as u64);
             for v in versions {
-                self.stats.evictions.record(v.reason);
-                self.mnm
-                    .receive_version(&mut self.nvm, now, v.line, v.token, v.abs_epoch);
+                self.receive(v, now);
             }
-            self.mnm.report_min_ver(&mut self.nvm, now, vd, min_ver);
+            self.mnm
+                .report_min_ver(&mut self.core.nvm, now, vd, min_ver);
         }
         // O(cache) invariant sweep — debug/`strict-invariants` builds only.
-        self.hier.debug_validate();
+        self.core.hier.debug_validate();
+    }
+}
+
+nvsim::deref_scheme_core!(NvOverlaySystem, VersionedHierarchy);
+
+impl SchemeHooks for NvOverlaySystem {
+    type Hier = VersionedHierarchy;
+
+    fn label(&self) -> &'static str {
+        "NVOverlay"
     }
 
-    /// Drains frontend events; returns extra access-path stall.
-    ///
     /// Versions are delivered to the OMC *before* any epoch-advance
     /// handling: an access can evict a version and trigger an epoch
     /// advance at once, and the min-ver report that follows the walk must
@@ -253,19 +235,14 @@ impl NvOverlaySystem {
     /// delivers both on the same ordered channel; processing them out of
     /// order would let `rec-epoch` commit an epoch whose last version is
     /// still in flight).
-    fn drain_events(&mut self, now: Cycle) -> Cycle {
+    fn on_events(&mut self, events: &[CstEvent], now: Cycle) -> Cycle {
         let mut stall = 0;
-        // Swap the hierarchy's event buffer with a recycled scratch vector
-        // so the per-access drain allocates nothing in steady state.
-        let mut events = std::mem::take(&mut self.ev_scratch);
-        events.clear();
-        self.hier.swap_events(&mut events);
-        for e in &events {
+        for e in events {
             if let CstEvent::Version(v) = e {
                 stall = stall.max(self.persist_version(*v, now));
             }
         }
-        for e in &events {
+        for e in events {
             match *e {
                 CstEvent::DirtyTransfer { vd, abs_epoch } => {
                     self.mnm.clamp_min_ver(vd, abs_epoch);
@@ -276,112 +253,29 @@ impl NvOverlaySystem {
                 CstEvent::Version(_) => {}
             }
         }
-        self.ev_scratch = events;
         stall
     }
 
-    /// Copies device-side counters into the stats block.
-    fn sync_stats(&mut self) {
-        self.stats.nvm = self.nvm.stats().clone();
-        self.stats.nvm_bandwidth = self.nvm.bandwidth().clone();
-        self.stats.access = self.hier.counters().clone();
-        self.stats.omc_buffer_hits = self.mnm.buffer_hits();
-        self.stats.omc_buffer_misses = self.mnm.buffer_misses();
-    }
-}
-
-impl MemorySystem for NvOverlaySystem {
-    fn name(&self) -> &'static str {
-        "NVOverlay"
-    }
-
-    fn access(
-        &mut self,
-        core: CoreId,
-        op: MemOp,
-        addr: Addr,
-        token: Token,
-        now: Cycle,
-    ) -> AccessOutcome {
-        let (lat, hier_stall, value) = self.hier.access(core, op, addr, token);
-        let bp = self.drain_events(now + lat);
-        let persist_stall = hier_stall + bp;
-        self.stats.persist_stall_cycles += persist_stall;
-        AccessOutcome {
-            latency: lat + bp,
-            persist_stall,
-            value,
-        }
-    }
-
-    fn epoch_mark(&mut self, core: CoreId, now: Cycle) -> Cycle {
-        let vd = self.hier.vd_of(core);
+    fn on_mark(&mut self, core: CoreId, now: Cycle) -> Cycle {
+        let vd = self.core.hier.vd_of(core);
         let stall = self
+            .core
             .hier
             .advance_epoch_explicit(vd, AdvanceCause::ExplicitMark);
-        let bp = self.drain_events(now + stall);
-        self.stats.persist_stall_cycles += stall + bp;
-        stall + bp
+        stall + self.drain_events(now + stall)
     }
 
-    fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
-        self.hier.import_line(line, token)
-    }
-
-    fn import_lines(
-        &mut self,
-        entries: &[nvsim::shard::ExchangeEntry],
-        island: u16,
-        golden: &mut nvsim::memsys::Oracle,
-    ) -> u64 {
-        self.hier.import_lines(entries, island, golden)
-    }
-
-    fn epoch_floor(&self) -> u64 {
-        (0..self.hier.config().vd_count())
-            .map(|v| self.hier.epoch_abs(VdId(v)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn raise_epoch_floor(&mut self, floor: u64, now: Cycle) -> Cycle {
-        // Lamport sync at a shard barrier: every VD whose epoch is
-        // behind the global floor advances with `CoherenceSync` — the
-        // same cause a cross-VD coherence hit would have charged — and
-        // the versions each advance flushes drain through the MNM
-        // exactly as mid-run advances do.
-        let mut stall = 0;
-        for v in 0..self.hier.config().vd_count() {
-            let vd = VdId(v);
-            while self.hier.epoch_abs(vd) < floor {
-                stall += self
-                    .hier
-                    .advance_epoch_explicit(vd, AdvanceCause::CoherenceSync);
-                stall += self.drain_events(now + stall);
-                self.sync_epoch_raises += 1;
-            }
-        }
-        self.stats.persist_stall_cycles += stall;
-        self.sync_stall_cycles += stall;
-        stall
-    }
-
-    fn finish(&mut self, now: Cycle) {
-        let versions = self.hier.drain();
-        for v in versions {
-            self.stats.evictions.record(v.reason);
-            self.mnm
-                .receive_version(&mut self.nvm, now, v.line, v.token, v.abs_epoch);
-        }
-        // Handle the EpochAdvanced events the drain produced (contexts).
-        let events = self.hier.take_events();
+    fn on_finish(&mut self, now: Cycle) {
+        // The drained versions, then the events the drain produced: its
+        // final epoch advances dump contexts (the drain has already
+        // walked every version).
+        let drained = self.core.hier.drain();
+        let events = self.core.hier.take_events();
         let mut final_epoch = 0;
-        for e in events {
+        for e in drained.into_iter().map(CstEvent::Version).chain(events) {
             match e {
                 CstEvent::Version(v) => {
-                    self.stats.evictions.record(v.reason);
-                    self.mnm
-                        .receive_version(&mut self.nvm, now, v.line, v.token, v.abs_epoch);
+                    self.receive(v, now);
                 }
                 CstEvent::EpochAdvanced {
                     vd,
@@ -389,26 +283,8 @@ impl MemorySystem for NvOverlaySystem {
                     to_abs,
                     ..
                 } => {
-                    self.stats.epochs_completed += 1;
-                    TraceScope::new(Track::Vd(vd.0)).emit(
-                        EventKind::EpochAdvance,
-                        now,
-                        from_abs,
-                        to_abs,
-                    );
-                    let cores = self.hier.config().cores_per_vd as u64;
-                    let bytes = self.hier.cst_config().context_bytes_per_core;
-                    let blob = ((vd.0 as u64) << 48) | from_abs;
-                    for c in 0..cores {
-                        self.nvm
-                            .write(now, vd.0 as u64 * 64 + c, NvmWriteKind::Context, bytes);
-                        self.nvm.annotate_last(PersistPayload::Context {
-                            vd: vd.0,
-                            epoch: from_abs,
-                            blob,
-                        });
-                    }
-                    self.mnm.record_context(vd, from_abs, blob);
+                    debug_assert_eq!(to_abs, from_abs + 1, "the drain advances by one");
+                    self.dump_contexts(vd, from_abs, now);
                     final_epoch = final_epoch.max(to_abs);
                 }
                 CstEvent::DirtyTransfer { vd, abs_epoch } => {
@@ -418,44 +294,57 @@ impl MemorySystem for NvOverlaySystem {
         }
         // Everything before the post-drain epochs is persistent.
         let rec_target = final_epoch.saturating_sub(1).max(self.mnm.rec_epoch());
-        self.mnm.finish(&mut self.nvm, now, rec_target);
-        self.sync_stats();
+        self.mnm.finish(&mut self.core.nvm, now, rec_target);
+        self.core.stats.omc_buffer_hits = self.mnm.buffer_hits();
+        self.core.stats.omc_buffer_misses = self.mnm.buffer_misses();
     }
 
-    fn stats(&self) -> &SystemStats {
-        &self.stats
+    fn max_epoch(&self) -> u64 {
+        (0..self.core.hier.config().vd_count())
+            .map(|v| self.core.hier.epoch_abs(VdId(v)))
+            .max()
+            .unwrap_or(0)
     }
 
-    fn metrics(&self) -> nvsim::metrics::Registry {
-        let mut reg = nvsim::metrics::Registry::new();
-        self.stats.metrics_into(&mut reg, "sys");
-        self.hier.metrics_into(&mut reg, "cst");
-        self.mnm.metrics_into(&mut reg, "mnm");
-        self.nvm.metrics_into(&mut reg, "nvm");
+    /// Lamport sync at a shard barrier: every VD whose epoch is behind
+    /// the global floor advances with `CoherenceSync` — the same cause a
+    /// cross-VD coherence hit would have charged — and the versions each
+    /// advance flushes drain through the MNM exactly as mid-run advances
+    /// do.
+    fn raise_epochs_to(&mut self, floor: u64, now: Cycle) -> Cycle {
+        let mut stall = 0;
+        for v in 0..self.core.hier.config().vd_count() {
+            let vd = VdId(v);
+            while self.core.hier.epoch_abs(vd) < floor {
+                stall += self
+                    .core
+                    .hier
+                    .advance_epoch_explicit(vd, AdvanceCause::CoherenceSync);
+                stall += self.drain_events(now + stall);
+                self.sync_epoch_raises += 1;
+            }
+        }
+        self.sync_stall_cycles += stall;
+        stall
+    }
+
+    fn extra_metrics(&self, reg: &mut Registry) {
+        self.core.hier.metrics_into(reg, "cst");
+        self.mnm.metrics_into(reg, "mnm");
+        self.core.nvm.metrics_into(reg, "nvm");
         // Shard-barrier epoch-sync attribution (0 on serial runs; under
         // sharding the values depend only on the plan, so they stay
         // byte-identical across worker counts).
         reg.set_counter("sync.epoch_raises", self.sync_epoch_raises);
         reg.set_counter("sync.stall_cycles", self.sync_stall_cycles);
-        reg
-    }
-}
-
-impl std::fmt::Debug for NvOverlaySystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NvOverlaySystem")
-            .field("hier", &self.hier)
-            .field("mnm", &self.mnm)
-            .field("rec_epoch", &self.mnm.rec_epoch())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvsim::addr::ThreadId;
-    use nvsim::memsys::Runner;
+    use nvsim::addr::{Addr, ThreadId};
+    use nvsim::memsys::{MemorySystem, Runner};
     use nvsim::trace::TraceBuilder;
 
     fn small_cfg(epoch_stores: u64) -> SimConfig {
@@ -559,7 +448,7 @@ mod tests {
         };
         let mut plain = NvOverlaySystem::new(&cfg);
         let _ = Runner::new().run(&mut plain, &make_trace());
-        let mut buffered = NvOverlaySystem::with_omc_buffer(&cfg);
+        let mut buffered = NvOverlaySystem::with_omc_buffer_shared(Arc::new(cfg.clone()));
         let _ = Runner::new().run(&mut buffered, &make_trace());
         let pw = plain.stats().nvm.writes(NvmWriteKind::Data);
         let bw = buffered.stats().nvm.writes(NvmWriteKind::Data);

@@ -22,7 +22,10 @@
 //!   write-back toward the LLC ([`LinePolicy::write_back`]);
 //! * what a coherence response carries and what its arrival does
 //!   ([`LinePolicy::respond`], [`LinePolicy::arrive`]);
-//! * where dirty LLC victims go besides DRAM ([`LinePolicy::llc_victim`]).
+//! * where dirty LLC victims go besides DRAM ([`LinePolicy::llc_victim`]);
+//! * what the policy tells its scheme after an access
+//!   ([`LinePolicy::Event`], drained once per access by
+//!   [`crate::memsys::SchemeHooks`]).
 //!
 //! The baseline policy lives in [`crate::hierarchy`]; NVOverlay's version
 //! access protocol is a policy in the `nvoverlay` crate. The engine never
@@ -85,6 +88,12 @@ pub trait LinePolicy: Sized {
     type Tag: Copy + fmt::Debug;
     /// What a coherence response carries about the version.
     type Ver: Copy;
+    /// What the policy reports to its scheme (stores, write-backs, epoch
+    /// changes); buffered until the scheme drains it.
+    type Event;
+
+    /// The buffer of events not yet drained.
+    fn events_mut(&mut self) -> &mut Vec<Self::Event>;
 
     /// The tag of a copy that carries no persistence obligation: L1 fills,
     /// shared copies, LLC deposits.

@@ -102,6 +102,11 @@ pub struct BaselinePolicy {
 impl LinePolicy for BaselinePolicy {
     type Tag = EpochId;
     type Ver = EpochId;
+    type Event = HierarchyEvent;
+
+    fn events_mut(&mut self) -> &mut Vec<HierarchyEvent> {
+        &mut self.events
+    }
 
     fn settled(tag: EpochId) -> EpochId {
         tag
@@ -232,6 +237,10 @@ impl std::ops::DerefMut for Hierarchy {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.0
     }
+}
+
+impl crate::memsys::Machine for Hierarchy {
+    type Policy = BaselinePolicy;
 }
 
 impl Hierarchy {

@@ -6,12 +6,23 @@
 //! the smallest local clock, so any scheme sees the *same* interleaving for
 //! the same trace, which is what makes cross-scheme comparisons (Fig 11/12)
 //! meaningful.
+//!
+//! The eight schemes implement [`MemorySystem`] once, through the
+//! blanket impl over [`SchemeHooks`]: a scheme owns a [`SchemeCore`]
+//! (its hierarchy, NVM device, stats and event buffer) and supplies only
+//! what differs — its event handling, epoch commit, finish-time drain
+//! and extra metrics.
 
 use crate::addr::{Addr, CoreId, LineAddr, ThreadId, Token};
 use crate::clock::{CoreClock, Cycle};
+use crate::coherence::{Coherence, LinePolicy};
 use crate::linetable::LineTable;
+use crate::metrics::Registry;
+use crate::nvm::Nvm;
 use crate::stats::SystemStats;
 use crate::trace::{PackedEvent, PackedTrace, Trace};
+use std::fmt;
+use std::ops::DerefMut;
 
 /// The runner's load-value oracle: the last token stored to each line.
 /// Every access probes it, so it is a page-indexed [`LineTable`] that
@@ -71,8 +82,8 @@ pub trait MemorySystem {
     /// The scheme's hierarchical metrics tree. The default covers the
     /// common [`SystemStats`] block; schemes with deeper structure
     /// (per-OMC, per-VD state) override this to publish their subtrees.
-    fn metrics(&self) -> crate::metrics::Registry {
-        let mut reg = crate::metrics::Registry::new();
+    fn metrics(&self) -> Registry {
+        let mut reg = Registry::new();
         self.stats().metrics_into(&mut reg, "sys");
         reg
     }
@@ -130,6 +141,244 @@ pub trait MemorySystem {
     /// default (no epoch state) does nothing.
     fn raise_epoch_floor(&mut self, _floor: u64, _now: Cycle) -> Cycle {
         0
+    }
+}
+
+/// A cache hierarchy a scheme runs on: the [`Coherence`] engine under a
+/// line policy, wrapped with the policy's maintenance operations (walks,
+/// flushes, drains).
+pub trait Machine: DerefMut<Target = Coherence<<Self as Machine>::Policy>> {
+    /// The engine's line policy.
+    type Policy: LinePolicy;
+}
+
+/// The events a scheme's hierarchy reports.
+pub type SchemeEvent<S> = <<<S as SchemeHooks>::Hier as Machine>::Policy as LinePolicy>::Event;
+
+/// What every scheme owns: its hierarchy, an NVM device, the stats block,
+/// each core's earliest resume time after a global quiesce, and the
+/// recycled buffer the per-access drain swaps with the policy's.
+pub struct SchemeCore<H: Machine> {
+    /// The cache hierarchy.
+    pub hier: H,
+    /// The scheme's NVM device.
+    pub nvm: Nvm,
+    /// Statistics; the device counters are copied in at `finish`.
+    pub stats: SystemStats,
+    core_resume: Vec<Cycle>,
+    events: Vec<<H::Policy as LinePolicy>::Event>,
+}
+
+impl<H: Machine> SchemeCore<H> {
+    /// Wraps `hier` with an NVM device built from its configuration.
+    pub fn new(hier: H) -> Self {
+        let cfg = hier.config();
+        Self {
+            nvm: Nvm::new(
+                cfg.nvm_banks,
+                cfg.nvm_write_latency,
+                cfg.nvm_read_latency,
+                cfg.nvm_queue_depth,
+                cfg.bandwidth_bucket_cycles,
+            ),
+            stats: SystemStats::new(cfg.bandwidth_bucket_cycles),
+            core_resume: vec![0; cfg.cores as usize],
+            events: Vec::new(),
+            hier,
+        }
+    }
+
+    /// The cache hierarchy (inspection).
+    pub fn hierarchy(&self) -> &H {
+        &self.hier
+    }
+
+    /// The NVM device (byte and wear accounting).
+    pub fn nvm(&self) -> &Nvm {
+        &self.nvm
+    }
+
+    /// Halts every core until `t` (a global quiesce: a software epoch
+    /// flush or a synchronous mapping-table update). Each core pays the
+    /// rest of the halt on its next access.
+    pub fn stall_all_until(&mut self, t: Cycle) {
+        for r in &mut self.core_resume {
+            *r = (*r).max(t);
+        }
+    }
+}
+
+/// Implements `Deref`/`DerefMut` from a scheme type to its `core:
+/// SchemeCore<$hier>` field, as [`SchemeHooks`] requires.
+#[macro_export]
+macro_rules! deref_scheme_core {
+    ($scheme:ty, $hier:ty) => {
+        impl ::std::ops::Deref for $scheme {
+            type Target = $crate::memsys::SchemeCore<$hier>;
+            fn deref(&self) -> &Self::Target {
+                &self.core
+            }
+        }
+        impl ::std::ops::DerefMut for $scheme {
+            fn deref_mut(&mut self) -> &mut Self::Target {
+                &mut self.core
+            }
+        }
+    };
+}
+
+impl<H: Machine + fmt::Debug> fmt::Debug for SchemeCore<H> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SchemeCore")
+            .field("hier", &self.hier)
+            .finish()
+    }
+}
+
+/// What a scheme adds to its [`SchemeCore`]. Every type with these hooks
+/// is a [`MemorySystem`] through one blanket impl: one access path, one
+/// event drain, one stall sum. Dispatch is static, so each scheme's hooks
+/// inline into its own access path. A scheme that persists nothing (the
+/// ideal system) keeps the defaults.
+pub trait SchemeHooks: DerefMut<Target = SchemeCore<<Self as SchemeHooks>::Hier>> {
+    /// The hierarchy the scheme runs on.
+    type Hier: Machine;
+
+    /// The scheme's name ([`MemorySystem::name`]).
+    fn label(&self) -> &'static str;
+
+    /// Handles a non-empty batch of events, from one access or from a
+    /// drain the scheme asked for, at `now`; returns the stall they
+    /// impose. The default ignores them.
+    fn on_events(&mut self, _events: &[SchemeEvent<Self>], _now: Cycle) -> Cycle {
+        0
+    }
+
+    /// An explicit epoch boundary requested by `core`'s thread; returns
+    /// the stall charged to it. The default does nothing.
+    fn on_mark(&mut self, _core: CoreId, _now: Cycle) -> Cycle {
+        0
+    }
+
+    /// Closes the final epoch and drains dirty state to persistence. The
+    /// shell then copies the device counters into the stats block.
+    fn on_finish(&mut self, now: Cycle);
+
+    /// [`MemorySystem::shardable`].
+    fn can_shard(&self) -> bool {
+        true
+    }
+
+    /// [`MemorySystem::epoch_floor`].
+    fn max_epoch(&self) -> u64 {
+        0
+    }
+
+    /// [`MemorySystem::raise_epoch_floor`], without the stats update.
+    fn raise_epochs_to(&mut self, _floor: u64, _now: Cycle) -> Cycle {
+        0
+    }
+
+    /// Publishes metrics beyond the `sys` stats block.
+    fn extra_metrics(&self, _reg: &mut Registry) {}
+
+    /// Hands the policy's pending events to [`SchemeHooks::on_events`] at
+    /// `now` and returns its stall; no events, no call (most L1 hits).
+    /// The event buffer is swapped with a recycled one, so the per-access
+    /// drain allocates nothing in steady state. Schemes call this, never
+    /// override it.
+    fn drain_events(&mut self, now: Cycle) -> Cycle {
+        if self.hier.policy.events_mut().is_empty() {
+            return 0;
+        }
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        std::mem::swap(self.hier.policy.events_mut(), &mut events);
+        let stall = self.on_events(&events, now);
+        self.events = events;
+        stall
+    }
+}
+
+impl<S: SchemeHooks> MemorySystem for S {
+    fn name(&self) -> &'static str {
+        self.label()
+    }
+
+    /// The access path of every scheme: the quiesce this core still owes,
+    /// the hierarchy access, then the event drain at the access's
+    /// completion time.
+    #[inline]
+    fn access(
+        &mut self,
+        core: CoreId,
+        op: MemOp,
+        addr: Addr,
+        token: Token,
+        now: Cycle,
+    ) -> AccessOutcome {
+        let quiesce = self.core_resume[core.index()].saturating_sub(now);
+        let (lat, hier_stall, value) = self.hier.access(core, op, addr, token);
+        let stall = self.drain_events(now + quiesce + lat);
+        let persist_stall = quiesce + hier_stall + stall;
+        self.stats.persist_stall_cycles += persist_stall;
+        AccessOutcome {
+            latency: lat + quiesce + stall,
+            persist_stall,
+            value,
+        }
+    }
+
+    fn epoch_mark(&mut self, core: CoreId, now: Cycle) -> Cycle {
+        let stall = self.on_mark(core, now);
+        self.stats.persist_stall_cycles += stall;
+        stall
+    }
+
+    fn finish(&mut self, now: Cycle) {
+        self.on_finish(now);
+        let core = &mut **self;
+        core.stats.nvm = core.nvm.stats().clone();
+        core.stats.nvm_bandwidth = core.nvm.bandwidth().clone();
+        core.stats.access = core.hier.counters().clone();
+    }
+
+    fn stats(&self) -> &SystemStats {
+        &self.stats
+    }
+
+    fn metrics(&self) -> Registry {
+        let mut reg = Registry::new();
+        self.stats.metrics_into(&mut reg, "sys");
+        self.extra_metrics(&mut reg);
+        reg
+    }
+
+    fn shardable(&self) -> bool {
+        self.can_shard()
+    }
+
+    fn import_line(&mut self, line: LineAddr, token: Token) -> bool {
+        self.hier.import_line(line, token)
+    }
+
+    fn import_lines(
+        &mut self,
+        entries: &[crate::shard::ExchangeEntry],
+        island: u16,
+        golden: &mut Oracle,
+    ) -> u64 {
+        self.hier.import_lines(entries, island, golden)
+    }
+
+    fn epoch_floor(&self) -> u64 {
+        self.max_epoch()
+    }
+
+    fn raise_epoch_floor(&mut self, floor: u64, now: Cycle) -> Cycle {
+        let stall = self.raise_epochs_to(floor, now);
+        self.stats.persist_stall_cycles += stall;
+        stall
     }
 }
 

@@ -107,7 +107,7 @@ fn software_schemes_recover_the_committed_image() {
     let r = Runner::new().run(&mut picl, &trace);
     let img = picl.recovered_image();
     for (l, t) in &r.golden_image {
-        assert_eq!(img.get(&l), Some(t));
+        assert_eq!(img.get(l), Some(t));
     }
 }
 
