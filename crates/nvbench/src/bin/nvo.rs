@@ -858,7 +858,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
         r.errors.iter().map(|(_, v)| v).sum::<u64>(),
     );
     println!(
-        "  epoch tables probed: {:.2} per query ({} over {} answers)",
+        "  epochs fallen through: {:.2} per query ({} over {} answers)",
         r.fallthrough as f64 / r.answered.max(1) as f64,
         r.fallthrough,
         r.answered
@@ -1608,8 +1608,8 @@ fn cmd_perf(flags: HashMap<String, String>) {
     // NVOverlay once, mount the durable state, and serve the default
     // scripted load at `jobs` workers and again at 1 worker. Gates:
     // the two reports must be byte-identical (worker-count
-    // determinism). Writes `BENCH_serve.json` with queries/s and epoch
-    // tables probed per query for each workload; `--baseline`
+    // determinism). Writes `BENCH_serve.json` with queries/s and epochs
+    // fallen through per query for each workload; `--baseline`
     // additionally enforces `serve_queries_s` floors (>20% drop
     // fails), skipped on 1-way hosts like the other threaded floors.
     let serve_enabled = flags.contains_key("serve");
@@ -1656,7 +1656,7 @@ fn cmd_perf(flags: HashMap<String, String>) {
         println!("  serve pass ({jobs} workers vs 1, default load):");
         for (ti, w) in workloads.iter().enumerate() {
             println!(
-                "    {:<12} {:>10.0} queries/s, {:>6.2} tables probed per query",
+                "    {:<12} {:>10.0} queries/s, {:>6.2} epochs fallen through per query",
                 w.name(),
                 qps[ti],
                 lookups[ti]

@@ -17,6 +17,7 @@
 //! (see DESIGN.md for the ordering argument).
 
 pub mod buffer;
+mod index;
 pub mod omc;
 pub mod pool;
 pub mod table;
@@ -239,7 +240,7 @@ impl Mnm {
     }
 
     /// The incremental delta captured in exactly `epoch`, across all OMCs
-    /// (None if any OMC has reclaimed or compacted that epoch's table).
+    /// (None if any OMC has reclaimed that epoch's table).
     pub fn epoch_delta(&self, epoch: u64) -> Option<Vec<(LineAddr, Token)>> {
         let mut out = Vec::new();
         for o in &self.omcs {

@@ -8,6 +8,7 @@
 //! storage pressure, performs *version compaction* (§V-D).
 
 use super::buffer::OmcBuffer;
+use super::index::VersionIndex;
 use super::pool::{NvmLoc, PagePool, SLOTS_PER_PAGE};
 use super::table::{encode_loc, MasterTable, RadixTable};
 use nvsim::addr::{LineAddr, Token};
@@ -84,26 +85,14 @@ struct EpochState {
     pages: Vec<u32>,
     /// The open page and its next free slot.
     open: Option<(u32, u8)>,
-    /// Versions of this epoch were relocated by compaction; per-epoch
-    /// reads are no longer exact.
-    compacted: bool,
-}
-
-impl EpochState {
-    /// The table per-epoch reads may use: retained and not compacted.
-    fn readable(&self) -> Option<&RadixTable> {
-        if self.compacted {
-            None
-        } else {
-            self.table.as_ref()
-        }
-    }
 }
 
 /// A zero-copy view of one epoch's retained mapping table on one OMC.
 ///
 /// Obtained from [`Omc::epoch_reader`]; reads only versions captured in
-/// exactly that epoch (no fall-through).
+/// exactly that epoch (no fall-through). Compaction relocates versions
+/// within their own epoch and updates this table, so a retained table
+/// stays exact.
 #[derive(Clone, Copy)]
 pub struct EpochReader<'a> {
     omc: &'a Omc,
@@ -123,6 +112,9 @@ pub struct Omc {
     cfg: OmcConfig,
     pool: PagePool,
     epochs: BTreeMap<u64, EpochState>,
+    /// Host-only transpose of the retained epoch tables, so a
+    /// time-travel read finds its version without falling through them.
+    versions: VersionIndex,
     master: MasterTable,
     merged_through: u64,
     /// Master-referenced version count per data page (Fig 9's "Ref
@@ -150,6 +142,7 @@ impl Omc {
             pool: PagePool::new(cfg.pool_pages),
             cfg,
             epochs: BTreeMap::new(),
+            versions: VersionIndex::default(),
             master: MasterTable::new(),
             merged_through: 0,
             refcount: Vec::new(),
@@ -274,6 +267,7 @@ impl Omc {
                     st.open = Some((page, slot + 1));
                     let loc = NvmLoc { page, slot };
                     table.insert(line, loc);
+                    self.versions.set(line, abs_epoch, loc);
                     self.page_contents[page as usize].push((line, slot));
                     self.pool.write(loc, token);
                     return persist_version(nvm, now, line, token, abs_epoch);
@@ -300,6 +294,7 @@ impl Omc {
             .as_mut()
             .expect("unmerged epoch keeps its table")
             .insert(line, loc);
+        self.versions.set(line, abs_epoch, loc);
         persist_version(nvm, now, line, token, abs_epoch)
     }
 
@@ -379,6 +374,7 @@ impl Omc {
             .range(self.merged_through + 1..=through)
             .map(|(e, _)| *e)
             .collect();
+        let keep = self.cfg.retention == SnapshotRetention::KeepAll;
         for e in to_merge {
             // Taken out while its entries merge (GC under `DropMerged`
             // may touch the epoch's page list); `KeepAll` puts it back.
@@ -386,6 +382,9 @@ impl Omc {
                 continue;
             };
             for (l, loc) in table.iter() {
+                if !keep {
+                    self.versions.remove(l, e);
+                }
                 let fx = self.master.merge_in(l, loc);
                 meta_entry_writes += fx.entry_writes;
                 if let Some(words) = journal.as_mut() {
@@ -398,7 +397,7 @@ impl Omc {
                     }
                 }
             }
-            if self.cfg.retention == SnapshotRetention::KeepAll {
+            if keep {
                 self.epochs.get_mut(&e).expect("listed").table = Some(table);
             }
         }
@@ -499,7 +498,9 @@ impl Omc {
                 if let Some(st) = self.epochs.get_mut(&e) {
                     if let Some(t) = st.table.as_mut() {
                         for (line, loc) in &dead {
-                            t.remove_if(*line, *loc);
+                            if t.remove_if(*line, *loc) {
+                                self.versions.remove(*line, e);
+                            }
                         }
                     }
                 }
@@ -523,6 +524,7 @@ impl Omc {
                     let st = self.epochs.get_mut(&target_epoch).expect("slot allocated");
                     if let Some(t) = st.table.as_mut() {
                         t.insert(line, new_loc);
+                        self.versions.set(line, target_epoch, new_loc);
                     }
                     // Master points at the new home immediately; a later
                     // merge re-inserting the same location is idempotent.
@@ -538,9 +540,6 @@ impl Omc {
                 }
             }
             if let Some(st) = self.epochs.get_mut(&e) {
-                // Same-epoch relocation keeps the epoch's history exact,
-                // so per-epoch (time-travel) reads remain valid.
-                st.compacted = false;
                 st.open = None;
             }
             // Oldest-first, stop as soon as the pressure is relieved
@@ -573,6 +572,7 @@ impl Omc {
         }
         // Volatile state is lost.
         self.epochs.clear();
+        self.versions.clear();
         self.refcount.fill(0);
         self.page_contents.iter_mut().for_each(Vec::clear);
         // Rebuild refcounts (and page occupancy) from the master table.
@@ -609,12 +609,12 @@ impl Omc {
         self.master.get(line).and_then(|loc| self.read_loc(loc))
     }
 
-    /// Time-travel read (§V-E): the version of `line` visible at `epoch`,
-    /// found by falling through per-epoch tables from `epoch` downward.
+    /// Time-travel read (§V-E): the version of `line` visible at `epoch`.
     ///
-    /// Returns `None` when the line has no version at or before `epoch`,
-    /// or `Err`-like `None` when the covering epoch's table was reclaimed
-    /// or compacted away (use [`SnapshotRetention::KeepAll`] to retain).
+    /// The battery-backed buffer answers first (it is in the persistence
+    /// domain), then [`Omc::version_at`]. Returns `None` when the line
+    /// has no version at or before `epoch` in a retained table (use
+    /// [`SnapshotRetention::KeepAll`] to retain merged epochs).
     pub fn time_travel(&self, line: LineAddr, epoch: u64) -> Option<Token> {
         if let Some(buf) = self.buffer.as_ref() {
             if let Some(v) = buf.get(line) {
@@ -623,31 +623,29 @@ impl Omc {
                 }
             }
         }
-        for (_, st) in self.epochs.range(..=epoch).rev() {
-            if st.compacted {
-                continue;
-            }
-            if let Some(t) = st.table.as_ref() {
-                if let Some(loc) = t.get(line) {
-                    return self.read_loc(loc);
-                }
-            }
-        }
-        None
+        self.version_at(line, epoch).map(|(_, token)| token)
+    }
+
+    /// The retained-table version of `line` visible at `epoch`, with the
+    /// epoch that captured it: what falling through the retained epoch
+    /// tables from `epoch` downward finds first, read in one lookup of
+    /// the per-line version index. Ignores the buffer.
+    #[inline]
+    pub fn version_at(&self, line: LineAddr, epoch: u64) -> Option<(u64, Token)> {
+        let (e, loc) = self.versions.at(line, epoch)?;
+        self.read_loc(loc).map(|token| (e, token))
     }
 
     /// Epochs this OMC has versions for (ascending), with whether each is
-    /// still individually readable (table retained and not compacted).
+    /// still individually readable (its table retained).
     pub fn epochs(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.epochs
-            .iter()
-            .map(|(e, st)| (*e, st.readable().is_some()))
+        self.epochs.iter().map(|(e, st)| (*e, st.table.is_some()))
     }
 
     /// A zero-copy reader over exactly `epoch`'s retained mapping table;
-    /// `None` when the epoch is reclaimed, compacted, or absent here.
+    /// `None` when the epoch is reclaimed or absent here.
     pub fn epoch_reader(&self, epoch: u64) -> Option<EpochReader<'_>> {
-        let table = self.epochs.get(&epoch)?.readable()?;
+        let table = self.epochs.get(&epoch)?.table.as_ref()?;
         Some(EpochReader { omc: self, table })
     }
 
@@ -683,9 +681,13 @@ impl Omc {
     ///   exactly its written slots while an epoch owns the page (after
     ///   [`Omc::simulate_reboot`] only master-referenced versions are
     ///   known, so an unowned page lists a subset);
-    /// * a free page has no references and no contents.
+    /// * a free page has no references and no contents;
+    /// * the version index is the transpose of the retained epoch
+    ///   tables: the same `(line, epoch)` pairs with the same locations,
+    ///   each line's epochs strictly ascending.
     ///
-    /// O(master entries + pages); see [`Omc::debug_validate`].
+    /// O(master entries + pages + retained entries × versions per line);
+    /// see [`Omc::debug_validate`].
     #[cfg(any(debug_assertions, test, feature = "strict-invariants"))]
     fn check_page_state(&self) -> Vec<String> {
         let mut v = Vec::new();
@@ -740,6 +742,36 @@ impl Omc {
                     "page {p}: contents list slots {listed:#x}, written slots are {written:#x}"
                 ));
             }
+        }
+        let mut mapped = 0usize;
+        for (&e, st) in &self.epochs {
+            for (line, loc) in st.table.iter().flat_map(RadixTable::iter) {
+                mapped += 1;
+                let indexed = self.versions.at(line, e).filter(|&(x, _)| x == e);
+                if indexed != Some((e, loc)) {
+                    v.push(format!(
+                        "epoch {e} maps line {:#x} to {loc:?}, version index has {indexed:?}",
+                        line.raw()
+                    ));
+                }
+            }
+        }
+        let mut prev: Option<(LineAddr, u64)> = None;
+        let mut indexed = 0usize;
+        for (line, e, _) in self.versions.iter() {
+            indexed += 1;
+            if prev.is_some_and(|(l, pe)| l == line && pe >= e) {
+                v.push(format!(
+                    "version index lists line {:#x} out of order at epoch {e}",
+                    line.raw()
+                ));
+            }
+            prev = Some((line, e));
+        }
+        if indexed != mapped {
+            v.push(format!(
+                "version index holds {indexed} versions, retained tables map {mapped}"
+            ));
         }
         v
     }
@@ -992,6 +1024,167 @@ mod tests {
         // After a reboot, pages are unowned and list only live versions.
         o.simulate_reboot();
         assert_eq!(o.check_page_state(), Vec::<String>::new());
+    }
+
+    /// The fall-through walk `time_travel` made before the version index:
+    /// the retained epoch tables from `epoch` downward, the first mapping
+    /// answering. The reference for [`Omc::version_at`].
+    fn walk(o: &Omc, line: LineAddr, epoch: u64) -> Option<(u64, Token)> {
+        for (&e, st) in o.epochs.range(..=epoch).rev() {
+            if let Some(loc) = st.table.as_ref().and_then(|t| t.get(line)) {
+                return o.read_loc(loc).map(|token| (e, token));
+            }
+        }
+        None
+    }
+
+    /// Checks the page state (the version index included) and compares
+    /// `version_at` and `time_travel` with [`walk`] for every line below
+    /// `lines` at every epoch up to one past `top`.
+    fn assert_matches_walk(o: &Omc, lines: u64, top: u64, setup: &str) {
+        assert_eq!(o.check_page_state(), Vec::<String>::new(), "{setup}");
+        for l in 0..lines {
+            let l = line(l);
+            let buffered = o.buffer.as_ref().and_then(|b| b.get(l));
+            for e in 0..=top + 1 {
+                let want = walk(o, l, e);
+                assert_eq!(o.version_at(l, e), want, "{setup}: {l:?} @ {e}");
+                let want = match buffered {
+                    Some(v) if v.abs_epoch <= e => Some(v.token),
+                    _ => want.map(|(_, token)| token),
+                };
+                assert_eq!(o.time_travel(l, e), want, "{setup}: {l:?} @ {e}");
+            }
+        }
+    }
+
+    /// Seeded traffic through an [`Mnm`](crate::mnm::Mnm): in round `r`,
+    /// lines below `lines` get versions mostly of epoch `r` and some of
+    /// `r - 1` or `r - 2` (an older epoch after a newer one, except that
+    /// a buffered OMC, like the frontend, takes each line's versions in
+    /// epoch order and reorders them only by its own spills), and with
+    /// `min_ver` the VD then reports `r - 1`, so every epoch below it
+    /// merges and no later version lands in a merged epoch. Each OMC is
+    /// checked against [`walk`] every fourth round and at the end.
+    fn drive(cfg: OmcConfig, seed: u64, lines: u64, rounds: u64, min_ver: bool) -> crate::mnm::Mnm {
+        let ordered = cfg.buffer.is_some();
+        let mut m = crate::mnm::Mnm::new(2, 1, cfg);
+        let mut n = nvm();
+        let mut rng = nvsim::rng::Rng64::seed_from_u64(seed);
+        let mut last = vec![1u64; lines as usize];
+        for r in 1..=rounds {
+            for _ in 0..lines {
+                let l = rng.gen_range(0..lines);
+                let back = rng.gen_range(0..8u64).saturating_sub(5).min(r - 1);
+                let mut e = (r - back).max(if min_ver {
+                    r.saturating_sub(2).max(1)
+                } else {
+                    1
+                });
+                if ordered {
+                    e = e.max(last[l as usize]);
+                    last[l as usize] = e;
+                }
+                m.receive_version(&mut n, 0, line(l), rng.gen_range(1..u64::MAX), e);
+            }
+            if min_ver && r > 1 {
+                m.report_min_ver(&mut n, 0, nvsim::VdId(0), r - 1);
+            }
+            if r % 4 == 0 {
+                for o in m.omcs() {
+                    assert_matches_walk(o, lines, r, &format!("seed {seed:#x}, round {r}"));
+                }
+            }
+        }
+        m.finish(&mut n, 0, rounds);
+        for o in m.omcs() {
+            assert_matches_walk(o, lines, rounds, &format!("seed {seed:#x}, finished"));
+        }
+        m
+    }
+
+    #[test]
+    fn version_index_matches_the_fall_through_walk() {
+        let small = |retention| OmcConfig {
+            pool_pages: 64,
+            grow_pages: 16,
+            retention,
+            ..OmcConfig::default()
+        };
+        let tiny = |retention| OmcConfig {
+            pool_pages: 4,
+            compaction_threshold: 0.5,
+            grow_pages: 4,
+            retention,
+            ..OmcConfig::default()
+        };
+        // KeepAll, merged only at the end.
+        drive(
+            small(SnapshotRetention::KeepAll),
+            0x5EED_0001,
+            300,
+            24,
+            false,
+        );
+        // DropMerged, merging as min-ver reports arrive.
+        let m = drive(
+            small(SnapshotRetention::DropMerged),
+            0x5EED_0002,
+            300,
+            24,
+            true,
+        );
+        assert!(
+            m.omcs().iter().any(|o| o.epochs().any(|(_, r)| !r)),
+            "some table dropped"
+        );
+        // Tiny pools that compact, under both retentions.
+        for (i, retention) in [SnapshotRetention::KeepAll, SnapshotRetention::DropMerged]
+            .into_iter()
+            .enumerate()
+        {
+            let m = drive(tiny(retention), 0x5EED_0003 + i as u64, 200, 24, true);
+            assert!(
+                m.omcs().iter().all(|o| o.stats().compactions > 0),
+                "{retention:?}"
+            );
+        }
+        // A buffered OMC: reads see the buffer first, then the index.
+        let m = drive(
+            OmcConfig {
+                buffer: Some((8, 2)),
+                ..small(SnapshotRetention::KeepAll)
+            },
+            0x5EED_0005,
+            300,
+            24,
+            true,
+        );
+        assert!(m.omcs().iter().all(|o| o.stats().buffer_hits > 0));
+        // After a reboot every per-epoch table is gone, and so is the index.
+        let mut m = drive(small(SnapshotRetention::KeepAll), 0x5EED_0006, 100, 8, true);
+        for o in &mut m.omcs {
+            o.simulate_reboot();
+            assert_eq!(o.versions.iter().count(), 0);
+            assert_matches_walk(o, 100, 8, "rebooted");
+        }
+    }
+
+    #[test]
+    fn versions_arriving_out_of_epoch_order_keep_their_order() {
+        let mut o = omc();
+        let mut n = nvm();
+        for (e, token) in [(5, 50), (2, 20), (7, 70), (3, 30), (5, 51)] {
+            o.receive_version(&mut n, 0, line(9), token, e);
+        }
+        assert_matches_walk(&o, 10, 8, "out of order");
+        let seen: Vec<_> = (0..9).map(|e| o.version_at(line(9), e)).collect();
+        let want = [None, None, Some((2, 20)), Some((3, 30)), Some((3, 30))];
+        assert_eq!(seen[..5], want);
+        assert_eq!(
+            seen[5..],
+            [Some((5, 51)), Some((5, 51)), Some((7, 70)), Some((7, 70))]
+        );
     }
 
     #[test]

@@ -200,7 +200,7 @@ pub fn recover_durable<S: DurableState + ?Sized>(
 /// Rebuilds the image *as of* `epoch` by falling through per-epoch tables
 /// (time-travel/debugging reads, §V-E). Requires
 /// [`crate::mnm::SnapshotRetention::KeepAll`]; lines whose covering epochs
-/// were reclaimed or compacted read as `None`.
+/// were reclaimed read as `None`.
 pub fn snapshot_at(
     mnm: &Mnm,
     epoch: u64,

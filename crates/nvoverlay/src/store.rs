@@ -35,8 +35,8 @@ pub enum QueryError {
         recoverable: u64,
     },
     /// The epoch was captured but its per-epoch mapping tables were
-    /// reclaimed ([`crate::mnm::SnapshotRetention::DropMerged`]) or
-    /// compacted away, so it can no longer be served exactly.
+    /// reclaimed ([`crate::mnm::SnapshotRetention::DropMerged`]), so it
+    /// can no longer be served exactly.
     NotRetained {
         /// The epoch whose tables are gone.
         epoch: u64,
@@ -123,7 +123,7 @@ impl<'a> SnapshotStore<'a> {
     }
 
     /// Captured epochs, ascending, with whether each is individually
-    /// readable (per-epoch table retained and not compacted).
+    /// readable (per-epoch table retained).
     pub fn epochs(&self) -> Vec<(u64, bool)> {
         self.mnm.epochs()
     }
@@ -179,8 +179,8 @@ impl<'a> SnapshotStore<'a> {
     /// The incremental delta captured in exactly `epoch` — what a
     /// replication agent ships (§V-E "Remote Replication").
     ///
-    /// Returns `None` when the epoch's tables were reclaimed or
-    /// compacted (use [`crate::mnm::SnapshotRetention::KeepAll`]).
+    /// Returns `None` when the epoch's tables were reclaimed (use
+    /// [`crate::mnm::SnapshotRetention::KeepAll`]).
     pub fn delta(&self, epoch: u64) -> Option<Vec<(LineAddr, Token)>> {
         self.mnm.epoch_delta(epoch)
     }

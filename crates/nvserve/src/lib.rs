@@ -20,8 +20,8 @@
 //!    [`nvoverlay::QueryError`] rejections), flattens accepted queries
 //!    onto `omc_count × subshards` serving shards in canonical order,
 //!    and fans the shards across worker threads. Each shard answers its
-//!    queue serially by walking its OMC's retained per-epoch radix tables
-//!    in place ([`nvoverlay::mnm::EpochReader`]); nothing is copied or
+//!    queue serially, one lookup per query in its OMC's per-line version
+//!    index ([`nvoverlay::mnm::Omc::version_at`]); nothing is copied or
 //!    cached.
 //! 4. [`report::ServeReport`] carries only worker-count-independent
 //!    values plus an FNV-1a answer digest, so `1 == 2 == 4 == 8` workers

@@ -45,7 +45,8 @@ pub struct ShardReport {
     pub shard: usize,
     /// Queries this shard answered.
     pub queries: u64,
-    /// Epoch tables consulted across all fall-through walks.
+    /// Directory epochs fallen through, summed over queries (see
+    /// [`ServeReport::fallthrough`]).
     pub fallthrough: u64,
 }
 
@@ -96,7 +97,12 @@ pub struct ServeReport {
     pub answers_none: u64,
     /// Always zero: nothing is cached (see [`CacheStats`]).
     pub cache: CacheStats,
-    /// Epoch tables consulted across all walks.
+    /// Directory epochs fallen through, summed over queries: for a
+    /// query at epoch `E`, the directory epochs at or below `E` down to
+    /// the one that answered (all of them at or below `E` when none
+    /// did). A fall-through walk over the retained tables would probe
+    /// that many; the version index reads the answer in one lookup, so
+    /// this is a measure of history depth, not of work done.
     pub fallthrough: u64,
     /// FNV-1a digest over every `(session, batch, epoch, line, answer)`
     /// in canonical order — the cross-worker determinism witness.

@@ -11,12 +11,12 @@
 //! wall-clock time changes.
 //!
 //! A query `GET key AS OF epoch E` answers exactly like
-//! `Mnm::time_travel`: fall through the retained epoch tables from `E`
-//! downward (reclaimed or compacted epochs are transparently skipped),
-//! returning the first mapped version, or `None` when the line has no
-//! version at or before `E`. Each shard reads its OMC's retained radix
-//! tables in place through [`nvoverlay::mnm::EpochReader`]s resolved once
-//! per call; nothing is copied or cached.
+//! `Mnm::time_travel`: the version found by falling through the retained
+//! epoch tables from `E` downward (reclaimed epochs are skipped), or
+//! `None` when the line has no version at or before `E`. Each shard reads
+//! it in one lookup of its OMC's per-line version index
+//! ([`nvoverlay::mnm::Omc::version_at`]) and the retained page data;
+//! nothing is copied or cached.
 
 use crate::driver::{EpochSelect, LoadPlan};
 use crate::report::{CacheStats, ServeReport, ShardReport};
@@ -75,8 +75,8 @@ struct Query {
     epoch: u64,
 }
 
-/// What one shard produced: answers in its queue order, plus the number
-/// of epoch tables its walks probed.
+/// What one shard produced: answers in its queue order, plus the
+/// directory epochs its queries fell through (see [`run_shard`]).
 struct ShardOut {
     answers: Vec<Option<Token>>,
     fallthrough: u64,
@@ -298,34 +298,24 @@ pub fn serve(mount: &Mount<'_>, plan: &LoadPlan, cfg: &ServeConfig) -> ServeOutc
     }
 }
 
-/// Serves one shard's queue serially, reading its OMC's retained epoch
-/// tables in place.
+/// Serves one shard's queue serially through its OMC's per-line version
+/// index ([`nvoverlay::mnm::Omc::version_at`]).
 ///
-/// `readers[i]` views the directory's `i`-th epoch on this shard's OMC
-/// (`None` where that OMC reclaimed, compacted, or never had it), so a
-/// walk over `dir().through(E)` is a reverse scan of a prefix. Every
-/// directory epoch visited counts toward `fallthrough`, readable or not.
+/// `fallthrough` counts, per query, the directory epochs from `E` down
+/// to the answering one (all of `dir().through(E)` when there is no
+/// answer): the epochs a fall-through walk over the retained tables
+/// would visit. It is computed from the answering epoch's directory
+/// position, not by walking.
 fn run_shard(mount: &Mount<'_>, shard: usize, queue: &[Query]) -> ShardOut {
     let omc = &mount.mnm().omcs()[shard / mount.subshards()];
-    let readers: Vec<_> = mount
-        .dir()
-        .epochs()
-        .iter()
-        .map(|&(e, _)| omc.epoch_reader(e))
-        .collect();
     let mut answers = Vec::with_capacity(queue.len());
     let mut fallthrough = 0u64;
     for q in queue {
-        let visible = &readers[..mount.dir().through(q.epoch).len()];
-        let mut ans = None;
-        for r in visible.iter().rev() {
-            fallthrough += 1;
-            if let Some(tok) = r.and_then(|r| r.get(q.line)) {
-                ans = Some(tok);
-                break;
-            }
-        }
-        answers.push(ans);
+        let visible = mount.dir().through(q.epoch);
+        let ans = omc.version_at(q.line, q.epoch);
+        let below = ans.map_or(0, |(e, _)| visible.partition_point(|&(x, _)| x < e));
+        fallthrough += (visible.len() - below) as u64;
+        answers.push(ans.map(|(_, token)| token));
     }
     ShardOut {
         answers,
@@ -390,16 +380,14 @@ mod tests {
                     let want = m.time_travel(line, batch.epoch);
                     // Redundant single query through a fresh shard run:
                     let shard = mount.shard_of(line);
-                    let got = run_shard(
-                        &mount,
-                        shard,
-                        &[Query {
-                            line,
-                            epoch: batch.epoch,
-                        }],
-                    )
-                    .answers[0];
-                    assert_eq!(got, want, "line {line:?} @ {}", batch.epoch);
+                    let query = [Query {
+                        line,
+                        epoch: batch.epoch,
+                    }];
+                    let got = run_shard(&mount, shard, &query);
+                    assert_eq!(got.answers[0], want, "line {line:?} @ {}", batch.epoch);
+                    let walked = walk_shard(&mount, shard, &query);
+                    assert_eq!((got.answers, got.fallthrough), walked);
                 }
             }
         }
@@ -468,9 +456,40 @@ mod tests {
         assert_eq!(out.report.hit_rate(), 1.0);
     }
 
+    /// The fall-through walk shards made before the per-line version
+    /// index, kept as the reference for [`run_shard`]: one
+    /// `epoch_reader` per directory epoch on the shard's OMC, scanned
+    /// backwards from each query's epoch. Returns the answers and the
+    /// directory epochs visited.
+    fn walk_shard(mount: &Mount<'_>, shard: usize, queue: &[Query]) -> (Vec<Option<Token>>, u64) {
+        let omc = &mount.mnm().omcs()[shard / mount.subshards()];
+        let readers: Vec<_> = mount
+            .dir()
+            .epochs()
+            .iter()
+            .map(|&(e, _)| omc.epoch_reader(e))
+            .collect();
+        let mut answers = Vec::with_capacity(queue.len());
+        let mut visited = 0u64;
+        for q in queue {
+            let visible = &readers[..mount.dir().through(q.epoch).len()];
+            let mut ans = None;
+            for r in visible.iter().rev() {
+                visited += 1;
+                if let Some(tok) = r.and_then(|r| r.get(q.line)) {
+                    ans = Some(tok);
+                    break;
+                }
+            }
+            answers.push(ans);
+        }
+        (answers, visited)
+    }
+
     /// Serves every line at every epoch up to the newest one seen (one
     /// `run_shard` call per shard) and checks, per OMC and epoch, that the
-    /// served answer equals `Mnm::time_travel`, that `epoch_reader` exists
+    /// served answer and `fallthrough` equal the reference walk's, that
+    /// the answer equals `Mnm::time_travel`, that `epoch_reader` exists
     /// exactly when `epochs()` flags the epoch readable there, and that it
     /// agrees with `epoch_delta` line for line. Returns, per epoch, the
     /// readable flag on each OMC (`false` when reclaimed or absent).
@@ -485,6 +504,8 @@ mod tests {
         }
         for (shard, queue) in queues.iter().enumerate() {
             let out = run_shard(&mount, shard, queue);
+            let walked = walk_shard(&mount, shard, queue);
+            assert_eq!((&out.answers, out.fallthrough), (&walked.0, walked.1));
             for (q, got) in queue.iter().zip(&out.answers) {
                 let want = m.time_travel(q.line, q.epoch);
                 assert_eq!(*got, want, "line {:?} @ {}", q.line, q.epoch);

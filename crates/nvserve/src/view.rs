@@ -135,7 +135,7 @@ impl EpochDirectory {
     /// # Errors
     /// The same [`QueryError`] taxonomy as the store-level resolver:
     /// epoch 0, not yet recoverable, outside the 16-bit sense window, or
-    /// reclaimed/compacted away.
+    /// reclaimed.
     pub fn resolve(&self, epoch: u64) -> Result<EpochView, QueryError> {
         if epoch == 0 {
             return Err(QueryError::EpochZero);
@@ -275,12 +275,11 @@ impl<'a> Mount<'a> {
     }
 
     /// Copies `shard`'s slice of `epoch`'s incremental delta into a
-    /// lookup table (empty when the epoch is unreadable there, matching
-    /// `Omc::time_travel`'s transparent fall-through past reclaimed or
-    /// compacted epochs).
+    /// lookup table (empty when the epoch's table was reclaimed there,
+    /// matching `Omc::time_travel`, which skips reclaimed epochs).
     ///
-    /// An inspection helper: serving never calls it, as shards read the
-    /// retained tables in place through `Omc::epoch_reader`.
+    /// An inspection helper: serving never calls it, as shards read
+    /// through their OMC's per-line version index (`Omc::version_at`).
     pub fn materialize(&self, epoch: u64, shard: usize) -> FastMap<LineAddr, Token> {
         let omc = shard / self.subshards;
         match self.mnm.omcs()[omc].epoch_delta(epoch) {

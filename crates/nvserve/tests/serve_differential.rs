@@ -5,8 +5,8 @@
 //! For each workload the test replays a scaled-down trace through the
 //! full NVOverlay system, mounts the durable state, and submits one
 //! batch per servable epoch covering a stride-sample of the recovered
-//! key universe through the real serve engine (shard queues, direct
-//! epoch-table readers, worker threads). Every answer must:
+//! key universe through the real serve engine (shard queues, the OMCs'
+//! per-line version index, worker threads). Every answer must:
 //!
 //! 1. equal `Mnm::time_travel(line, epoch)` — the reference reader the
 //!    recovery module tests pin against the paper's §V-E semantics;
@@ -17,7 +17,8 @@
 //!
 //! The whole report (including the answer digest) must serialize
 //! byte-identically for 1, 2, 4, and 8 workers, and its identity fields
-//! (digest, answer split, tables probed) are pinned to constants.
+//! (digest, answer split, epochs fallen through) are pinned to
+//! constants.
 
 use nvchaos::TraceOracle;
 use nvoverlay::system::NvOverlaySystem;
