@@ -1,22 +1,11 @@
 //! `nvo` — command-line driver for the NVOverlay reproduction.
 //!
-//! ```text
-//! nvo list
-//! nvo run --workload B+Tree --scheme NVOverlay [--scale quick|standard|full] [--shards N] [--json] [--stats-out s.json]
-//! nvo run --trace t.nvtr --scheme PiCL
-//! nvo trace-gen --workload kmeans --out t.nvtr [--scale quick]
-//! nvo trace B+Tree --scheme NVOverlay [--scale quick] [--trace-out t.json] [--stats-out s.json]
-//! nvo snapshots --workload RBTree [--scale quick]
-//! nvo chaos B+Tree --scheme nvoverlay --sites 200 --seed 7 [--jobs N] [--out report.json]
-//! nvo profile B+Tree --scheme NVOverlay --shards 4 [--scale quick] [--out p.json] [--structural-out s.json] [--chrome c.json]
-//! nvo serve B+Tree --sessions 8 --batch 32 --epochs all --workers 4 [--seed S] [--out serve.json] [--stats-out s.json]
-//! nvo query B+Tree --key 0x1f40 --epoch 7
-//! nvo backup B+Tree --store ./snaps --name nightly [--upto E] [--scale quick]
-//! nvo restore --store ./snaps --name nightly [--verify]
-//! nvo store ls|rm|gc|validate --store ./snaps [--name N] [--purge]
-//! nvo chaos B+Tree --store --sites 200 --seed 7 [--jobs N] [--out report.json]
-//! nvo perf [--jobs N] [--shards N] [--profile] [--serve] [--scale quick|standard|full] [--out BENCH_perf.json] [--baseline <file>]
-//! ```
+//! Each subcommand declares its flags once, in the [`CMDS`] table: name,
+//! value kind, default, whether the flag is required or positional, and
+//! one line of help. `nvo` with no arguments prints the synopsis
+//! generated from that table, and a usage error prints the subcommand's
+//! flags with their help. An unknown or repeated flag, a missing or bad
+//! value, and an argument that is not UTF-8 all exit 2.
 //!
 //! `nvo trace` needs the `trace` cargo feature
 //! (`cargo build --release -p nvbench --features trace`); the stock
@@ -34,6 +23,7 @@
 //! | 20–22 | `MountError` | Recovery 20, BufferNotDrained 21, nothing-to-serve 22 |
 //! | 30–39 | `StoreError` | Io 30, Checksum 31, TornManifest 32, MissingLayer 33, RefcountUnderflow 34, SchemaVersion 35, BackupNotFound 36, BackupExists 37, UnreadableEpoch 38, BufferNotDrained 39 |
 
+use nvbench::json::{self, JsonValue};
 use nvbench::{
     bottleneck_table, chrome_profile_json, chrome_trace_json, default_jobs, gen_traces,
     profile_json, profile_structural_json, registry_json, run_matrix_stats, run_scheme_sharded,
@@ -50,15 +40,417 @@ use nvsim::trace::Trace;
 use nvstore::{DiskIo, SnapshotExport, Store, StoreError};
 use nvworkloads::{generate, Workload};
 use std::collections::HashMap;
+use std::ffi::OsString;
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  nvo list\n  nvo run --workload <name> --scheme <name> [--scale quick|standard|full] [--shards N] [--json] [--stats-out <file>]\n  nvo run --trace <file.nvtr> --scheme <name>\n  nvo trace-gen --workload <name> --out <file.nvtr> [--scale ...]\n  nvo trace <workload> --scheme <name> [--scale ...] [--trace-out <file>] [--stats-out <file>] [--buffer-cap N] [--sample N]\n  nvo snapshots --workload <name> [--scale ...]\n  nvo diff --workload <name> --from <epoch> --to <epoch> [--scale ...]\n  nvo chaos <workload> --scheme nvoverlay|sw-undo [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--stress-backpressure] [--broken-recovery] [--out <file>] [--json]\n  nvo chaos <workload> --store [--sites N] [--seed S] [--scale ...] [--jobs N] [--torn-p P] [--flip-p P] [--out <file>] [--json]\n  nvo profile <workload> [--scheme <name>] [--shards N] [--scale ...] [--out <file>] [--structural-out <file>] [--chrome <file>] [--json]\n  nvo serve <workload> [--sessions N] [--batches K] [--batch B] [--epochs all|latest|A..B] [--workers W] [--subshards S] [--seed S] [--theta T] [--no-probes] [--scale ...] [--out <file>] [--stats-out <file>] [--json]\n  nvo query <workload> --key <byte-addr> [--epoch E|latest] [--scale ...]\n  nvo backup <workload> --store <dir> [--name <backup>] [--upto E] [--scale ...]\n  nvo restore --store <dir> [--name <backup>] [--verify]\n  nvo store <ls|rm|gc|validate> --store <dir> [--name <backup>] [--purge]\n  nvo perf [--jobs N] [--shards N] [--profile] [--serve] [--scale ...] [--out BENCH_perf.json] [--serve-out BENCH_serve.json] [--baseline <file>]"
-    );
+/// How a flag's value is written and checked.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A switch that takes no value.
+    Bool,
+    /// An integer ≥ 1.
+    Pos,
+    Int,
+    /// A number in `[lo, hi]`; a probability is `Real(0.0, 1.0)`.
+    Real(f64, f64),
+    Path,
+    Text,
+    /// One of these names, spelled exactly.
+    Enum(&'static [&'static str]),
+    Workload,
+    Scheme,
+    /// A byte address, decimal or `0x`-hex.
+    Addr,
+    /// An epoch number or `latest`.
+    Epoch,
+    /// `all`, `latest` or `<lo>..<hi>`.
+    Epochs,
+}
+
+impl Kind {
+    /// Whether `v` is a value of this kind.
+    fn admits(self, v: &str) -> bool {
+        match self {
+            Kind::Bool => false,
+            Kind::Pos => usize::read(v).is_some_and(|n| n >= 1),
+            Kind::Int => v.parse::<u64>().is_ok(),
+            Kind::Real(lo, hi) => f64::read(v).is_some_and(|x| (lo..=hi).contains(&x)),
+            Kind::Path | Kind::Text => true,
+            Kind::Enum(names) => names.contains(&v),
+            Kind::Workload => Workload::read(v).is_some(),
+            Kind::Scheme => Scheme::read(v).is_some(),
+            Kind::Addr => u64::read(v).is_some(),
+            Kind::Epoch => v == "latest" || v.parse::<u64>().is_ok(),
+            Kind::Epochs => EpochSelect::read(v).is_some(),
+        }
+    }
+
+    /// The value's placeholder in usage text.
+    fn meta(self) -> String {
+        match self {
+            Kind::Bool => String::new(),
+            Kind::Pos => "<n≥1>".into(),
+            Kind::Int => "<n>".into(),
+            Kind::Real(lo, hi) => format!("<{lo}..{hi}>"),
+            Kind::Path => "<path>".into(),
+            Kind::Text => "<name>".into(),
+            Kind::Enum(names) => names.join("|"),
+            Kind::Workload => "<workload>".into(),
+            Kind::Scheme => "<scheme>".into(),
+            Kind::Addr => "<addr>".into(),
+            Kind::Epoch => "<epoch>|latest".into(),
+            Kind::Epochs => "all|latest|<lo>..<hi>".into(),
+        }
+    }
+}
+
+/// Whether a flag must be given, and how.
+#[derive(Clone, Copy, PartialEq)]
+enum Req {
+    Opt,
+    Required,
+    /// Optional, and a bare argument fills it too.
+    Positional,
+}
+
+/// One row of a subcommand's flag table.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// Read as if given when the flag is absent.
+    default: Option<&'static str>,
+    req: Req,
+    help: &'static str,
+}
+
+/// A subcommand: its words after `nvo`, its body and its flag table.
+struct Cmd {
+    name: &'static str,
+    run: fn(&Args),
+    flags: &'static [Flag],
+}
+
+/// The flag tables, one row per line: rows several subcommands share,
+/// then every subcommand with the only flags it takes.
+#[rustfmt::skip]
+mod table {
+use super::*;
+use Kind as K;
+use Req::{Opt, Positional, Required};
+
+const fn row(name: &'static str, kind: Kind, default: Option<&'static str>, req: Req, help: &'static str) -> Flag {
+    Flag { name, kind, default, req, help }
+}
+
+// Rows that several subcommands share.
+const WORKLOAD: Flag = row("workload", K::Workload, None, Positional, "workload (see `nvo list`)");
+// Where a bare workload was never taken, only `--workload` is.
+const WORKLOAD_FLAG: Flag = Flag { req: Opt, ..WORKLOAD };
+const SCALE: Flag = row("scale", K::Enum(&["quick", "standard", "full"]), Some("standard"), Opt, "run size");
+const JSON: Flag = row("json", K::Bool, None, Opt, "print the JSON report instead of text");
+const OUT: Flag = row("out", K::Path, None, Opt, "write the JSON report to this file");
+const SEED: Flag = row("seed", K::Int, None, Opt, "seed of the load or the faults");
+const JOBS: Flag = row("jobs", K::Pos, None, Opt, "worker threads [default: NVO_JOBS, else all]");
+const SCHEME: Flag = row("scheme", K::Scheme, Some("NVOverlay"), Opt, "scheme (see `nvo list`)");
+const STATS_OUT: Flag = row("stats-out", K::Path, None, Opt, "write the metrics registry to this file");
+const STORE: Flag = row("store", K::Path, None, Required, "snapshot store directory");
+const NAME: Flag = row("name", K::Text, Some("snapshot"), Opt, "backup name");
+const PROB: Kind = K::Real(0.0, 1.0);
+
+/// Every subcommand and the only flags it takes, in usage order.
+pub(super) static CMDS: &[Cmd] = &[
+    Cmd { name: "list", run: cmd_list, flags: &[] },
+    Cmd { name: "run", run: cmd_run, flags: &[
+        WORKLOAD_FLAG,
+        row("trace", K::Path, None, Opt, "replay this .nvtr trace instead of a workload"),
+        row("scheme", K::Scheme, None, Required, "scheme (see `nvo list`)"),
+        SCALE,
+        row("shards", K::Pos, None, Opt, "replay island-sharded on this many workers"),
+        JSON, STATS_OUT,
+    ] },
+    Cmd { name: "trace-gen", run: cmd_trace_gen, flags: &[
+        WORKLOAD_FLAG, SCALE,
+        row("out", K::Path, None, Required, "the .nvtr file to write"),
+    ] },
+    Cmd { name: "trace", run: cmd_trace, flags: &[
+        WORKLOAD, SCHEME, SCALE,
+        row("trace-out", K::Path, Some("nvo_trace.json"), Opt, "the Chrome trace to write"),
+        STATS_OUT,
+        row("buffer-cap", K::Pos, None, Opt, "event ring capacity"),
+        row("sample", K::Pos, None, Opt, "keep one event in this many"),
+    ] },
+    Cmd { name: "snapshots", run: cmd_snapshots, flags: &[WORKLOAD_FLAG, SCALE] },
+    Cmd { name: "diff", run: cmd_diff, flags: &[
+        WORKLOAD_FLAG, SCALE,
+        row("from", K::Int, None, Required, "older epoch"),
+        row("to", K::Int, None, Required, "newer epoch"),
+    ] },
+    Cmd { name: "chaos", run: cmd_chaos, flags: &[
+        WORKLOAD,
+        row("scheme", K::Enum(&["nvoverlay", "sw-undo", "store"]), Some("nvoverlay"), Opt,
+            "crash NVOverlay, the SW undo log or the backup store"),
+        row("sites", K::Pos, None, Opt, "crash sites to explore"),
+        SEED, SCALE, JOBS,
+        row("torn-p", PROB, None, Opt, "probability that a boundary write tears"),
+        row("flip-p", PROB, None, Opt, "probability of a bit flip"),
+        row("stress-backpressure", K::Bool, None, Opt, "depth-1 NVM queue at 4x latency"),
+        row("broken-recovery", K::Bool, None, Opt, "self-test: recover without the rec-epoch filter"),
+        OUT, JSON,
+    ] },
+    Cmd { name: "profile", run: cmd_profile, flags: &[
+        WORKLOAD, SCHEME,
+        row("shards", K::Pos, None, Opt, "workers [default: the host's parallelism]"),
+        SCALE, OUT,
+        row("structural-out", K::Path, None, Opt, "write only the deterministic counters here"),
+        row("chrome", K::Path, None, Opt, "write a Perfetto trace here"),
+        JSON,
+    ] },
+    Cmd { name: "serve", run: cmd_serve, flags: &[
+        WORKLOAD,
+        row("sessions", K::Pos, None, Opt, "concurrent sessions"),
+        row("batches", K::Pos, None, Opt, "batches per session"),
+        row("batch", K::Pos, None, Opt, "keys per batch"),
+        row("epochs", K::Epochs, None, Opt, "epochs the load reads"),
+        row("workers", K::Pos, None, Opt, "worker threads"),
+        row("subshards", K::Pos, None, Opt, "shards per OMC"),
+        SEED,
+        row("theta", K::Real(0.0, 5.0), None, Opt, "Zipf skew of the keys"),
+        row("no-probes", K::Bool, None, Opt, "leave out the bad-epoch probe batches"),
+        SCALE, OUT, STATS_OUT, JSON,
+    ] },
+    Cmd { name: "query", run: cmd_query, flags: &[
+        WORKLOAD,
+        row("key", K::Addr, None, Required, "byte address to read"),
+        row("epoch", K::Epoch, Some("latest"), Opt, "epoch to read as of"),
+        SCALE,
+    ] },
+    Cmd { name: "backup", run: cmd_backup, flags: &[
+        WORKLOAD, STORE, NAME,
+        row("upto", K::Int, None, Opt, "back up the epochs up to this one"),
+        SCALE,
+    ] },
+    Cmd { name: "restore", run: cmd_restore, flags: &[
+        STORE, NAME,
+        row("verify", K::Bool, None, Opt, "mount it and check reads against the master"),
+    ] },
+    Cmd { name: "store ls", run: cmd_store_ls, flags: &[STORE] },
+    Cmd { name: "store rm", run: cmd_store_rm, flags: &[
+        STORE,
+        row("name", K::Text, None, Required, "backup to remove"),
+    ] },
+    Cmd { name: "store gc", run: cmd_store_gc, flags: &[
+        STORE,
+        row("purge", K::Bool, None, Opt, "delete the quarantined layers"),
+    ] },
+    Cmd { name: "store validate", run: cmd_store_validate, flags: &[STORE] },
+    Cmd { name: "perf", run: cmd_perf, flags: &[
+        JOBS,
+        row("shards", K::Pos, Some("1"), Opt, "headline workers of the sharded passes"),
+        row("profile", K::Bool, None, Opt, "add the profiled sharded pass and its gates"),
+        row("serve", K::Bool, None, Opt, "add the serve pass and its gates"),
+        SCALE,
+        row("out", K::Path, Some("BENCH_perf.json"), Opt, "the report to write"),
+        row("serve-out", K::Path, Some("BENCH_serve.json"), Opt, "the serve report to write"),
+        row("baseline", K::Path, None, Opt, "gate against this report"),
+    ] },
+];
+}
+use table::CMDS;
+
+/// A typed reading of a flag's checked text; `None` if the text is not
+/// of this type, as `--epoch latest` is not a number.
+trait Read<'a>: Sized {
+    fn read(v: &'a str) -> Option<Self>;
+}
+
+macro_rules! read {
+    ($($t:ty: |$v:ident| $e:expr;)*) => {$(
+        impl<'a> Read<'a> for $t {
+            fn read($v: &'a str) -> Option<Self> {
+                $e
+            }
+        }
+    )*};
+}
+
+read! {
+    u64: |v| match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    };
+    usize: |v| v.parse().ok();
+    f64: |v| v.parse().ok();
+    &'a str: |v| Some(v);
+    Workload: |v| Workload::from_name(v);
+    Scheme: |v| Scheme::from_name(v);
+    EnvScale: |v| match v {
+        "quick" => Some(EnvScale::Quick),
+        "standard" => Some(EnvScale::Standard),
+        "full" => Some(EnvScale::Full),
+        _ => None,
+    };
+    EpochSelect: |v| match v {
+        "all" => Some(EpochSelect::All),
+        "latest" => Some(EpochSelect::Latest),
+        _ => match v.split_once("..").map(|(lo, hi)| (lo.parse(), hi.parse())) {
+            Some((Ok(lo), Ok(hi))) if lo <= hi => Some(EpochSelect::Range(lo, hi)),
+            _ => None,
+        },
+    };
+}
+
+/// A parsed command line: the subcommand and one slot per table row.
+struct Args {
+    cmd: &'static Cmd,
+    vals: Vec<Option<String>>,
+}
+
+impl Args {
+    /// The value of row `name`, given or defaulted.
+    ///
+    /// # Panics
+    /// If `name` is not in the subcommand's table, a bug that the
+    /// `every_read_is_in_its_table` test catches.
+    fn value(&self, name: &str) -> Option<&str> {
+        let i = self.cmd.flags.iter().position(|f| f.name == name);
+        self.vals[i.unwrap_or_else(|| panic!("--{name} is not in `nvo {}`", self.cmd.name))]
+            .as_deref()
+    }
+
+    /// Whether the flag was given or has a default.
+    fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The typed value; `None` when absent or not of type `T`.
+    fn get<'a, T: Read<'a>>(&'a self, name: &str) -> Option<T> {
+        self.value(name).and_then(T::read)
+    }
+
+    /// The typed value of a row that is required or has a default.
+    fn req<'a, T: Read<'a>>(&'a self, name: &str) -> T {
+        self.get(name)
+            .unwrap_or_else(|| panic!("--{name} is neither required nor defaulted"))
+    }
+
+    /// Overwrites `slot` if the flag was given.
+    fn set<'a, T: Read<'a>>(&'a self, name: &str, slot: &mut T) {
+        if let Some(v) = self.get(name) {
+            *slot = v;
+        }
+    }
+}
+
+/// A refused command line, with the subcommand it named if any.
+struct UsageError(Option<&'static Cmd>, String);
+
+/// Parses `<subcommand> [args]` against the subcommand's table.
+fn parse(argv: &[OsString]) -> Result<Args, UsageError> {
+    let mut words = Vec::with_capacity(argv.len());
+    for a in argv {
+        let w = a.to_str();
+        words.push(w.ok_or_else(|| UsageError(None, format!("argument {a:?} is not UTF-8")))?);
+    }
+    let arity = |c: &Cmd| c.name.split(' ').count();
+    let Some(cmd) = CMDS
+        .iter()
+        .find(|c| c.name.split(' ').eq(words.iter().take(arity(c)).copied()))
+    else {
+        let msg = match words.first() {
+            Some(w) => format!("unknown subcommand {w:?}"),
+            None => "a subcommand is required".into(),
+        };
+        return Err(UsageError(None, msg));
+    };
+    let fail = |msg: String| Err(UsageError(Some(cmd), msg));
+    let mut vals = vec![None; cmd.flags.len()];
+    let mut rest = words[arity(cmd)..].iter().copied().peekable();
+    while let Some(w) = rest.next() {
+        let (i, raw) = match w.strip_prefix("--") {
+            Some(name) => match cmd.flags.iter().position(|f| f.name == name) {
+                None => return fail(format!("unknown flag {w}")),
+                Some(i) if matches!(cmd.flags[i].kind, Kind::Bool) => (i, None),
+                Some(i) => match rest.next_if(|v| !v.starts_with("--")) {
+                    None => return fail(format!("{w} needs a value")),
+                    v => (i, v),
+                },
+            },
+            None => match cmd.flags.iter().position(|f| f.req == Req::Positional) {
+                Some(i) if vals[i].is_none() => (i, Some(w)),
+                _ => return fail(format!("unexpected argument {w:?}")),
+            },
+        };
+        let f = &cmd.flags[i];
+        if vals[i].is_some() {
+            return fail(format!("--{} is given twice", f.name));
+        }
+        if let Some(v) = raw.filter(|v| !f.kind.admits(v)) {
+            return fail(format!("--{} expects {}, got {v:?}", f.name, f.kind.meta()));
+        }
+        // A switch's slot holds the empty text.
+        vals[i] = Some(raw.unwrap_or("").to_string());
+    }
+    for (f, v) in cmd.flags.iter().zip(&mut vals) {
+        match (&v, f.default) {
+            (None, Some(d)) => *v = Some(d.to_string()),
+            (None, None) if f.req == Req::Required => {
+                return fail(format!("--{} is required", f.name))
+            }
+            _ => {}
+        }
+    }
+    Ok(Args { cmd, vals })
+}
+
+/// The synopsis of every subcommand, or one subcommand's flags with help.
+fn usage(cmd: Option<&Cmd>) -> String {
+    let flag = |f: &Flag| format!("--{} {}", f.name, f.kind.meta());
+    let synopsis = |c: &Cmd| {
+        let mut s = format!("nvo {}", c.name);
+        for f in c.flags {
+            s += &match f.req {
+                Req::Required => format!(" {}", flag(f)),
+                Req::Opt => format!(" [{}]", flag(f).trim_end()),
+                Req::Positional => format!(" [{}]", f.kind.meta()),
+            };
+        }
+        s
+    };
+    let Some(c) = cmd else {
+        return CMDS
+            .iter()
+            .fold("usage:\n".into(), |s, c| s + "  " + &synopsis(c) + "\n");
+    };
+    let mut s = format!("usage: {}\n", synopsis(c));
+    for f in c.flags {
+        let default = f
+            .default
+            .map_or(String::new(), |d| format!(" [default: {d}]"));
+        s += &format!("  {:<34} {}{default}\n", flag(f), f.help);
+    }
+    s
+}
+
+/// Prints the refusal and the usage, and exits 2.
+fn refuse(UsageError(cmd, msg): UsageError) -> ! {
+    eprint!("{msg}\n{}", usage(cmd));
     exit(2)
+}
+
+/// Refuses a command line the table admits but the subcommand cannot run.
+fn usage_error(a: &Args, msg: &str) -> ! {
+    refuse(UsageError(Some(a.cmd), msg.to_string()))
+}
+
+/// Writes an output file, or exits 1 saying why not.
+fn write_out(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1);
+    });
 }
 
 /// Typed-error exits: print `error[<Variant>]: <message>` and exit with
@@ -101,78 +493,15 @@ fn exit_store(e: &StoreError) -> ! {
     })
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--") {
-            if key == "json"
-                || key == "stress-backpressure"
-                || key == "broken-recovery"
-                || key == "profile"
-                || key == "serve"
-                || key == "no-probes"
-                || key == "verify"
-                || key == "purge"
-            {
-                out.insert(key.to_string(), "1".into());
-                i += 1;
-            } else if key == "store" && args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
-                // `--store` is a mode toggle for `nvo chaos` (no value)
-                // but takes a directory everywhere else.
-                out.insert(key.to_string(), "1".into());
-                i += 1;
-            } else if i + 1 < args.len() {
-                out.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                eprintln!("flag --{key} needs a value");
-                usage();
-            }
-        } else {
-            eprintln!("unexpected argument {a:?}");
-            usage();
-        }
-    }
-    out
-}
-
-fn scale_of(flags: &HashMap<String, String>) -> EnvScale {
-    match flags.get("scale").map(String::as_str) {
-        Some("quick") => EnvScale::Quick,
-        Some("full") => EnvScale::Full,
-        Some("standard") | None => EnvScale::Standard,
-        Some(other) => {
-            eprintln!("unknown scale {other:?}");
-            usage();
-        }
-    }
-}
-
-fn load_workload(flags: &HashMap<String, String>, scale: EnvScale) -> Trace {
-    if let Some(path) = flags.get("trace") {
-        let f = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open {path}: {e}");
-            exit(1);
-        });
-        return nvsim::trace_io::read_trace(std::io::BufReader::new(f)).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1);
-        });
-    }
-    let Some(wname) = flags.get("workload") else {
-        eprintln!("--workload or --trace is required");
-        usage();
-    };
-    let Some(w) = Workload::from_name(wname) else {
-        eprintln!("unknown workload {wname:?} (see `nvo list`)");
-        exit(2);
+/// Generates the workload named bare or by `--workload`.
+fn load_workload(a: &Args, scale: EnvScale) -> Trace {
+    let Some(w) = a.get("workload") else {
+        usage_error(a, "a workload is required");
     };
     generate(w, &scale.suite_params())
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) {
     println!("workloads:");
     for w in Workload::ALL {
         println!("  {w}");
@@ -183,23 +512,29 @@ fn cmd_list() {
     }
 }
 
-fn cmd_run(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
-    let Some(sname) = flags.get("scheme") else {
-        eprintln!("--scheme is required");
-        usage();
+fn cmd_run(a: &Args) {
+    let scale: EnvScale = a.req("scale");
+    let trace = match a.get::<&str>("trace") {
+        Some(_) if a.has("workload") => usage_error(a, "give a workload or --trace, not both"),
+        Some(path) => {
+            let f = std::fs::File::open(path).unwrap_or_else(|e| {
+                eprintln!("cannot open {path}: {e}");
+                exit(1);
+            });
+            nvsim::trace_io::read_trace(std::io::BufReader::new(f)).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                exit(1);
+            })
+        }
+        None => load_workload(a, scale),
     };
-    let Some(scheme) = Scheme::from_name(sname) else {
-        eprintln!("unknown scheme {sname:?} (see `nvo list`)");
-        exit(2);
-    };
+    let scheme: Scheme = a.req("scheme");
     let cfg = Arc::new(scale.sim_config());
     // `--shards N` replays through the island-sharded runner. Results
     // are invariant to N, so CI compares the outputs of different
     // counts byte-for-byte (sharded results intentionally differ from
     // the serial path's: islands are independent sub-machines).
-    let (r, reg) = match shards_requested(&flags) {
+    let (r, reg) = match a.get("shards") {
         Some(n) => {
             let run = run_scheme_sharded(scheme, &cfg, &trace.to_packed(), n);
             (run.result, run.metrics)
@@ -209,15 +544,12 @@ fn cmd_run(flags: HashMap<String, String>) {
             (r, reg)
         }
     };
-    if let Some(path) = flags.get("stats-out") {
-        let wname = flags.get("workload").map(String::as_str).unwrap_or("-");
+    if let Some(path) = a.get::<&str>("stats-out") {
+        let wname = a.get("workload").unwrap_or("-");
         let json = registry_json(&reg, &[("scheme", scheme.name()), ("workload", wname)]);
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        write_out(path, json);
     }
-    if flags.contains_key("json") {
+    if a.has("json") {
         println!(
             "{{\"scheme\":\"{}\",\"cycles\":{},\"stall_cycles\":{},\"data_bytes\":{},\"log_bytes\":{},\"meta_bytes\":{},\"context_bytes\":{},\"data_writes\":{},\"epochs\":{},\"evict\":{{\"capacity\":{},\"coherence_log\":{},\"tag_walk\":{},\"store_evict\":{}}}}}",
             scheme.name(),
@@ -255,13 +587,9 @@ fn cmd_run(flags: HashMap<String, String>) {
     }
 }
 
-fn cmd_trace_gen(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
-    let Some(out) = flags.get("out") else {
-        eprintln!("--out is required");
-        usage();
-    };
+fn cmd_trace_gen(a: &Args) {
+    let trace = load_workload(a, a.req("scale"));
+    let out: &str = a.req("out");
     let f = std::fs::File::create(out).unwrap_or_else(|e| {
         eprintln!("cannot create {out}: {e}");
         exit(1);
@@ -282,48 +610,28 @@ fn cmd_trace_gen(flags: HashMap<String, String>) {
 /// `nvo trace` — one instrumented run with the structured-event tracer
 /// on, exporting a Perfetto-loadable Chrome trace and (optionally) the
 /// flat metrics registry.
-fn cmd_trace(flags: HashMap<String, String>) {
+fn cmd_trace(a: &Args) {
     if !nvsim::nvtrace::compiled_in() {
         eprintln!(
             "nvo trace requires the `trace` feature; rebuild with\n  cargo build --release -p nvbench --features trace"
         );
         exit(2);
     }
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
-    let sname = flags
-        .get("scheme")
-        .map(String::as_str)
-        .unwrap_or("NVOverlay");
-    let Some(scheme) = Scheme::from_name(sname) else {
-        eprintln!("unknown scheme {sname:?} (see `nvo list`)");
-        exit(2);
-    };
+    let scale: EnvScale = a.req("scale");
+    let trace = load_workload(a, scale);
+    let scheme: Scheme = a.req("scheme");
     let mut tcfg = nvsim::nvtrace::TraceConfig::default();
-    if let Some(v) = flags.get("buffer-cap") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => tcfg.capacity = n,
-            _ => {
-                eprintln!("--buffer-cap must be a positive integer, got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(v) = flags.get("sample") {
-        match v.parse::<u32>() {
-            Ok(n) if n >= 1 => tcfg.sample_every = n,
-            _ => {
-                eprintln!("--sample must be a positive integer, got {v:?}");
-                exit(2);
-            }
-        }
+    a.set("buffer-cap", &mut tcfg.capacity);
+    if let Some(n) = a.get::<usize>("sample") {
+        tcfg.sample_every =
+            u32::try_from(n).unwrap_or_else(|_| usage_error(a, "--sample must fit in 32 bits"));
     }
     let cfg = Arc::new(scale.sim_config());
     nvsim::nvtrace::install(tcfg);
     let (res, _stats, reg) = run_scheme_stats(scheme, &cfg, &trace.to_packed());
     let log = nvsim::nvtrace::take().expect("tracer was installed");
 
-    let wname = flags.get("workload").map(String::as_str).unwrap_or("-");
+    let wname = a.get("workload").unwrap_or("-");
     println!(
         "traced {} on {}: {} cycles, {} events kept ({} accepted, {} overwritten, {} sampled out)",
         scheme.name(),
@@ -341,35 +649,22 @@ fn cmd_trace(flags: HashMap<String, String>) {
         }
     }
 
-    let trace_out = flags
-        .get("trace-out")
-        .cloned()
-        .unwrap_or_else(|| "nvo_trace.json".to_string());
+    let trace_out: &str = a.req("trace-out");
     let meta = ChromeMeta {
         scheme: scheme.name().to_string(),
         workload: wname.to_string(),
     };
-    std::fs::write(&trace_out, chrome_trace_json(&log, &meta)).unwrap_or_else(|e| {
-        eprintln!("cannot write {trace_out}: {e}");
-        exit(1);
-    });
+    write_out(trace_out, chrome_trace_json(&log, &meta));
     println!("  wrote {trace_out} (load it at ui.perfetto.dev)");
-    if let Some(path) = flags.get("stats-out") {
+    if let Some(path) = a.get::<&str>("stats-out") {
         let json = registry_json(&reg, &[("scheme", scheme.name()), ("workload", wname)]);
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        write_out(path, json);
         println!("  wrote {path}");
     }
 }
 
-fn cmd_snapshots(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
-    let cfg = scale.sim_config();
-    let mut sys = NvOverlaySystem::new(&cfg);
-    let _ = Runner::new().run(&mut sys, &trace);
+fn cmd_snapshots(a: &Args) {
+    let sys = replay_nvoverlay(a);
     let store = sys.snapshots();
     println!("recoverable epoch: {}", store.recoverable_epoch());
     let epochs = store.epochs();
@@ -395,23 +690,12 @@ fn cmd_snapshots(flags: HashMap<String, String>) {
     );
 }
 
-fn cmd_diff(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
-    let (Some(from), Some(to)) = (
-        flags.get("from").and_then(|v| v.parse::<u64>().ok()),
-        flags.get("to").and_then(|v| v.parse::<u64>().ok()),
-    ) else {
-        eprintln!("--from <epoch> and --to <epoch> are required");
-        usage();
-    };
+fn cmd_diff(a: &Args) {
+    let (from, to): (u64, u64) = (a.req("from"), a.req("to"));
     if from >= to {
-        eprintln!("--from must be less than --to");
-        exit(2);
+        usage_error(a, "--from must be less than --to");
     }
-    let cfg = scale.sim_config();
-    let mut sys = NvOverlaySystem::new(&cfg);
-    let _ = Runner::new().run(&mut sys, &trace);
+    let sys = replay_nvoverlay(a);
     let store = sys.snapshots();
     let last = store.recoverable_epoch();
     if to > last {
@@ -447,79 +731,45 @@ fn cmd_diff(flags: HashMap<String, String>) {
 /// once with the NVM fault plane attached, then fan independent
 /// crash/recovery checks out across `--jobs` workers. Exits nonzero if
 /// any site violates a consistency-cut invariant.
-fn cmd_chaos(flags: HashMap<String, String>) {
-    let sname = flags
-        .get("scheme")
-        .map(String::as_str)
-        .unwrap_or("nvoverlay");
-    let scheme = nvchaos::ChaosScheme::from_name(sname);
-    // The self-test breaks NVOverlay's rebuild; no other checker reads
-    // it, so elsewhere the flag would pass without testing anything.
-    if flags.contains_key("broken-recovery")
-        && (flags.contains_key("store") || scheme == Some(nvchaos::ChaosScheme::SwUndo))
-    {
-        eprintln!("--broken-recovery applies only to --scheme nvoverlay");
-        exit(2);
+fn cmd_chaos(a: &Args) {
+    let target: &str = a.req("scheme");
+    // The self-test breaks NVOverlay's rebuild and the backpressure
+    // stress deepens the NVM queue; a checker that reads neither would
+    // pass without testing anything.
+    if a.has("broken-recovery") && target != "nvoverlay" {
+        usage_error(a, "--broken-recovery applies only to --scheme nvoverlay");
     }
-    if flags.contains_key("store") {
-        return cmd_chaos_store(flags);
+    if target == "store" {
+        if a.has("stress-backpressure") {
+            usage_error(a, "--stress-backpressure does not apply to --scheme store");
+        }
+        return cmd_chaos_store(a);
     }
-    let Some(scheme) = scheme else {
-        eprintln!("unknown chaos scheme {sname:?} (expected nvoverlay or sw-undo)");
-        exit(2);
-    };
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
+    let scheme = nvchaos::ChaosScheme::from_name(target).expect("the table admits chaos schemes");
+    let scale: EnvScale = a.req("scale");
+    let trace = load_workload(a, scale);
     let mut ccfg = nvchaos::ChaosConfig::new(scheme);
-    if let Some(v) = flags.get("sites") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => ccfg.sites = n,
-            _ => {
-                eprintln!("--sites must be a positive integer, got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(v) = flags.get("seed") {
-        match v.parse::<u64>() {
-            Ok(n) => ccfg.seed = n,
-            _ => {
-                eprintln!("--seed must be an integer, got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    for (flag, slot) in [("torn-p", &mut ccfg.torn_p), ("flip-p", &mut ccfg.flip_p)] {
-        if let Some(v) = flags.get(flag) {
-            match v.parse::<f64>() {
-                Ok(p) if (0.0..=1.0).contains(&p) => *slot = p,
-                _ => {
-                    eprintln!("--{flag} must be a probability in [0, 1], got {v:?}");
-                    exit(2);
-                }
-            }
-        }
-    }
-    ccfg.stress_backpressure = flags.contains_key("stress-backpressure");
-    if flags.contains_key("broken-recovery") {
+    a.set("sites", &mut ccfg.sites);
+    a.set("seed", &mut ccfg.seed);
+    a.set("torn-p", &mut ccfg.torn_p);
+    a.set("flip-p", &mut ccfg.flip_p);
+    ccfg.stress_backpressure = a.has("stress-backpressure");
+    if a.has("broken-recovery") {
         // Harness self-test: a recovery that ignores the rec-epoch
         // filter must make the invariants fire.
         ccfg.fidelity = nvchaos::RebuildFidelity::BrokenNoEpochFilter;
     }
-    let jobs = jobs_of(&flags);
+    let jobs = a.get("jobs").unwrap_or_else(default_jobs);
 
     let run = nvchaos::prepare(&trace, &scale.sim_config(), ccfg);
     let results = nvbench::run_ordered(run.site_count(), jobs, |i| run.check_site(i));
     let report = run.summarize(&results);
     let json = report.to_json();
 
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+    if let Some(path) = a.get::<&str>("out") {
+        write_out(path, &json);
     }
-    if flags.contains_key("json") {
+    if a.has("json") {
         print!("{json}");
     } else {
         println!(
@@ -555,70 +805,76 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     }
 }
 
-/// The worker count for a command: `--jobs` beats `NVO_JOBS` beats the
-/// machine's available parallelism.
-fn jobs_of(flags: &HashMap<String, String>) -> usize {
-    match flags.get("jobs") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs must be a positive integer, got {v:?}");
-                exit(2);
-            }
-        },
-        None => default_jobs(),
-    }
+/// The gate tables of a `--baseline` report: scheme or workload name →
+/// value.
+struct Baseline {
+    path: String,
+    serial: HashMap<String, f64>,
+    sharded: HashMap<String, f64>,
+    ratio: HashMap<String, f64>,
+    serve: HashMap<String, f64>,
 }
 
-/// The sharded-replay worker count, if sharding was requested at all:
-/// `--shards` beats `NVO_SHARDS`; neither means the serial replay path.
-/// One worker still runs the sharded algorithm (every island in turn) —
-/// same results as any other worker count, no thread overlap.
-fn shards_requested(flags: &HashMap<String, String>) -> Option<usize> {
-    if let Some(v) = flags.get("shards") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => return Some(n),
-            _ => {
-                eprintln!("--shards must be a positive integer, got {v:?}");
-                exit(2);
-            }
+/// Reads a `--baseline` report: the JSON `nvo perf` writes, plus
+/// `serve_queries_s`. Exits 1 if the file is unreadable or malformed, or
+/// lacks the `throughput_maccess_s` or `sharded_overhead_ratio` table.
+fn read_baseline(path: &str) -> Baseline {
+    let fail = |msg: String| -> ! {
+        eprintln!("{msg}");
+        exit(1)
+    };
+    let txt = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
+    let doc = json::parse(&txt).unwrap_or_else(|e| fail(format!("baseline {path}: {e}")));
+    let table = |key: &str| match doc.get(key) {
+        None => HashMap::new(),
+        Some(JsonValue::Object(pairs)) => pairs
+            .iter()
+            .map(|(k, v)| match v.as_f64() {
+                Some(n) => (k.clone(), n),
+                None => fail(format!("baseline {path}: {key}.{k} is not a number")),
+            })
+            .collect(),
+        Some(_) => fail(format!("baseline {path}: {key} is not an object")),
+    };
+    let base = Baseline {
+        path: path.to_string(),
+        serial: table("throughput_maccess_s"),
+        sharded: table("throughput_sharded_maccess_s"),
+        ratio: table("sharded_overhead_ratio"),
+        serve: table("serve_queries_s"),
+    };
+    for (key, t) in [
+        ("throughput_maccess_s", &base.serial),
+        ("sharded_overhead_ratio", &base.ratio),
+    ] {
+        if t.is_empty() {
+            fail(format!("baseline {path} has no {key} table"));
         }
     }
-    if let Ok(v) = std::env::var("NVO_SHARDS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return Some(n);
-            }
-        }
-    }
-    None
+    base
 }
 
-/// Extracts a named throughput object (e.g. `"throughput_maccess_s"`)
-/// from a perf-report JSON (the exact format `nvo perf` writes) as
-/// scheme-name → value pairs.
-fn parse_throughput_baseline(json: &str, key: &str) -> HashMap<String, f64> {
-    let mut out = HashMap::new();
-    let Some(start) = json.find(&format!("\"{key}\"")) else {
-        return out;
-    };
-    let Some(open) = json[start..].find('{') else {
-        return out;
-    };
-    let rest = &json[start + open + 1..];
-    let Some(close) = rest.find('}') else {
-        return out;
-    };
-    for pair in rest[..close].split(',') {
-        let mut it = pair.splitn(2, ':');
-        let (Some(k), Some(v)) = (it.next(), it.next()) else {
-            continue;
-        };
-        if let Ok(n) = v.trim().parse::<f64>() {
-            out.insert(k.trim().trim_matches('"').to_string(), n);
+/// Reports each name whose `what` throughput is more than 20% below its
+/// baseline; true if any is.
+fn below_floor(
+    what: &str,
+    unit: &str,
+    digits: usize,
+    names: &[&str],
+    vals: &[f64],
+    base: &HashMap<String, f64>,
+) -> bool {
+    let mut low = false;
+    for (name, &v) in names.iter().zip(vals) {
+        if let Some(&b) = base.get(*name).filter(|&&b| v < b * 0.8) {
+            eprintln!(
+                "REGRESSION: {name} {what} throughput {v:.digits$} {unit} is >20% below baseline {b:.digits$}"
+            );
+            low = true;
         }
     }
-    out
+    low
 }
 
 /// Renders a per-scheme value table as JSON object members
@@ -654,18 +910,11 @@ fn micros(secs: f64) -> u64 {
 /// (`--structural-out` emits the latter alone, for CI `cmp`).
 /// `--chrome` additionally renders per-island utilization lanes and the
 /// straggler lane as a Perfetto-loadable trace.
-fn cmd_profile(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
-    let sname = flags
-        .get("scheme")
-        .map(String::as_str)
-        .unwrap_or("NVOverlay");
-    let Some(scheme) = Scheme::from_name(sname) else {
-        eprintln!("unknown scheme {sname:?} (see `nvo list`)");
-        exit(2);
-    };
-    let shards = shards_requested(&flags).unwrap_or_else(default_host);
+fn cmd_profile(a: &Args) {
+    let scale: EnvScale = a.req("scale");
+    let trace = load_workload(a, scale);
+    let scheme: Scheme = a.req("scheme");
+    let shards = a.get("shards").unwrap_or_else(default_host);
     let cfg = Arc::new(scale.sim_config());
     let run = run_scheme_sharded_prof(scheme, &cfg, &trace.to_packed(), shards, true);
     if !run.sharded {
@@ -676,8 +925,8 @@ fn cmd_profile(flags: HashMap<String, String>) {
         exit(2);
     }
     let p = run.profile.expect("sharded profiled run carries a profile");
-    let wname = flags.get("workload").map(String::as_str).unwrap_or("-");
-    if !flags.contains_key("json") {
+    let wname = a.get("workload").unwrap_or("-");
+    if !a.has("json") {
         println!(
             "profiled {} on {} ({} shards requested): {} cycles, {} imported lines",
             scheme.name(),
@@ -696,108 +945,38 @@ fn cmd_profile(flags: HashMap<String, String>) {
         ("shards", &shards_str),
     ];
     let full = profile_json(&p, &meta);
-    if flags.contains_key("json") {
+    if a.has("json") {
         print!("{full}");
     }
-    if let Some(out) = flags.get("out") {
-        std::fs::write(out, &full).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            exit(1);
-        });
-        if !flags.contains_key("json") {
+    if let Some(out) = a.get::<&str>("out") {
+        write_out(out, &full);
+        if !a.has("json") {
             println!("wrote {out}");
         }
     }
-    if let Some(path) = flags.get("structural-out") {
-        std::fs::write(path, profile_structural_json(&p)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        if !flags.contains_key("json") {
+    if let Some(path) = a.get::<&str>("structural-out") {
+        write_out(path, profile_structural_json(&p));
+        if !a.has("json") {
             println!("wrote {path} (deterministic structural counters only)");
         }
     }
-    if let Some(path) = flags.get("chrome") {
+    if let Some(path) = a.get::<&str>("chrome") {
         let cmeta = ChromeMeta {
             scheme: scheme.name().to_string(),
             workload: wname.to_string(),
         };
-        std::fs::write(path, chrome_profile_json(&p, &cmeta)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        if !flags.contains_key("json") {
+        write_out(path, chrome_profile_json(&p, &cmeta));
+        if !a.has("json") {
             println!("wrote {path} (load it at ui.perfetto.dev)");
         }
     }
 }
 
-/// Builds a [`ServeConfig`] from CLI flags (defaults from
-/// `ServeConfig::default`, workers from `--workers`).
-fn serve_config_of(flags: &HashMap<String, String>) -> ServeConfig {
-    let mut cfg = ServeConfig::default();
-    for (flag, slot) in [
-        ("sessions", &mut cfg.sessions),
-        ("batches", &mut cfg.batches),
-        ("batch", &mut cfg.batch),
-        ("workers", &mut cfg.workers),
-        ("subshards", &mut cfg.subshards),
-    ] {
-        if let Some(v) = flags.get(flag) {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => *slot = n,
-                _ => {
-                    eprintln!("--{flag} must be a positive integer, got {v:?}");
-                    exit(2);
-                }
-            }
-        }
-    }
-    if let Some(v) = flags.get("seed") {
-        match v.parse::<u64>() {
-            Ok(n) => cfg.seed = n,
-            _ => {
-                eprintln!("--seed must be an integer, got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(v) = flags.get("theta") {
-        match v.parse::<f64>() {
-            Ok(t) if (0.0..=5.0).contains(&t) => cfg.theta = t,
-            _ => {
-                eprintln!("--theta must be a skew in [0, 5], got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(v) = flags.get("epochs") {
-        cfg.epochs = match v.as_str() {
-            "all" => EpochSelect::All,
-            "latest" => EpochSelect::Latest,
-            other => match other.split_once("..") {
-                Some((lo, hi)) => match (lo.parse::<u64>(), hi.parse::<u64>()) {
-                    (Ok(lo), Ok(hi)) if lo <= hi => EpochSelect::Range(lo, hi),
-                    _ => {
-                        eprintln!("--epochs range must be <lo>..<hi>, got {v:?}");
-                        exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("--epochs must be all, latest, or <lo>..<hi>, got {v:?}");
-                    exit(2);
-                }
-            },
-        };
-    }
-    cfg.error_probes = !flags.contains_key("no-probes");
-    cfg
-}
-
-/// Replays the workload through NVOverlay and mounts the resulting
-/// durable state for serving.
-fn mounted_system(flags: &HashMap<String, String>, scale: EnvScale) -> NvOverlaySystem {
-    let trace = load_workload(flags, scale);
+/// Replays the workload through NVOverlay, leaving the durable state
+/// that `snapshots`, `diff`, `serve`, `query` and `backup` read.
+fn replay_nvoverlay(a: &Args) -> NvOverlaySystem {
+    let scale: EnvScale = a.req("scale");
+    let trace = load_workload(a, scale);
     let cfg = scale.sim_config();
     let mut sys = NvOverlaySystem::new(&cfg);
     let _ = Runner::new().run(&mut sys, &trace);
@@ -809,34 +988,36 @@ fn mounted_system(flags: &HashMap<String, String>, scale: EnvScale) -> NvOverlay
 /// reads against it. The report (and `--out` file) is deterministic:
 /// byte-identical across `--workers` counts and repeated runs of one
 /// seed; wall-clock throughput goes to stdout only.
-fn cmd_serve(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let scfg = serve_config_of(&flags);
-    let sys = mounted_system(&flags, scale);
+fn cmd_serve(a: &Args) {
+    let mut scfg = ServeConfig::default();
+    a.set("sessions", &mut scfg.sessions);
+    a.set("batches", &mut scfg.batches);
+    a.set("batch", &mut scfg.batch);
+    a.set("workers", &mut scfg.workers);
+    a.set("subshards", &mut scfg.subshards);
+    a.set("seed", &mut scfg.seed);
+    a.set("theta", &mut scfg.theta);
+    a.set("epochs", &mut scfg.epochs);
+    scfg.error_probes = !a.has("no-probes");
+    let sys = replay_nvoverlay(a);
     let mount = Mount::new(sys.mnm(), scfg.subshards).unwrap_or_else(|e| exit_mount(&e));
     let Some(plan) = serve_driver::plan(&mount, &scfg) else {
         eprintln!("nothing to serve: the image is empty or no epoch matches --epochs");
         exit(EXIT_SERVE_EMPTY);
     };
     let out = serve_engine::serve(&mount, &plan, &scfg);
-    let wname = flags.get("workload").map(String::as_str).unwrap_or("-");
+    let wname = a.get("workload").unwrap_or("-");
     let json = out.report.to_json(wname, "NVOverlay");
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+    if let Some(path) = a.get::<&str>("out") {
+        write_out(path, &json);
     }
-    if let Some(path) = flags.get("stats-out") {
+    if let Some(path) = a.get::<&str>("stats-out") {
         let mut reg = nvsim::metrics::Registry::new();
         out.report.metrics_into(&mut reg, "serve");
         let stats = registry_json(&reg, &[("scheme", "NVOverlay"), ("workload", wname)]);
-        std::fs::write(path, stats).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        write_out(path, stats);
     }
-    if flags.contains_key("json") {
+    if a.has("json") {
         print!("{json}");
         return;
     }
@@ -874,30 +1055,13 @@ fn cmd_serve(flags: HashMap<String, String>) {
 /// `nvo query` — a one-shot point-in-time read: `GET key AS OF epoch`.
 /// Typed epoch rejections (`QueryError`) print `error[<Variant>]` to
 /// stderr and exit with the class's documented code (10–13).
-fn cmd_query(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let Some(keystr) = flags.get("key") else {
-        eprintln!("--key <byte-addr> is required");
-        usage();
-    };
-    let byte = match keystr.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => keystr.parse::<u64>(),
-    }
-    .unwrap_or_else(|_| {
-        eprintln!("--key must be a byte address (decimal or 0x-hex), got {keystr:?}");
-        exit(2);
-    });
+fn cmd_query(a: &Args) {
+    let byte: u64 = a.req("key");
     let line = nvsim::addr::Addr::new(byte).line();
-    let sys = mounted_system(&flags, scale);
+    let sys = replay_nvoverlay(a);
     let mount = Mount::new(sys.mnm(), 1).unwrap_or_else(|e| exit_mount(&e));
-    let epoch = match flags.get("epoch").map(String::as_str) {
-        None | Some("latest") => mount.dir().recoverable(),
-        Some(v) => v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("--epoch must be an epoch number or `latest`, got {v:?}");
-            exit(2);
-        }),
-    };
+    // `--epoch latest` (the default) has no number.
+    let epoch = a.get("epoch").unwrap_or_else(|| mount.dir().recoverable());
     match mount.dir().resolve(epoch) {
         Err(e) => exit_query(&e),
         Ok(view) => match mount.mnm().time_travel(line, view.epoch()) {
@@ -914,16 +1078,6 @@ fn cmd_query(flags: HashMap<String, String>) {
     }
 }
 
-fn store_dir_of(flags: &HashMap<String, String>) -> &str {
-    match flags.get("store").map(String::as_str) {
-        Some(dir) if dir != "1" => dir,
-        _ => {
-            eprintln!("--store <dir> is required");
-            usage();
-        }
-    }
-}
-
 fn open_store(dir: &str) -> Store<DiskIo> {
     let io = DiskIo::create(dir).unwrap_or_else(|e| {
         eprintln!("cannot open store at {dir}: {e}");
@@ -936,22 +1090,15 @@ fn open_store(dir: &str) -> Store<DiskIo> {
 /// image, and writes it into the on-disk layer store. Incremental by
 /// content addressing: a second backup of the same (or a prefix) image
 /// reports `0 new layers`.
-fn cmd_backup(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let dir = store_dir_of(&flags).to_string();
-    let name = flags.get("name").map(String::as_str).unwrap_or("snapshot");
-    let sys = mounted_system(&flags, scale);
+fn cmd_backup(a: &Args) {
+    let dir: &str = a.req("store");
+    let name: &str = a.req("name");
+    let sys = replay_nvoverlay(a);
     let mut export = SnapshotExport::from_mnm(sys.mnm()).unwrap_or_else(|e| exit_store(&e));
-    if let Some(v) = flags.get("upto") {
-        match v.parse::<u64>() {
-            Ok(e) => export = export.truncated(e),
-            _ => {
-                eprintln!("--upto must be an epoch number, got {v:?}");
-                exit(2);
-            }
-        }
+    if let Some(upto) = a.get("upto") {
+        export = export.truncated(upto);
     }
-    let mut store = open_store(&dir);
+    let mut store = open_store(dir);
     let stats = store
         .backup(name, &export)
         .unwrap_or_else(|e| exit_store(&e));
@@ -971,9 +1118,9 @@ fn cmd_backup(flags: HashMap<String, String>) {
 /// chain, and anti-hybrid verification) and rebuilds a live backend
 /// from it. `--verify` additionally mounts the result under the query
 /// service and sweeps point-in-time reads against the stored master.
-fn cmd_restore(flags: HashMap<String, String>) {
-    let dir = store_dir_of(&flags);
-    let name = flags.get("name").map(String::as_str).unwrap_or("snapshot");
+fn cmd_restore(a: &Args) {
+    let dir: &str = a.req("store");
+    let name: &str = a.req("name");
     let store = open_store(dir);
     let export = store.restore(name).unwrap_or_else(|e| exit_store(&e));
     let (mnm, _nvm) = export.rebuild().unwrap_or_else(|e| exit_store(&e));
@@ -986,7 +1133,7 @@ fn cmd_restore(flags: HashMap<String, String>) {
         export.master.len(),
         export.contexts.len()
     );
-    if flags.contains_key("verify") {
+    if a.has("verify") {
         let mount = Mount::new(&mnm, 1).unwrap_or_else(|e| exit_mount(&e));
         let mut checked = 0usize;
         if export.rec_epoch > 0 {
@@ -1017,115 +1164,81 @@ fn cmd_restore(flags: HashMap<String, String>) {
     }
 }
 
-/// `nvo store <ls|rm|gc|validate>` — maintenance of an on-disk layer
-/// store: list contents, drop a backup, sweep unreferenced layers into
-/// quarantine (`--purge` deletes the quarantine for good), or fully
-/// re-verify every backup.
-fn cmd_store(args: &[String]) {
-    let Some(sub) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("nvo store needs a subcommand: ls, rm, gc, or validate");
-        usage();
-    };
-    let flags = parse_flags(&args[1..]);
-    let dir = store_dir_of(&flags);
-    match sub.as_str() {
-        "ls" => {
-            let store = open_store(dir);
-            let m = store.manifest();
-            let layer_bytes: u64 = m.layers.iter().map(|(_, meta)| meta.bytes).sum();
-            println!(
-                "store {dir}: manifest v{}, {} backups, {} layers ({} bytes), {} quarantined",
-                m.version,
-                m.backups.len(),
-                m.layers.len(),
-                layer_bytes,
-                m.quarantine.len()
-            );
-            for b in &m.backups {
-                println!(
-                    "  {}: rec-epoch {} (max seen {}), {} delta layers, {} OMCs x {} VDs",
-                    b.name,
-                    b.rec_epoch,
-                    b.max_epoch_seen,
-                    b.deltas.len(),
-                    b.omcs,
-                    b.vds
-                );
-            }
-        }
-        "rm" => {
-            let Some(name) = flags.get("name") else {
-                eprintln!("--name <backup> is required");
-                usage();
-            };
-            let mut store = open_store(dir);
-            store.remove(name).unwrap_or_else(|e| exit_store(&e));
-            println!("removed {name} from {dir}; run `nvo store gc` to quarantine its layers");
-        }
-        "gc" => {
-            let mut store = open_store(dir);
-            let stats = store.gc().unwrap_or_else(|e| exit_store(&e));
-            println!(
-                "gc {dir}: {} layers quarantined, {} live",
-                stats.quarantined, stats.live
-            );
-            if flags.contains_key("purge") {
-                let purged = store.purge_quarantine().unwrap_or_else(|e| exit_store(&e));
-                println!("purged {purged} quarantined layer files");
-            }
-        }
-        "validate" => {
-            let store = open_store(dir);
-            let n = store.validate().unwrap_or_else(|e| exit_store(&e));
-            println!("store {dir} is consistent: {n} backups fully verified");
-        }
-        other => {
-            eprintln!("unknown store subcommand {other:?} (expected ls, rm, gc, or validate)");
-            usage();
-        }
+/// `nvo store ls` — the manifest version, backups and layers of an
+/// on-disk layer store.
+fn cmd_store_ls(a: &Args) {
+    let dir: &str = a.req("store");
+    let store = open_store(dir);
+    let m = store.manifest();
+    let layer_bytes: u64 = m.layers.iter().map(|(_, meta)| meta.bytes).sum();
+    println!(
+        "store {dir}: manifest v{}, {} backups, {} layers ({} bytes), {} quarantined",
+        m.version,
+        m.backups.len(),
+        m.layers.len(),
+        layer_bytes,
+        m.quarantine.len()
+    );
+    for b in &m.backups {
+        println!(
+            "  {}: rec-epoch {} (max seen {}), {} delta layers, {} OMCs x {} VDs",
+            b.name,
+            b.rec_epoch,
+            b.max_epoch_seen,
+            b.deltas.len(),
+            b.omcs,
+            b.vds
+        );
     }
 }
 
-/// `nvo chaos --store` — crashes the backup machinery instead of the
+/// `nvo store rm` — drops one backup; its layers stay until `gc`.
+fn cmd_store_rm(a: &Args) {
+    let (dir, name): (&str, &str) = (a.req("store"), a.req("name"));
+    let mut store = open_store(dir);
+    store.remove(name).unwrap_or_else(|e| exit_store(&e));
+    println!("removed {name} from {dir}; run `nvo store gc` to quarantine its layers");
+}
+
+/// `nvo store gc` — sweeps unreferenced layers into quarantine;
+/// `--purge` deletes the quarantine for good.
+fn cmd_store_gc(a: &Args) {
+    let dir: &str = a.req("store");
+    let mut store = open_store(dir);
+    let stats = store.gc().unwrap_or_else(|e| exit_store(&e));
+    println!(
+        "gc {dir}: {} layers quarantined, {} live",
+        stats.quarantined, stats.live
+    );
+    if a.has("purge") {
+        let purged = store.purge_quarantine().unwrap_or_else(|e| exit_store(&e));
+        println!("purged {purged} quarantined layer files");
+    }
+}
+
+/// `nvo store validate` — fully re-verifies every backup.
+fn cmd_store_validate(a: &Args) {
+    let dir: &str = a.req("store");
+    let store = open_store(dir);
+    let n = store.validate().unwrap_or_else(|e| exit_store(&e));
+    println!("store {dir} is consistent: {n} backups fully verified");
+}
+
+/// `nvo chaos --scheme store` — crashes the backup machinery instead of the
 /// simulated NVM: replays seeded prefix cuts (with torn tail writes and
 /// bit flips) of a recorded backup → backup → remove → gc session and
 /// requires a clean prior-manifest restore or a typed `StoreError` at
 /// every site. Every exact restore is additionally mounted under the
 /// query service and spot-checked against `time_travel`.
-fn cmd_chaos_store(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let trace = load_workload(&flags, scale);
+fn cmd_chaos_store(a: &Args) {
+    let scale: EnvScale = a.req("scale");
+    let trace = load_workload(a, scale);
     let mut cfg = nvchaos::StoreChaosConfig::default();
-    if let Some(v) = flags.get("sites") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => cfg.sites = n,
-            _ => {
-                eprintln!("--sites must be a positive integer, got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(v) = flags.get("seed") {
-        match v.parse::<u64>() {
-            Ok(n) => cfg.seed = n,
-            _ => {
-                eprintln!("--seed must be an integer, got {v:?}");
-                exit(2);
-            }
-        }
-    }
-    for (flag, slot) in [("torn-p", &mut cfg.torn_p), ("flip-p", &mut cfg.flip_p)] {
-        if let Some(v) = flags.get(flag) {
-            match v.parse::<f64>() {
-                Ok(p) if (0.0..=1.0).contains(&p) => *slot = p,
-                _ => {
-                    eprintln!("--{flag} must be a probability in [0, 1], got {v:?}");
-                    exit(2);
-                }
-            }
-        }
-    }
-    let jobs = jobs_of(&flags);
+    a.set("sites", &mut cfg.sites);
+    a.set("seed", &mut cfg.seed);
+    a.set("torn-p", &mut cfg.torn_p);
+    a.set("flip-p", &mut cfg.flip_p);
+    let jobs = a.get("jobs").unwrap_or_else(default_jobs);
 
     let run =
         nvchaos::prepare_store(&trace, &scale.sim_config(), cfg).unwrap_or_else(|e| exit_store(&e));
@@ -1162,13 +1275,10 @@ fn cmd_chaos_store(flags: HashMap<String, String>) {
     let report = run.summarize(&results);
     let json = report.to_json();
 
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+    if let Some(path) = a.get::<&str>("out") {
+        write_out(path, &json);
     }
-    if flags.contains_key("json") {
+    if a.has("json") {
         print!("{json}");
     } else {
         println!(
@@ -1227,7 +1337,7 @@ fn cmd_chaos_store(flags: HashMap<String, String>) {
 /// driver on a fixed 6-scheme × 4-workload matrix, reports per-scheme
 /// serial replay throughput (Maccesses/s), then replays the same matrix
 /// through the island-sharded runner at several worker counts
-/// (`--shards`/`NVO_SHARDS` picks the headline count) and reports the
+/// (`--shards` picks the headline count) and reports the
 /// intra-workload sharded throughput and speedup. Writes
 /// `BENCH_perf.json` with the per-phase breakdown (plan building timed
 /// apart from replay). `--baseline <file>` gates the run against a
@@ -1238,14 +1348,12 @@ fn cmd_chaos_store(flags: HashMap<String, String>) {
 /// overhead ceilings, which are host-independent) are
 /// announced-and-skipped on 1-way hosts, where one worker thread cannot
 /// express a sharded speedup.
-fn cmd_perf(flags: HashMap<String, String>) {
-    let scale = scale_of(&flags);
-    let jobs = jobs_of(&flags);
-    let shards = shards_requested(&flags).unwrap_or(1);
-    let out_path = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_string());
+fn cmd_perf(a: &Args) {
+    let scale: EnvScale = a.req("scale");
+    let jobs = a.get("jobs").unwrap_or_else(default_jobs);
+    let shards: usize = a.req("shards");
+    let out_path: &str = a.req("out");
+    let baseline = a.get("baseline").map(read_baseline);
     let cfg = Arc::new(scale.sim_config());
     let params = scale.suite_params();
     let workloads = [
@@ -1488,7 +1596,7 @@ fn cmd_perf(flags: HashMap<String, String>) {
     // (outputs still match the 1-worker reference), attributes ≥95% of
     // wall-time to the six buckets, and stays within noise of the
     // unprofiled pass's wall time.
-    let profile_enabled = flags.contains_key("profile");
+    let profile_enabled = a.has("profile");
     let mut profile_block = String::new();
     let mut profile_failed = false;
     if profile_enabled {
@@ -1612,13 +1720,10 @@ fn cmd_perf(flags: HashMap<String, String>) {
     // fallen through per query for each workload; `--baseline`
     // additionally enforces `serve_queries_s` floors (>20% drop
     // fails), skipped on 1-way hosts like the other threaded floors.
-    let serve_enabled = flags.contains_key("serve");
+    let serve_enabled = a.has("serve");
     let mut serve_failed = false;
     if serve_enabled {
-        let serve_out_path = flags
-            .get("serve-out")
-            .cloned()
-            .unwrap_or_else(|| "BENCH_serve.json".to_string());
+        let serve_out_path: &str = a.req("serve-out");
         let scfg = ServeConfig {
             workers: jobs,
             ..ServeConfig::default()
@@ -1702,38 +1807,20 @@ fn cmd_perf(flags: HashMap<String, String>) {
             u64_table_of(&answered),
             serve_identical,
         );
-        std::fs::write(&serve_out_path, serve_json).unwrap_or_else(|e| {
-            eprintln!("cannot write {serve_out_path}: {e}");
-            exit(1);
-        });
+        write_out(serve_out_path, serve_json);
         println!("  wrote {serve_out_path}");
-        if let Some(path) = flags.get("baseline") {
-            let txt = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read baseline {path}: {e}");
-                exit(1);
-            });
-            let base = parse_throughput_baseline(&txt, "serve_queries_s");
-            if base.is_empty() {
+        if let Some(base) = &baseline {
+            let path = &base.path;
+            if base.serve.is_empty() {
                 println!("  serve baseline gate: no serve_queries_s table in {path}, skipped");
             } else if default_host() <= 1 {
                 println!(
                     "  serve baseline gate: {} floors SKIPPED (host parallelism 1)",
-                    base.len()
+                    base.serve.len()
                 );
             } else {
-                for (ti, w) in workloads.iter().enumerate() {
-                    if let Some(&b) = base.get(w.name()) {
-                        if qps[ti] < b * 0.8 {
-                            eprintln!(
-                                "REGRESSION: {} serve throughput {:.0} queries/s is >20% below baseline {:.0}",
-                                w.name(),
-                                qps[ti],
-                                b
-                            );
-                            serve_failed = true;
-                        }
-                    }
-                }
+                let names = workloads.map(|w| w.name());
+                serve_failed |= below_floor("serve", "queries/s", 0, &names, &qps, &base.serve);
                 if !serve_failed {
                     println!("  serve baseline gate: all workloads within 20% of {path}");
                 }
@@ -1798,65 +1885,34 @@ fn cmd_perf(flags: HashMap<String, String>) {
         identical,
         profile_block,
     );
-    std::fs::write(&out_path, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        exit(1);
-    });
+    write_out(out_path, json);
     println!("  wrote {out_path}");
 
     // Throughput regression gate against a checked-in baseline report.
     let mut regressed = false;
-    if let Some(path) = flags.get("baseline") {
-        let txt = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            exit(1);
-        });
-        let base = parse_throughput_baseline(&txt, "throughput_maccess_s");
-        if base.is_empty() {
-            eprintln!("baseline {path} has no throughput_maccess_s table");
-            exit(1);
-        }
-        for (si, s) in schemes.iter().enumerate() {
-            if let Some(&b) = base.get(s.name()) {
-                let floor = b * 0.8;
-                if maccess[si] < floor {
-                    eprintln!(
-                        "REGRESSION: {} replay throughput {:.2} Maccess/s is >20% below baseline {:.2}",
-                        s.name(),
-                        maccess[si],
-                        b
-                    );
-                    regressed = true;
-                }
-            }
-        }
+    if let Some(base) = &baseline {
+        let names = schemes.map(|s| s.name());
+        regressed |= below_floor("replay", "Maccess/s", 2, &names, &maccess, &base.serial);
         // Sharded floors only bind where a sharded speedup is
         // expressible; a 1-way host announces the skip instead of
         // silently passing.
-        let base_sharded = parse_throughput_baseline(&txt, "throughput_sharded_maccess_s");
-        if !base_sharded.is_empty() {
+        if !base.sharded.is_empty() {
             if !sharded_meaningful {
                 println!(
                     "  baseline gate: {} sharded floors SKIPPED (host parallelism {}, {} shards)",
-                    base_sharded.len(),
+                    base.sharded.len(),
                     default_host(),
                     shards
                 );
             } else {
-                for (si, s) in schemes.iter().enumerate() {
-                    if let Some(&b) = base_sharded.get(s.name()) {
-                        let floor = b * 0.8;
-                        if sharded_maccess[si] < floor {
-                            eprintln!(
-                                "REGRESSION: {} sharded throughput {:.2} Maccess/s is >20% below baseline {:.2}",
-                                s.name(),
-                                sharded_maccess[si],
-                                b
-                            );
-                            regressed = true;
-                        }
-                    }
-                }
+                regressed |= below_floor(
+                    "sharded",
+                    "Maccess/s",
+                    2,
+                    &names,
+                    &sharded_maccess,
+                    &base.sharded,
+                );
             }
         }
         // Sharding-overhead gate: the serial/sharded throughput ratio
@@ -1865,18 +1921,8 @@ fn cmd_perf(flags: HashMap<String, String>) {
         // the plan-cache/coalescing rework), and exceeding one FAILS
         // the run — barrier/exchange/plan regressions must surface
         // even where the sharded-throughput floors are skipped.
-        let mut base_ratio = parse_throughput_baseline(&txt, "sharded_overhead_ratio");
-        if base_ratio.is_empty() && !base_sharded.is_empty() {
-            // Older baselines carry only the two throughput tables;
-            // derive the ceiling from them.
-            for (k, serial) in &base {
-                if let Some(shd) = base_sharded.get(k) {
-                    base_ratio.insert(k.clone(), serial / shd.max(1e-9));
-                }
-            }
-        }
         for (si, s) in schemes.iter().enumerate() {
-            if let Some(&b) = base_ratio.get(s.name()) {
+            if let Some(&b) = base.ratio.get(s.name()) {
                 if overhead_ratio[si] > b {
                     eprintln!(
                         "REGRESSION: {} sharded overhead ratio {:.3} exceeds the {:.2} ceiling (serial/sharded throughput)",
@@ -1889,7 +1935,7 @@ fn cmd_perf(flags: HashMap<String, String>) {
             }
         }
         if !regressed {
-            println!("  baseline gate: all schemes within 20% of {path}");
+            println!("  baseline gate: all schemes within 20% of {}", base.path);
         }
     }
     if !identical {
@@ -1914,38 +1960,254 @@ fn default_host() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses `<subcommand> [<workload>] --flags ...` — an optional
-/// positional workload name before the flags (trace, chaos, profile,
-/// serve, and query all accept it).
-fn flags_with_positional_workload(args: &[String]) -> HashMap<String, String> {
-    let (positional, rest) = match args.first() {
-        Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-        _ => (None, args),
-    };
-    let mut flags = parse_flags(rest);
-    if let Some(w) = positional {
-        flags.entry("workload".to_string()).or_insert(w);
+fn main() {
+    let argv: Vec<OsString> = std::env::args_os().skip(1).collect();
+    match parse(&argv) {
+        Ok(a) => (a.cmd.run)(&a),
+        Err(e) => refuse(e),
     }
-    flags
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(parse_flags(&args[1..])),
-        Some("trace-gen") => cmd_trace_gen(parse_flags(&args[1..])),
-        Some("trace") => cmd_trace(flags_with_positional_workload(&args[1..])),
-        Some("snapshots") => cmd_snapshots(parse_flags(&args[1..])),
-        Some("diff") => cmd_diff(parse_flags(&args[1..])),
-        Some("chaos") => cmd_chaos(flags_with_positional_workload(&args[1..])),
-        Some("profile") => cmd_profile(flags_with_positional_workload(&args[1..])),
-        Some("serve") => cmd_serve(flags_with_positional_workload(&args[1..])),
-        Some("query") => cmd_query(flags_with_positional_workload(&args[1..])),
-        Some("backup") => cmd_backup(flags_with_positional_workload(&args[1..])),
-        Some("restore") => cmd_restore(parse_flags(&args[1..])),
-        Some("store") => cmd_store(&args[1..]),
-        Some("perf") => cmd_perf(parse_flags(&args[1..])),
-        _ => usage(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nvsim::rng::Rng64;
+
+    /// Every `nvo` command line of the CI workflow, with store chaos
+    /// spelled `--scheme store`.
+    const CI_LINES: &[&str] = &[
+        "perf --jobs 4 --shards 4 --scale quick --profile --serve --baseline ci/perf_baseline.json --out BENCH_perf.json --serve-out BENCH_serve.json",
+        "profile B+Tree --scheme NVOverlay --scale quick --shards 4 --out nvo_profile.json --structural-out nvo_profile_structural.json --chrome nvo_profile_chrome.json",
+        "run --workload B+Tree --scheme NVOverlay --scale quick --shards 1 --json --stats-out stats_1.json",
+        "run --workload B+Tree --scheme PiCL --scale quick --shards 2 --json --stats-out b_stats_n.json",
+        "profile B+Tree --scheme NVOverlay --scale quick --shards 2 --json --out pn.json --structural-out struct_n.json",
+        "serve B+Tree --scale quick --seed 7 --workers 8 --json --stats-out serve_stats_8.json",
+        "query B+Tree --scale quick --epoch latest --key 0x0",
+        "query B+Tree --scale quick --epoch 99999 --key 0x0",
+        "chaos B+Tree --scheme nvoverlay --sites 200 --seed 7 --scale quick --out chaos_nvoverlay.json",
+        "chaos kmeans --scheme sw-undo --sites 200 --seed 7 --scale quick --out chaos_sw_undo.json",
+        "chaos B+Tree --scheme nvoverlay --sites 120 --seed 7 --scale quick --broken-recovery --out chaos_broken.json",
+        "backup B+Tree --scale quick --store store_a --name head",
+        "store ls --store store_a",
+        "store validate --store store_a",
+        "restore --store store_a --name head --verify",
+        "chaos B+Tree --scheme store --sites 200 --seed 7 --scale quick --out store_chaos.json",
+        "trace B+Tree --scheme NVOverlay --scale quick --trace-out nvo_trace.json --stats-out nvo_stats.json",
+    ];
+
+    fn argv(line: &str) -> Vec<OsString> {
+        line.split(' ').map(OsString::from).collect()
+    }
+
+    #[test]
+    fn tables_are_well_formed() {
+        for c in CMDS {
+            for (i, f) in c.flags.iter().enumerate() {
+                assert!(
+                    c.flags[..i].iter().all(|g| g.name != f.name),
+                    "nvo {}: --{} twice",
+                    c.name,
+                    f.name
+                );
+                if let Some(d) = f.default {
+                    assert!(f.kind.admits(d), "--{}: bad default {d:?}", f.name);
+                    assert!(
+                        f.req != Req::Required,
+                        "--{}: required with a default",
+                        f.name
+                    );
+                }
+            }
+            let bare = c.flags.iter().filter(|f| f.req == Req::Positional);
+            assert!(bare.count() <= 1, "nvo {}: two positional rows", c.name);
+        }
+    }
+
+    #[test]
+    fn ci_lines_parse_and_bad_lines_are_refused() {
+        for line in CI_LINES {
+            assert!(parse(&argv(line)).is_ok(), "{line}");
+        }
+        let a = parse(&argv("backup B+Tree --store 1"))
+            .ok()
+            .expect("parses");
+        assert_eq!(a.get::<&str>("store"), Some("1"));
+        assert_eq!(a.get::<&str>("name"), Some("snapshot"));
+        let a = parse(&argv("query --key 0x1f40 B+Tree"))
+            .ok()
+            .expect("parses");
+        assert_eq!(a.get::<u64>("key"), Some(0x1f40));
+        assert_eq!(a.get::<u64>("epoch"), None, "latest is not a number");
+        for line in [
+            "",
+            "store",
+            "store ls",
+            "run --workload B+Tree --scheme NVOverlay --shrads 4",
+            "chaos B+Tree --sied 9",
+            "chaos B+Tree --store",
+            "chaos B+Tree --scheme sw_undo",
+            "chaos B+Tree --scheme NVOverlay",
+            "serve B+Tree --shards 4",
+            "serve B+Tree --epochs 5..3",
+            "serve B+Tree --theta 6",
+            "diff --workload B+Tree --from 1 --to 3 --epochs 3",
+            "diff --workload B+Tree --from 1",
+            "run --workload B+Tree --scheme PiCL --json --json",
+            "chaos B+Tree --workload kmeans",
+            "chaos B+Tree kmeans",
+            "chaos B+Tree --sites",
+            "chaos B+Tree --sites --seed 3",
+            "chaos B+Tree --sites 0",
+            "chaos B+Tree --torn-p 1.5",
+            "chaos nosuchload",
+            "list --json",
+            "run B+Tree --scheme PiCL",
+            "store rm --store d",
+            "store ls --store d --purge",
+        ] {
+            assert!(parse(&argv(line)).is_err(), "{line:?} parsed");
+        }
+    }
+
+    /// The reads by name (`a.get("…")`, `a.req`, `a.has`, `a.set`) in
+    /// `body`, as (method, flag) pairs.
+    fn reads(body: &str) -> Vec<(&str, &str)> {
+        let mut out = Vec::new();
+        for (i, _) in body.match_indices("a.") {
+            if body[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            for m in ["get", "req", "has", "set"] {
+                let Some(rest) = body[i + 2..].strip_prefix(m) else {
+                    continue;
+                };
+                let rest = match rest.strip_prefix("::<") {
+                    Some(t) => &t[t.find(">(").expect("turbofish closes") + 1..],
+                    None => rest,
+                };
+                if let Some(r) = rest.strip_prefix("(\"") {
+                    out.push((m, &r[..r.find('"').expect("name closes")]));
+                }
+            }
+        }
+        out
+    }
+
+    /// Scans this file: every flag a subcommand's body reads, itself or
+    /// through the `fn …(a: &Args …)` helpers it calls, is in its table
+    /// (`req` only of rows that are required or defaulted), and every
+    /// row of its table is read.
+    #[test]
+    fn every_read_is_in_its_table() {
+        let src = include_str!("nvo.rs");
+        let src = &src[..src.find("#[cfg(test)]\nmod tests").expect("test module")];
+        let fns: HashMap<&str, &str> = src
+            .split("\nfn ")
+            .skip(1)
+            .map(|f| (&f[..f.find(['(', '<']).expect("fn name")], f))
+            .collect();
+        let helpers: Vec<&str> = fns
+            .iter()
+            .filter(|(_, body)| body[..body.find('{').unwrap_or(0)].contains("a: &Args"))
+            .map(|(name, _)| *name)
+            .collect();
+        for c in CMDS {
+            let entry = format!("cmd_{}", c.name.replace(['-', ' '], "_"));
+            assert!(fns.contains_key(entry.as_str()), "no fn {entry}");
+            let (mut todo, mut seen) = (vec![entry.as_str()], Vec::new());
+            let mut used = Vec::new();
+            while let Some(f) = todo.pop() {
+                if seen.contains(&f) {
+                    continue;
+                }
+                seen.push(f);
+                for (m, name) in reads(fns[f]) {
+                    let row = c.flags.iter().find(|r| r.name == name);
+                    let row =
+                        row.unwrap_or_else(|| panic!("{f} reads --{name}, not in nvo {}", c.name));
+                    assert!(
+                        m != "req" || row.req == Req::Required || row.default.is_some(),
+                        "{f}: req of optional --{name} in nvo {}",
+                        c.name
+                    );
+                    used.push(name);
+                }
+                todo.extend(
+                    helpers
+                        .iter()
+                        .filter(|h| fns[f].contains(&format!("{h}(a"))),
+                );
+            }
+            for r in c.flags {
+                assert!(
+                    used.contains(&r.name),
+                    "nvo {} never reads --{}",
+                    c.name,
+                    r.name
+                );
+            }
+        }
+    }
+
+    /// Seeded mutations of the CI command lines (dropped, duplicated or
+    /// swapped words, truncated flag names, random bytes as values) all
+    /// parse or are refused; none panics, and what parses holds every
+    /// required row.
+    #[cfg(unix)]
+    #[test]
+    fn mutated_command_lines_parse_or_are_refused() {
+        use std::os::unix::ffi::OsStringExt;
+        let mut rng = Rng64::seed_from_u64(0xC11);
+        let (mut parsed, mut refused) = (0, 0);
+        for case in 0..12_000 {
+            let mut words: Vec<Vec<u8>> = CI_LINES[case % CI_LINES.len()]
+                .split(' ')
+                .map(|w| w.as_bytes().to_vec())
+                .collect();
+            for _ in 0..rng.gen_range(1..4usize) {
+                if words.is_empty() {
+                    break;
+                }
+                let (i, j) = (rng.gen_range(0..words.len()), rng.gen_range(0..words.len()));
+                match rng.gen_range(0..5u32) {
+                    0 => drop(words.remove(i)),
+                    1 => words.insert(i, words[i].clone()),
+                    2 => words.swap(i, j),
+                    3 if words[i].starts_with(b"--") => {
+                        let len = rng.gen_range(2..words[i].len() + 1);
+                        words[i].truncate(len);
+                    }
+                    _ => {
+                        let len = rng.gen_range(0..8usize);
+                        words[i] = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+                    }
+                }
+            }
+            match parse(
+                &words
+                    .into_iter()
+                    .map(OsString::from_vec)
+                    .collect::<Vec<_>>(),
+            ) {
+                Ok(a) => {
+                    parsed += 1;
+                    for (f, v) in a.cmd.flags.iter().zip(&a.vals) {
+                        assert!(
+                            f.req != Req::Required || v.is_some(),
+                            "--{} missing",
+                            f.name
+                        );
+                    }
+                }
+                Err(UsageError(cmd, msg)) => {
+                    refused += 1;
+                    assert!(!msg.is_empty() && !usage(cmd).is_empty());
+                }
+            }
+        }
+        assert!(
+            parsed > 100 && refused > 1_000,
+            "{parsed} parsed, {refused} refused"
+        );
     }
 }

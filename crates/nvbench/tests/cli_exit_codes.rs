@@ -29,19 +29,120 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = nvo(&["restore"]); // --store is required
     assert_eq!(out.status.code(), Some(2));
-    // The broken-rebuild self-test exists only for NVOverlay's recovery.
-    for target in [&["--scheme", "sw-undo"][..], &["--store"]] {
-        let mut args = vec!["chaos", "kmeans", "--sites", "20", "--scale", "quick"];
-        args.extend_from_slice(target);
-        args.push("--broken-recovery");
-        let out = nvo(&args);
+    // The broken-rebuild self-test exists only for NVOverlay's recovery,
+    // and store chaos has no NVM queue to stress.
+    for (scheme, flag) in [
+        ("sw-undo", "--broken-recovery"),
+        ("store", "--broken-recovery"),
+        ("store", "--stress-backpressure"),
+    ] {
+        let out = nvo(&[
+            "chaos", "kmeans", "--sites", "20", "--scale", "quick", "--scheme", scheme, flag,
+        ]);
         assert_eq!(
             out.status.code(),
             Some(2),
-            "{target:?}: {}",
+            "{scheme} {flag}: {}",
             stderr_of(&out)
         );
     }
+}
+
+#[test]
+fn flags_outside_the_subcommand_table_exit_2() {
+    for line in [
+        "run --workload B+Tree --scheme NVOverlay --scale quick --shrads 4",
+        "chaos B+Tree --scale quick --sied 9",
+        "serve B+Tree --shards 4",
+        "diff --workload B+Tree --from 1 --to 3 --epochs 3",
+        "chaos B+Tree --store",
+        "run --workload B+Tree --scheme PiCL --json --json",
+        "chaos B+Tree --sites 0",
+        "query B+Tree --key",
+    ] {
+        let out = nvo(&line.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(2), "{line}: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains("usage: nvo"), "{line}: no usage");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_argument_exits_2() {
+    use std::os::unix::ffi::OsStrExt;
+    let out = Command::new(env!("CARGO_BIN_EXE_nvo"))
+        .args(["chaos", "B+Tree", "--out"])
+        .arg(std::ffi::OsStr::from_bytes(b"report\xff.json"))
+        .output()
+        .expect("nvo binary runs");
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+}
+
+#[test]
+fn store_dir_named_1_is_a_directory() {
+    let dir = temp_store("one");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_nvo"))
+        .args(["backup", "kmeans", "--store", "1", "--scale", "quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("nvo binary runs");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    assert!(dir.join("1").join("layers").is_dir());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_perf_baseline_exits_1_before_the_run() {
+    let dir = temp_store("baseline");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, body) in [
+        (
+            "truncated.json",
+            r#"{"throughput_maccess_s": {"PiCL": 1.0}"#,
+        ),
+        (
+            "no_ratio.json",
+            r#"{"throughput_maccess_s": {"PiCL": 1.0}}"#,
+        ),
+    ] {
+        std::fs::write(dir.join(file), body).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_nvo"))
+            .args(["perf", "--scale", "quick", "--baseline", file])
+            .current_dir(&dir)
+            .output()
+            .expect("nvo binary runs");
+        assert_eq!(out.status.code(), Some(1), "{file}: {}", stderr_of(&out));
+        assert!(out.stdout.is_empty(), "{file}: the run started");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn nvo_shards_no_longer_switches_run_to_sharded_replay() {
+    let args = [
+        "run",
+        "--workload",
+        "kmeans",
+        "--scheme",
+        "NVOverlay",
+        "--scale",
+        "quick",
+        "--json",
+    ];
+    let serial = nvo(&args);
+    let with_env = Command::new(env!("CARGO_BIN_EXE_nvo"))
+        .args(args)
+        .env("NVO_SHARDS", "2")
+        .output()
+        .expect("nvo binary runs");
+    assert_eq!(
+        serial.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_of(&serial)
+    );
+    assert_eq!(serial.stdout, with_env.stdout);
 }
 
 #[test]

@@ -50,8 +50,8 @@ impl ChaosScheme {
     /// Parses a CLI scheme name.
     pub fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
-            "nvoverlay" | "nv-overlay" | "overlay" => Some(Self::NvOverlay),
-            "sw-undo" | "sw_undo" | "swundo" | "sw-logging" | "undo" => Some(Self::SwUndo),
+            "nvoverlay" => Some(Self::NvOverlay),
+            "sw-undo" => Some(Self::SwUndo),
             _ => None,
         }
     }

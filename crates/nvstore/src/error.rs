@@ -3,7 +3,7 @@
 //! Robustness contract: every way the store can fail — I/O, torn
 //! writes, bit flips, truncated files, stale manifests, hand-edited
 //! refcounts, future schema versions — maps to exactly one
-//! [`StoreError`] variant. The chaos explorer (`nvo chaos --store`)
+//! [`StoreError`] variant. The chaos explorer (`nvo chaos --scheme store`)
 //! asserts that seeded faults only ever surface as these values, never
 //! as panics or silently wrong images, and the CLI assigns each variant
 //! a documented exit code.

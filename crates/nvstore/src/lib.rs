@@ -28,7 +28,7 @@
 //! * [`io`] / [`fault`] — the disk backend, plus the in-memory
 //!   journaling backend and [`fault::StoreFaultPlane`] that replays
 //!   seeded prefix cuts, torn tail writes, and bit flips for the
-//!   `nvo chaos --store` explorer.
+//!   `nvo chaos --scheme store` explorer.
 //!
 //! Every failure is a typed [`StoreError`] — the store never panics on
 //! corrupt input and never serves a partial image.
