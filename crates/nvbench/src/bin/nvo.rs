@@ -728,81 +728,94 @@ fn cmd_diff(a: &Args) {
 }
 
 /// `nvo chaos` — deterministic crash-site exploration: run the workload
-/// once with the NVM fault plane attached, then fan independent
-/// crash/recovery checks out across `--jobs` workers. Exits nonzero if
-/// any site violates a consistency-cut invariant.
+/// once with the crash target's journal attached, then fan independent
+/// crash/recovery checks out across `--jobs` workers. `--scheme` picks
+/// the target: the simulated NVM of NVOverlay or the SW undo log, or
+/// the backup store, whose every exact restore is also mounted under
+/// the query service. Exits nonzero if any site violates an invariant.
 fn cmd_chaos(a: &Args) {
-    let target: &str = a.req("scheme");
-    // The self-test breaks NVOverlay's rebuild and the backpressure
-    // stress deepens the NVM queue; a checker that reads neither would
-    // pass without testing anything.
-    if a.has("broken-recovery") && target != "nvoverlay" {
+    let name: &str = a.req("scheme");
+    // The self-test breaks NVOverlay's rebuild, the backpressure stress
+    // deepens the NVM queue, and the SW undo checker draws no bit
+    // flips; a checker that reads none of them would pass without
+    // testing anything.
+    if a.has("broken-recovery") && name != "nvoverlay" {
         usage_error(a, "--broken-recovery applies only to --scheme nvoverlay");
     }
-    if target == "store" {
-        if a.has("stress-backpressure") {
-            usage_error(a, "--stress-backpressure does not apply to --scheme store");
-        }
-        return cmd_chaos_store(a);
+    if a.has("stress-backpressure") && name == "store" {
+        usage_error(a, "--stress-backpressure does not apply to --scheme store");
     }
-    let scheme = nvchaos::ChaosScheme::from_name(target).expect("the table admits chaos schemes");
+    if a.has("flip-p") && name == "sw-undo" {
+        usage_error(a, "--flip-p does not apply to --scheme sw-undo");
+    }
     let scale: EnvScale = a.req("scale");
     let trace = load_workload(a, scale);
-    let mut ccfg = nvchaos::ChaosConfig::new(scheme);
-    a.set("sites", &mut ccfg.sites);
-    a.set("seed", &mut ccfg.seed);
-    a.set("torn-p", &mut ccfg.torn_p);
-    a.set("flip-p", &mut ccfg.flip_p);
-    ccfg.stress_backpressure = a.has("stress-backpressure");
-    if a.has("broken-recovery") {
-        // Harness self-test: a recovery that ignores the rec-epoch
-        // filter must make the invariants fire.
-        ccfg.fidelity = nvchaos::RebuildFidelity::BrokenNoEpochFilter;
-    }
+    let simcfg = scale.sim_config();
+    let mut cfg = nvchaos::ChaosConfig::default();
+    a.set("sites", &mut cfg.sites);
+    a.set("seed", &mut cfg.seed);
+    a.set("torn-p", &mut cfg.torn_p);
+    a.set("flip-p", &mut cfg.flip_p);
     let jobs = a.get("jobs").unwrap_or_else(default_jobs);
 
-    let run = nvchaos::prepare(&trace, &scale.sim_config(), ccfg);
-    let results = nvbench::run_ordered(run.site_count(), jobs, |i| run.check_site(i));
-    let report = run.summarize(&results);
+    let target: Box<dyn nvchaos::CrashTarget> = match nvchaos::ChaosScheme::from_name(name) {
+        Some(scheme) => Box::new(nvchaos::NvmTarget::prepare(
+            &trace,
+            &simcfg,
+            scheme,
+            if a.has("broken-recovery") {
+                nvchaos::RebuildFidelity::BrokenNoEpochFilter
+            } else {
+                nvchaos::RebuildFidelity::Exact
+            },
+            a.has("stress-backpressure"),
+        )),
+        None => Box::new(
+            nvchaos::StoreTarget::prepare(&trace, &simcfg, Some(&mount_restored))
+                .unwrap_or_else(|e| exit_store(&e)),
+        ),
+    };
+    let report = nvchaos::explore(&*target, &cfg, jobs);
     let json = report.to_json();
-
     if let Some(path) = a.get::<&str>("out") {
         write_out(path, &json);
     }
     if a.has("json") {
         print!("{json}");
     } else {
-        println!(
-            "chaos {}: {} sites over a {}-write journal (seed {})",
-            report.scheme, report.sites_explored, report.journal_writes, report.seed
-        );
-        let by_cat: Vec<String> = report
-            .category_counts
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(c, n)| format!("{c} {n}"))
-            .collect();
-        println!("  sites: {}", by_cat.join(", "));
-        println!(
-            "  faults: {} writes dropped, {} torn, {} bit flips injected, {} detected by recovery",
-            report.dropped_writes, report.torn_sites, report.flips_injected, report.faults_detected
-        );
-        println!("  max recovered epoch: {}", report.max_recovered_epoch);
-        if report.ok() {
-            println!("  invariants: all sites consistent");
-        } else {
-            println!("  INVARIANT VIOLATIONS: {}", report.violations.len());
-            for v in report.violations.iter().take(10) {
-                println!("    site {} [{}]: {}", v.site, v.category, v.message);
-            }
-            if report.violations.len() > 10 {
-                println!("    ... ({} more)", report.violations.len() - 10);
-            }
-        }
+        print!("{}", target.summary(&report));
     }
     if !report.ok() {
         exit(1);
     }
+}
+
+/// The mount probe store chaos injects (nvchaos cannot name it itself,
+/// it would cycle on nvserve): an exact restore must also mount and
+/// answer like `time_travel` does.
+fn mount_restored(mnm: &nvoverlay::mnm::Mnm, export: &SnapshotExport) -> Result<(), String> {
+    let mount =
+        Mount::new(mnm, 1).map_err(|e| format!("mount rejected the restored image: {e}"))?;
+    if export.rec_epoch == 0 {
+        return Ok(());
+    }
+    let view = mount
+        .dir()
+        .resolve(export.rec_epoch)
+        .map_err(|e| format!("resolve({}) failed: {e}", export.rec_epoch))?;
+    let stride = (export.master.len() / 8).max(1);
+    for &(l, t) in export.master.iter().step_by(stride) {
+        if mount
+            .mnm()
+            .time_travel(nvsim::addr::LineAddr::new(l), view.epoch())
+            != Some(t)
+        {
+            return Err(format!(
+                "mounted read of line {l:#x} diverges from the stored master"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The gate tables of a `--baseline` report: scheme or workload name →
@@ -1224,115 +1237,6 @@ fn cmd_store_validate(a: &Args) {
     println!("store {dir} is consistent: {n} backups fully verified");
 }
 
-/// `nvo chaos --scheme store` — crashes the backup machinery instead of the
-/// simulated NVM: replays seeded prefix cuts (with torn tail writes and
-/// bit flips) of a recorded backup → backup → remove → gc session and
-/// requires a clean prior-manifest restore or a typed `StoreError` at
-/// every site. Every exact restore is additionally mounted under the
-/// query service and spot-checked against `time_travel`.
-fn cmd_chaos_store(a: &Args) {
-    let scale: EnvScale = a.req("scale");
-    let trace = load_workload(a, scale);
-    let mut cfg = nvchaos::StoreChaosConfig::default();
-    a.set("sites", &mut cfg.sites);
-    a.set("seed", &mut cfg.seed);
-    a.set("torn-p", &mut cfg.torn_p);
-    a.set("flip-p", &mut cfg.flip_p);
-    let jobs = a.get("jobs").unwrap_or_else(default_jobs);
-
-    let run =
-        nvchaos::prepare_store(&trace, &scale.sim_config(), cfg).unwrap_or_else(|e| exit_store(&e));
-    // The mount probe nvchaos cannot name itself (it would cycle on
-    // nvserve): every exact restore must also mount and answer like
-    // `time_travel` does.
-    let mount_check = |mnm: &nvoverlay::mnm::Mnm, export: &SnapshotExport| -> Result<(), String> {
-        let mount =
-            Mount::new(mnm, 1).map_err(|e| format!("mount rejected the restored image: {e}"))?;
-        if export.rec_epoch == 0 {
-            return Ok(());
-        }
-        let view = mount
-            .dir()
-            .resolve(export.rec_epoch)
-            .map_err(|e| format!("resolve({}) failed: {e}", export.rec_epoch))?;
-        let stride = (export.master.len() / 8).max(1);
-        for &(l, t) in export.master.iter().step_by(stride) {
-            if mount
-                .mnm()
-                .time_travel(nvsim::addr::LineAddr::new(l), view.epoch())
-                != Some(t)
-            {
-                return Err(format!(
-                    "mounted read of line {l:#x} diverges from the stored master"
-                ));
-            }
-        }
-        Ok(())
-    };
-    let results = nvbench::run_ordered(run.site_count(), jobs, |i| {
-        run.check_site(i, Some(&mount_check))
-    });
-    let report = run.summarize(&results);
-    let json = report.to_json();
-
-    if let Some(path) = a.get::<&str>("out") {
-        write_out(path, &json);
-    }
-    if a.has("json") {
-        print!("{json}");
-    } else {
-        println!(
-            "store chaos: {} fault sites over a {}-op journal ({} writes, {} renames, {} removes; seed {})",
-            report.sites_explored,
-            report.journal_writes + report.journal_renames + report.journal_removes,
-            report.journal_writes,
-            report.journal_renames,
-            report.journal_removes,
-            report.seed
-        );
-        let by_cat: Vec<String> = report
-            .category_counts
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(c, n)| format!("{c} {n}"))
-            .collect();
-        println!("  sites: {}", by_cat.join(", "));
-        let typed: Vec<String> = report
-            .typed_errors
-            .iter()
-            .map(|(n, c)| format!("{n} {c}"))
-            .collect();
-        println!(
-            "  faults: {} torn writes, {} bit flips; typed errors: {}",
-            report.torn_sites,
-            report.flips_injected,
-            if typed.is_empty() {
-                "none".to_string()
-            } else {
-                typed.join(", ")
-            }
-        );
-        println!(
-            "  checked: {} exact restores, {} mounts; max manifest version {}",
-            report.restores_checked, report.mounts_checked, report.max_manifest_version
-        );
-        if report.ok() {
-            println!("  contract: every site restored a committed state or failed typed");
-        } else {
-            println!("  CONTRACT VIOLATIONS: {}", report.violations.len());
-            for v in report.violations.iter().take(10) {
-                println!("    site {} [{}]: {}", v.site, v.category, v.message);
-            }
-            if report.violations.len() > 10 {
-                println!("    ... ({} more)", report.violations.len() - 10);
-            }
-        }
-    }
-    if !report.ok() {
-        exit(1);
-    }
-}
-
 /// `nvo perf` — times the parallel experiment engine against the serial
 /// driver on a fixed 6-scheme × 4-workload matrix, reports per-scheme
 /// serial replay throughput (Maccesses/s), then replays the same matrix
@@ -1425,6 +1329,26 @@ fn cmd_perf(a: &Args) {
             micros(timing[di].secs("stats")),
             timing[di].total_secs(),
         );
+    }
+
+    // The parallel-speedup gate compares each driver's best of
+    // OVERHEAD_REPS palindromic samples (serial, parallel, parallel,
+    // serial), as the sharding-overhead ratio below does per cell: one
+    // wall-clock pass per driver let a co-tenant burst or host drift
+    // fail the gate. The two passes above lead the first palindrome.
+    let pass = |jobs: usize| {
+        let t = Instant::now();
+        let _ = run_matrix_stats(&schemes, &cfg, &gen_traces(&workloads, &params, jobs), jobs);
+        t.elapsed().as_secs_f64()
+    };
+    let (mut best_serial, mut best_par) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..OVERHEAD_REPS {
+        let (serial_lead, par_lead) = match rep {
+            0 => (timing[0].total_secs(), timing[1].total_secs()),
+            _ => (pass(1), pass(jobs)),
+        };
+        best_par = best_par.min(par_lead + pass(jobs));
+        best_serial = best_serial.min(serial_lead + pass(1));
     }
 
     // Per-scheme replay throughput over the serial pass: every scheme
@@ -1830,7 +1754,7 @@ fn cmd_perf(a: &Args) {
 
     let identical = serial_rows == par_rows && sharded_identical;
     let totals = [timing[0].total_secs(), timing[1].total_secs()];
-    let speedup = totals[0] / totals[1].max(1e-9);
+    let speedup = best_serial / best_par.max(1e-9);
     // A 1-CPU host (or a single-job invocation) cannot show a parallel
     // speedup; annotate the report and skip the speedup gate there.
     let meaningful = default_host() > 1 && jobs > 1;
@@ -1839,7 +1763,7 @@ fn cmd_perf(a: &Args) {
         if identical { "yes" } else { "NO — BUG" }
     );
     println!(
-        "  speedup: {speedup:.2}x ({jobs} jobs, host parallelism {}){}",
+        "  speedup: {speedup:.2}x (best of {OVERHEAD_REPS} palindromic samples, {jobs} jobs, host parallelism {}){}",
         default_host(),
         if meaningful {
             ""
@@ -1987,11 +1911,13 @@ mod tests {
         "chaos B+Tree --scheme nvoverlay --sites 200 --seed 7 --scale quick --out chaos_nvoverlay.json",
         "chaos kmeans --scheme sw-undo --sites 200 --seed 7 --scale quick --out chaos_sw_undo.json",
         "chaos B+Tree --scheme nvoverlay --sites 120 --seed 7 --scale quick --broken-recovery --out chaos_broken.json",
+        "chaos B+Tree --scheme nvoverlay --sites 200 --seed 7 --scale quick --jobs 1 --out chaos_jobs1.json",
         "backup B+Tree --scale quick --store store_a --name head",
         "store ls --store store_a",
         "store validate --store store_a",
         "restore --store store_a --name head --verify",
         "chaos B+Tree --scheme store --sites 200 --seed 7 --scale quick --out store_chaos.json",
+        "chaos B+Tree --scheme store --sites 200 --seed 7 --scale quick --jobs 1 --out store_chaos_jobs1.json",
         "trace B+Tree --scheme NVOverlay --scale quick --trace-out nvo_trace.json --stats-out nvo_stats.json",
     ];
 

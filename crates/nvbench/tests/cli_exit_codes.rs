@@ -30,20 +30,29 @@ fn usage_errors_exit_2() {
     let out = nvo(&["restore"]); // --store is required
     assert_eq!(out.status.code(), Some(2));
     // The broken-rebuild self-test exists only for NVOverlay's recovery,
-    // and store chaos has no NVM queue to stress.
+    // store chaos has no NVM queue to stress, and the SW undo checker
+    // draws no bit flips.
     for (scheme, flag) in [
         ("sw-undo", "--broken-recovery"),
         ("store", "--broken-recovery"),
         ("store", "--stress-backpressure"),
+        ("sw-undo", "--flip-p 0.5"),
     ] {
-        let out = nvo(&[
-            "chaos", "kmeans", "--sites", "20", "--scale", "quick", "--scheme", scheme, flag,
-        ]);
+        let mut args = vec![
+            "chaos", "kmeans", "--sites", "20", "--scale", "quick", "--scheme", scheme,
+        ];
+        args.extend(flag.split(' '));
+        let out = nvo(&args);
         assert_eq!(
             out.status.code(),
             Some(2),
             "{scheme} {flag}: {}",
             stderr_of(&out)
+        );
+        let flag = flag.split(' ').next().unwrap_or_default();
+        assert!(
+            stderr_of(&out).starts_with(flag),
+            "{scheme} {flag}: wrong refusal"
         );
     }
 }

@@ -9,23 +9,27 @@
 //! misparsed.
 
 use nvbench::json;
-use nvchaos::report::{ChaosReport, Violation, CHAOS_REPORT_SCHEMA};
+use nvchaos::report::{ChaosReport, Field, Violation, CHAOS_REPORT_SCHEMA};
 use nvstore::{Manifest, StoreError, MANIFEST_SCHEMA};
 
 fn sample_report() -> ChaosReport {
+    let num = |key: &str, n| (key.to_string(), Field::Num(n));
+    let by_category = vec![("omc-metadata".into(), 4), ("master-root".into(), 2)];
     ChaosReport {
-        scheme: "nvoverlay".into(),
-        seed: 7,
-        sites_requested: 8,
-        sites_explored: 6,
-        journal_writes: 40,
-        run_cycles: 1234,
-        category_counts: vec![("omc-metadata".into(), 4), ("master-root".into(), 2)],
-        torn_sites: 1,
-        dropped_writes: 3,
-        flips_injected: 2,
-        faults_detected: 2,
-        max_recovered_epoch: 5,
+        scheme: Some("nvoverlay".into()),
+        fields: vec![
+            num("seed", 7),
+            num("sites_requested", 8),
+            num("sites_explored", 6),
+            num("journal_writes", 40),
+            num("run_cycles", 1234),
+            ("sites_by_category".into(), Field::Counts(by_category)),
+            num("torn_sites", 1),
+            num("dropped_writes", 3),
+            num("flips_injected", 2),
+            num("faults_detected", 2),
+            num("max_recovered_epoch", 5),
+        ],
         violations: vec![Violation {
             site: 3,
             category: "master-root".into(),
@@ -60,7 +64,9 @@ fn chaos_reports_from_the_future_are_rejected() {
     // The edited document still parses as JSON — rejection is a
     // versioning decision, not a syntax error.
     assert!(json::parse(&text).is_ok());
-    let err = ChaosReport::from_json(&text).expect_err("future schema must be rejected");
+    let err = ChaosReport::from_json(&text)
+        .expect_err("future schema must be rejected")
+        .to_string();
     assert!(
         err.contains(&format!("schema {}", CHAOS_REPORT_SCHEMA + 41)),
         "error names the offending version: {err}"

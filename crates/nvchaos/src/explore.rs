@@ -1,520 +1,207 @@
-//! Deterministic crash-site exploration.
+//! The crash explorer: one driver for every crash target.
 //!
-//! [`prepare`] runs the workload once per scheme with the NVM fault
-//! plane attached (the *oracle run*), harvests the persistence-order
-//! journal, and picks a stratified, seeded sample of crash sites — every
-//! journal index is a candidate, so crash points fall *inside* OMC
-//! flushes (between two `MasterChunk` writes of one merge), mid-`Mmaster`
-//! root update, mid-undo-log flush, and at plain data writes.
+//! A [`CrashTarget`] owns an oracle run's write journal and knows how to
+//! crash it: its site categories, its site sample, and a check that
+//! cuts the journal at a site (tearing the boundary write and flipping
+//! a bit when the seeded draws say so), recovers, and tests the result.
+//! [`explore`] draws the sample, fans the checks out across worker
+//! threads, and tallies one [`ChaosReport`].
 //!
-//! Each site check ([`ChaosRun::check_site`]) is a pure function of the
-//! journal and the site's derived seed: draw a crash cut, rebuild the
-//! durable state, run the production recovery procedure against it,
-//! optionally inject a mapping-word bit flip (which recovery must
-//! *detect*), and verify the three consistency-cut invariants of
-//! `tests/crash_consistency.rs` against the trace oracle. Site checks
-//! are `Sync` and independent, so callers may fan them out across
-//! threads (`nvbench::par`) without perturbing the result.
+//! Each check is a pure function of the target and its derived seed, so
+//! checks are independent and the report does not depend on the worker
+//! count or schedule: two runs with the same seed produce byte-identical
+//! JSON.
 
-use crate::oracle::TraceOracle;
-use crate::rebuild::{
-    rebuild_undo, undo_commit_cutoff, undo_expected, RebuildFidelity, RebuiltState,
-};
-use crate::report::{ChaosReport, Violation};
-use nvbaselines::{CommitKind, EpochCommitSystem};
-use nvoverlay::recovery::{recover_durable, RecoveryError};
-use nvoverlay::system::NvOverlaySystem;
-use nvsim::addr::{LineAddr, Token};
-use nvsim::config::SimConfig;
-use nvsim::fastmap::FastHashMap;
-use nvsim::fault::{CrashCut, FaultPlane, PersistPayload, WriteRecord};
-use nvsim::memsys::Runner;
-use nvsim::nvtrace::{EventKind, TraceScope, Track};
+use crate::report::{ChaosReport, Field, Violation};
+use nvsim::par::run_ordered;
 use nvsim::rng::Rng64;
-use nvsim::trace::Trace;
+use std::collections::BTreeMap;
 
 /// Per-site seed mixer (splitmix64 increment): keeps site seeds
 /// independent of the order sites were selected in.
-pub(crate) const SEED_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+const SEED_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The scheme whose crash behavior is explored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosScheme {
-    /// The NVOverlay system (multi-snapshot overlay + Mmaster recovery).
-    NvOverlay,
-    /// The software undo-logging baseline (WAL + epoch commit markers).
-    SwUndo,
-}
-
-impl ChaosScheme {
-    /// Parses a CLI scheme name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "nvoverlay" => Some(Self::NvOverlay),
-            "sw-undo" => Some(Self::SwUndo),
-            _ => None,
-        }
-    }
-
-    /// Canonical name (stable in reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::NvOverlay => "nvoverlay",
-            Self::SwUndo => "sw-undo",
-        }
-    }
-}
-
-/// Where in the persistence flow a crash site sits, keyed by the write
-/// being issued when the crash hits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SiteCategory {
-    /// A data write: an overlay version slot or a home-location flush.
-    Data,
-    /// A Master Mapping Table metadata chunk mid-OMC-flush.
-    OmcFlushMeta,
-    /// The `rec-epoch` master root pointer update.
-    MasterRoot,
-    /// A processor context dump at an epoch boundary.
-    Context,
-    /// An undo-log entry (software logging).
-    UndoLog,
-    /// An epoch commit marker (software logging).
-    EpochCommit,
-}
-
-impl SiteCategory {
-    /// All categories, in stable report order.
-    pub const ALL: [SiteCategory; 6] = [
-        SiteCategory::Data,
-        SiteCategory::OmcFlushMeta,
-        SiteCategory::MasterRoot,
-        SiteCategory::Context,
-        SiteCategory::UndoLog,
-        SiteCategory::EpochCommit,
-    ];
-
-    /// Stable kebab-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SiteCategory::Data => "data",
-            SiteCategory::OmcFlushMeta => "omc-flush-meta",
-            SiteCategory::MasterRoot => "master-root",
-            SiteCategory::Context => "context",
-            SiteCategory::UndoLog => "undo-log",
-            SiteCategory::EpochCommit => "epoch-commit",
-        }
-    }
-
-    fn index(self) -> usize {
-        SiteCategory::ALL
-            .iter()
-            .position(|c| *c == self)
-            .expect("listed")
-    }
-}
-
-fn category_of(rec: &WriteRecord) -> SiteCategory {
-    match &rec.payload {
-        Some(PersistPayload::MasterChunk { .. }) => SiteCategory::OmcFlushMeta,
-        Some(PersistPayload::RecEpochRoot { .. }) => SiteCategory::MasterRoot,
-        Some(PersistPayload::Context { .. }) => SiteCategory::Context,
-        Some(PersistPayload::UndoLog { .. }) => SiteCategory::UndoLog,
-        Some(PersistPayload::EpochCommit { .. }) => SiteCategory::EpochCommit,
-        Some(PersistPayload::Version { .. }) | Some(PersistPayload::DataHome { .. }) | None => {
-            SiteCategory::Data
-        }
-    }
-}
-
-/// Exploration parameters.
+/// Exploration parameters, shared by every target.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// The scheme under test.
-    pub scheme: ChaosScheme,
-    /// Number of crash sites to explore (capped by the journal length).
+    /// Number of crash sites to explore (the NVM sample is capped by
+    /// the journal length).
     pub sites: usize,
-    /// Master seed: fixes the site sample and every per-site cut.
+    /// Master seed: fixes the site sample and every per-site draw.
     pub seed: u64,
     /// Probability a cut's boundary write is torn rather than lost.
     pub torn_p: f64,
-    /// Probability of injecting a mapping-word bit flip at a site
-    /// (NVOverlay only; recovery must detect it).
+    /// Probability of injecting a bit flip at a site, which recovery
+    /// must detect (NVOverlay's mapping words and the store's files;
+    /// the SW-undo checker draws none).
     pub flip_p: f64,
-    /// Recovery rebuild fidelity ([`RebuildFidelity::BrokenNoEpochFilter`]
-    /// is the harness self-test mode — invariants must then fire).
-    pub fidelity: RebuildFidelity,
-    /// Run the oracle sim under sustained OMC backpressure: NVM queue
-    /// depth 1 and 4× write latency, deepening the in-flight windows.
-    pub stress_backpressure: bool,
 }
 
-impl ChaosConfig {
-    /// Defaults for `scheme`: 200 sites, seed 7, torn 25%, flip 10%,
-    /// exact fidelity, no backpressure.
-    pub fn new(scheme: ChaosScheme) -> Self {
-        Self {
-            scheme,
+impl Default for ChaosConfig {
+    /// 200 sites, seed 7, torn 25%, flip 10%.
+    fn default() -> Self {
+        ChaosConfig {
             sites: 200,
             seed: 7,
             torn_p: 0.25,
             flip_p: 0.10,
-            fidelity: RebuildFidelity::Exact,
-            stress_backpressure: false,
         }
     }
 }
 
-/// The outcome of one crash-site check.
+/// How the report tallies one of a target's per-site values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tally {
+    /// Sum of the sites' next count.
+    Sum,
+    /// Maximum of the sites' next count (0 with no sites).
+    Max,
+    /// Occurrences of each of the sites' names, name-sorted.
+    Names,
+}
+
+/// What one crash-site check found.
 #[derive(Clone, Debug)]
-pub struct SiteResult {
-    /// Journal index of the crash site.
-    pub site: usize,
-    /// Category of the write being issued at the crash.
-    pub category: SiteCategory,
-    /// The derived per-site seed (replay with `--sites 1`-style tools).
-    pub seed: u64,
-    /// Accepted writes dropped or torn by the cut.
-    pub dropped: usize,
-    /// Category of the torn boundary write, if the cut tore one.
-    pub torn: Option<SiteCategory>,
-    /// Mapping-word bit flips injected at this site.
-    pub flips: usize,
-    /// Faults recovery correctly *detected* (torn root, corrupt mapping).
-    pub detected: Vec<&'static str>,
-    /// The epoch recovery restored (0 = nothing recoverable).
-    pub recovered_epoch: u64,
-    /// Lines in the recovered image.
-    pub recovered_lines: usize,
+pub struct Outcome {
+    /// Whether the cut tore its boundary write.
+    pub torn: bool,
+    /// One count per [`Tally::Sum`] or [`Tally::Max`] entry of the
+    /// target's [`CrashTarget::tallies`], in that order.
+    pub counts: Vec<u64>,
+    /// Names for the target's [`Tally::Names`] entry.
+    pub names: Vec<&'static str>,
     /// Invariant violations — empty means the site is consistent.
     pub violations: Vec<String>,
 }
 
-/// One prepared exploration: the oracle run's journal plus the selected
-/// site sample. Site checks borrow it immutably and are independent.
-pub struct ChaosRun {
-    plane: FaultPlane,
-    oracle: TraceOracle,
-    cfg: ChaosConfig,
-    /// Selected `(journal index, category)` sites, ascending.
-    sites: Vec<(usize, SiteCategory)>,
-    run_cycles: u64,
+/// A layer that can be crashed at any point of a recorded journal.
+pub trait CrashTarget: Sync {
+    /// The scheme name the report carries, if any.
+    fn scheme(&self) -> Option<&'static str>;
+
+    /// The journal fields the report carries before its category
+    /// counts.
+    fn journal(&self) -> Vec<(&'static str, u64)>;
+
+    /// Stable site-category names, in report order.
+    fn categories(&self) -> &'static [&'static str];
+
+    /// The seeded site sample, one `(journal index, category index,
+    /// seed key)` per check; the check's seed derives from its key.
+    fn sample(&self, cfg: &ChaosConfig) -> Vec<(usize, usize, u64)>;
+
+    /// Crashes the journal at `site` with the draws of `rng`, recovers,
+    /// and checks the recovered state. Pure: depends only on the target,
+    /// the site and the seed.
+    fn check(&self, site: usize, rng: &mut Rng64, cfg: &ChaosConfig) -> Outcome;
+
+    /// The report's tallies after `torn_sites`, in report order.
+    fn tallies(&self) -> &'static [(&'static str, Tally)];
+
+    /// The text summary of a report of this target.
+    fn summary(&self, report: &ChaosReport) -> String;
 }
 
-/// Runs the workload once with the fault plane attached and selects the
-/// crash-site sample. Deterministic for a given `(trace, simcfg, cfg)`.
-pub fn prepare(trace: &Trace, simcfg: &SimConfig, cfg: ChaosConfig) -> ChaosRun {
-    let mut simcfg = simcfg.clone();
-    if cfg.stress_backpressure {
-        simcfg.nvm_queue_depth = 1;
-        simcfg.nvm_write_latency *= 4;
-    }
-    let (plane, run_cycles) = match cfg.scheme {
-        ChaosScheme::NvOverlay => {
-            let mut sys = NvOverlaySystem::new(&simcfg);
-            sys.nvm.enable_fault_plane();
-            let report = Runner::new().run(&mut sys, trace);
-            (
-                sys.nvm.take_fault_plane().expect("plane attached"),
-                report.cycles,
-            )
-        }
-        ChaosScheme::SwUndo => {
-            let mut sys = EpochCommitSystem::new(&simcfg, CommitKind::UndoLog);
-            sys.nvm.enable_fault_plane();
-            let report = Runner::new().run(&mut sys, trace);
-            (
-                sys.nvm.take_fault_plane().expect("plane attached"),
-                report.cycles,
-            )
-        }
-    };
-    let oracle = TraceOracle::new(trace);
-    let sites = select_sites(&plane, &cfg);
-    ChaosRun {
-        plane,
-        oracle,
-        cfg,
-        sites,
-        run_cycles,
-    }
-}
+/// Checks every sampled site of `target` across `jobs` worker threads
+/// and tallies the report. The report is the same for every `jobs`.
+pub fn explore(target: &dyn CrashTarget, cfg: &ChaosConfig, jobs: usize) -> ChaosReport {
+    let sites = target.sample(cfg);
+    let outcomes = run_ordered(sites.len(), jobs, |i| {
+        let (site, _, key) = sites[i];
+        let seed = cfg.seed ^ key.wrapping_mul(SEED_GOLDEN);
+        target.check(site, &mut Rng64::seed_from_u64(seed), cfg)
+    });
 
-/// Stratified site sample: every journal index (plus the end-of-run
-/// crash) is a candidate, bucketed by category; the budget is spread
-/// round-robin across non-empty buckets so rare-but-critical sites
-/// (root updates, mid-flush metadata chunks) are always represented,
-/// then drawn per bucket by seeded partial Fisher–Yates.
-fn select_sites(plane: &FaultPlane, cfg: &ChaosConfig) -> Vec<(usize, SiteCategory)> {
-    let mut pools: [Vec<usize>; 6] = Default::default();
-    for r in plane.records() {
-        pools[category_of(r).index()].push(r.id as usize);
-    }
-    // The end-of-run crash (all writes issued, queue possibly wet).
-    pools[SiteCategory::Data.index()].push(plane.len());
-
-    let mut quota = [0usize; 6];
-    let mut budget = cfg.sites;
-    loop {
-        let mut progressed = false;
-        for c in 0..6 {
-            if budget == 0 {
-                break;
-            }
-            if quota[c] < pools[c].len() {
-                quota[c] += 1;
-                budget -= 1;
-                progressed = true;
-            }
-        }
-        if budget == 0 || !progressed {
-            break;
-        }
-    }
-
-    let mut rng = Rng64::seed_from_u64(cfg.seed ^ 0x51_7E5);
-    let mut out = Vec::new();
-    for c in 0..6 {
-        let pool = &mut pools[c];
-        for i in 0..quota[c] {
-            let j = i + rng.gen_range(0..(pool.len() - i) as u64) as usize;
-            pool.swap(i, j);
-            out.push((pool[i], SiteCategory::ALL[c]));
-        }
-    }
-    out.sort_unstable_by_key(|(s, _)| *s);
-    out
-}
-
-impl ChaosRun {
-    /// Number of selected sites (≤ `cfg.sites`).
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// The journal of the oracle run.
-    pub fn plane(&self) -> &FaultPlane {
-        &self.plane
-    }
-
-    /// The exploration parameters.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
-    }
-
-    /// Checks one selected site. Pure: depends only on the journal and
-    /// the site's derived seed, never on other sites — safe to fan out.
-    pub fn check_site(&self, i: usize) -> SiteResult {
-        let (site, category) = self.sites[i];
-        let seed = self.cfg.seed ^ (site as u64).wrapping_mul(SEED_GOLDEN);
-        let mut rng = Rng64::seed_from_u64(seed);
-        let cut = self.plane.crash_cut(site, &mut rng, self.cfg.torn_p);
-        let scope = TraceScope::new(Track::Fault);
-        scope.emit(EventKind::FaultInjected, cut.crash_time, site as u64, 0);
-        if !cut.lost.is_empty() {
-            scope.emit(EventKind::FaultInjected, cut.crash_time, site as u64, 3);
-        }
-        if cut.torn.is_some() {
-            scope.emit(EventKind::FaultInjected, cut.crash_time, site as u64, 1);
-        }
-        let torn = cut
-            .torn
-            .map(|id| category_of(&self.plane.records()[id as usize]));
-        let mut res = SiteResult {
+    let names = target.categories();
+    let mut by_category: Vec<(String, u64)> = names.iter().map(|c| (c.to_string(), 0)).collect();
+    let mut violations = Vec::new();
+    for (&(site, c, _), o) in sites.iter().zip(&outcomes) {
+        by_category[c].1 += 1;
+        violations.extend(o.violations.iter().map(|m| Violation {
             site,
-            category,
-            seed,
-            dropped: cut.dropped_count(),
-            torn,
-            flips: 0,
-            detected: Vec::new(),
-            recovered_epoch: 0,
-            recovered_lines: 0,
-            violations: Vec::new(),
+            category: names[c].to_string(),
+            message: m.clone(),
+        }));
+    }
+    violations.sort_by(|a, b| (a.site, &a.message).cmp(&(b.site, &b.message)));
+
+    let num = |key: &str, n: u64| (key.to_string(), Field::Num(n));
+    let mut fields = vec![
+        num("seed", cfg.seed),
+        num("sites_requested", cfg.sites as u64),
+        num("sites_explored", outcomes.len() as u64),
+    ];
+    fields.extend(target.journal().into_iter().map(|(k, n)| num(k, n)));
+    fields.push(("sites_by_category".into(), Field::Counts(by_category)));
+    fields.push(num(
+        "torn_sites",
+        outcomes.iter().filter(|o| o.torn).count() as u64,
+    ));
+    let mut column = 0;
+    for &(key, tally) in target.tallies() {
+        let field = if tally == Tally::Names {
+            let mut seen = BTreeMap::new();
+            for &name in outcomes.iter().flat_map(|o| &o.names) {
+                *seen.entry(name.to_string()).or_insert(0) += 1;
+            }
+            Field::Counts(seen.into_iter().collect())
+        } else {
+            let k = column;
+            column += 1;
+            let values = outcomes.iter().map(move |o| o.counts[k]);
+            Field::Num(match tally {
+                Tally::Sum => values.sum(),
+                _ => values.max().unwrap_or(0),
+            })
         };
-        match self.cfg.scheme {
-            ChaosScheme::NvOverlay => self.check_nvoverlay(&cut, &mut rng, &scope, &mut res),
-            ChaosScheme::SwUndo => self.check_sw_undo(&cut, &mut res),
-        }
-        res
+        fields.push((key.to_string(), field));
     }
-
-    fn check_nvoverlay(
-        &self,
-        cut: &CrashCut,
-        rng: &mut Rng64,
-        scope: &TraceScope,
-        res: &mut SiteResult,
-    ) {
-        let mut rb = RebuiltState::rebuild(&self.plane, cut, self.cfg.fidelity);
-        // A torn rec-epoch root must be *detected*, then recovery falls
-        // back to the previous durable root cell.
-        if res.torn == Some(SiteCategory::MasterRoot) {
-            match recover_durable(&rb) {
-                Err(RecoveryError::TornMasterRoot { .. }) => res.detected.push("torn-master-root"),
-                other => res.violations.push(format!(
-                    "torn rec-epoch root went undetected (recovery returned {other:?})"
-                )),
-            }
-            rb.fallback_to_previous_root();
-        }
-        // In-array corruption: flip one bit of one mapping word; the
-        // parity check must refuse to recover until the word is healed.
-        // Only meaningful when a durable root exists — with no committed
-        // epoch, recovery stops before the mapping scan and no data is
-        // at risk.
-        use nvoverlay::recovery::DurableState as _;
-        if rb.root().epoch > 0 && rng.gen_bool(self.cfg.flip_p) {
-            if let Some((line, original, bit)) = rb.inject_flip(rng) {
-                res.flips += 1;
-                scope.emit(EventKind::FaultInjected, cut.crash_time, res.site as u64, 2);
-                match recover_durable(&rb) {
-                    Err(RecoveryError::CorruptMapping { line: bad, .. }) if bad == line => {
-                        res.detected.push("corrupt-mapping");
-                    }
-                    other => res.violations.push(format!(
-                        "bit {bit} flipped in the mapping word of line {:#x} went \
-                         undetected (recovery returned {other:?})",
-                        line.raw()
-                    )),
-                }
-                rb.heal(line, original);
-            }
-        }
-        match recover_durable(&rb) {
-            Ok(img) => {
-                res.recovered_epoch = img.epoch();
-                res.recovered_lines = img.len();
-                let map: FastHashMap<LineAddr, Token> = img.iter().collect();
-                self.check_token_validity(&map, res);
-                self.check_prefix_cut(&map, res);
-                // Invariant 3: the image equals the journal-derived
-                // expectation at the recovered epoch.
-                let expected = nvoverlay_expected(&self.plane, cut, img.epoch());
-                if map != expected {
-                    res.violations.push(format!(
-                        "recovered image diverges from the journal expectation at \
-                         epoch {} ({} vs {} lines)",
-                        img.epoch(),
-                        map.len(),
-                        expected.len()
-                    ));
-                }
-            }
-            // No committed epoch survived this cut: an empty restart is
-            // the correct answer.
-            Err(RecoveryError::NothingRecoverable) => {}
-            Err(e) => res
-                .violations
-                .push(format!("unexpected recovery failure: {e}")),
-        }
-    }
-
-    fn check_sw_undo(&self, cut: &CrashCut, res: &mut SiteResult) {
-        let recovered = rebuild_undo(&self.plane, cut);
-        let expected = undo_expected(&self.plane, cut);
-        res.recovered_epoch = undo_commit_cutoff(&self.plane, cut);
-        res.recovered_lines = recovered.len();
-        if recovered != expected {
-            res.violations.push(format!(
-                "undo rollback diverges from the journal expectation ({} vs {} lines)",
-                recovered.len(),
-                expected.len()
-            ));
-        }
-        self.check_token_validity(&recovered, res);
-        self.check_prefix_cut(&recovered, res);
-    }
-
-    /// Invariant 1 (see [`crate::invariants::check_token_validity`]).
-    fn check_token_validity(&self, img: &FastHashMap<LineAddr, Token>, res: &mut SiteResult) {
-        crate::invariants::check_token_validity(&self.oracle, img, &mut res.violations);
-    }
-
-    /// Invariant 2 (see [`crate::invariants::check_prefix_cut`]).
-    fn check_prefix_cut(&self, img: &FastHashMap<LineAddr, Token>, res: &mut SiteResult) {
-        crate::invariants::check_prefix_cut(&self.oracle, img, &mut res.violations);
-    }
-
-    /// Aggregates site results into a report (deterministic field order;
-    /// violations in ascending site order).
-    pub fn summarize(&self, results: &[SiteResult]) -> ChaosReport {
-        let mut category_counts: Vec<(String, usize)> = SiteCategory::ALL
-            .iter()
-            .map(|c| (c.name().to_string(), 0))
-            .collect();
-        for r in results {
-            category_counts[r.category.index()].1 += 1;
-        }
-        let mut violations: Vec<Violation> = Vec::new();
-        for r in results {
-            for m in &r.violations {
-                violations.push(Violation {
-                    site: r.site,
-                    category: r.category.name().to_string(),
-                    message: m.clone(),
-                });
-            }
-        }
-        violations.sort_by(|a, b| (a.site, &a.message).cmp(&(b.site, &b.message)));
-        ChaosReport {
-            scheme: self.cfg.scheme.name().to_string(),
-            seed: self.cfg.seed,
-            sites_requested: self.cfg.sites,
-            sites_explored: results.len(),
-            journal_writes: self.plane.len(),
-            run_cycles: self.run_cycles,
-            category_counts,
-            torn_sites: results.iter().filter(|r| r.torn.is_some()).count(),
-            dropped_writes: results.iter().map(|r| r.dropped).sum(),
-            flips_injected: results.iter().map(|r| r.flips).sum(),
-            faults_detected: results.iter().map(|r| r.detected.len()).sum(),
-            max_recovered_epoch: results.iter().map(|r| r.recovered_epoch).max().unwrap_or(0),
-            violations,
-        }
+    ChaosReport {
+        scheme: target.scheme().map(str::to_string),
+        fields,
+        violations,
     }
 }
 
-/// The journal-derived expected NVOverlay image at `root_epoch`: the
-/// newest durable version at or below the root per line (latest journal
-/// write wins among equal epochs). Re-derived here, independently of
-/// [`RebuiltState`]'s query path, as the invariant-3 reference.
-fn nvoverlay_expected(
-    plane: &FaultPlane,
-    cut: &CrashCut,
-    root_epoch: u64,
-) -> FastHashMap<LineAddr, Token> {
-    let mut best: FastHashMap<LineAddr, (u64, u64, Token)> = FastHashMap::default();
-    for r in plane.records() {
-        if !cut.survives(r.id) {
-            continue;
-        }
-        if let Some(PersistPayload::Version { line, token, epoch }) = &r.payload {
-            if *epoch <= root_epoch {
-                let e = best.entry(*line).or_insert((*epoch, r.id, *token));
-                if (*epoch, r.id) >= (e.0, e.1) {
-                    *e = (*epoch, r.id, *token);
-                }
-            }
-        }
-    }
-    best.into_iter().map(|(l, (_, _, t))| (l, t)).collect()
+/// The summary line of the sites explored per category.
+pub(crate) fn sites_line(report: &ChaosReport) -> String {
+    let by_category = report.counts("sites_by_category").unwrap_or_default();
+    let by_cat: Vec<String> = (by_category.iter())
+        .filter(|(_, n)| *n > 0)
+        .map(|(c, n)| format!("{c} {n}"))
+        .collect();
+    format!("  sites: {}\n", by_cat.join(", "))
 }
 
-/// Serial convenience: prepare, check every site, summarize.
-pub fn explore(trace: &Trace, simcfg: &SimConfig, cfg: ChaosConfig) -> ChaosReport {
-    let run = prepare(trace, simcfg, cfg);
-    let results: Vec<SiteResult> = (0..run.site_count()).map(|i| run.check_site(i)).collect();
-    run.summarize(&results)
+/// The summary's verdict: `clean` when every site passed, else
+/// `heading` and the first ten violations.
+pub(crate) fn verdict(report: &ChaosReport, clean: &str, heading: &str) -> String {
+    if report.ok() {
+        return format!("  {clean}\n");
+    }
+    let mut s = format!("  {heading}: {}\n", report.violations.len());
+    for v in report.violations.iter().take(10) {
+        s += &format!("    site {} [{}]: {}\n", v.site, v.category, v.message);
+    }
+    if report.violations.len() > 10 {
+        s += &format!("    ... ({} more)\n", report.violations.len() - 10);
+    }
+    s
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::nvm::{ChaosScheme, NvmTarget};
+    use crate::oracle::TraceOracle;
+    use crate::rebuild::{rebuild_undo, undo_expected, RebuildFidelity};
     use nvsim::addr::{Addr, ThreadId};
-    use nvsim::trace::TraceBuilder;
+    use nvsim::config::SimConfig;
+    use nvsim::fastmap::FastHashMap;
+    use nvsim::fault::{PersistPayload, WriteRecord};
+    use nvsim::trace::{Trace, TraceBuilder};
 
-    fn small_cfg() -> SimConfig {
+    pub(crate) fn small_cfg() -> SimConfig {
         SimConfig::builder()
             .cores(4, 2)
             .l1(1024, 2, 4)
@@ -526,7 +213,7 @@ mod tests {
     }
 
     /// 4 threads, private regions plus a shared line every 5th store.
-    fn small_trace() -> Trace {
+    pub(crate) fn small_trace() -> Trace {
         let mut b = TraceBuilder::new(4);
         for round in 0..160u64 {
             for t in 0..4u16 {
@@ -541,44 +228,82 @@ mod tests {
         b.build()
     }
 
+    fn target(scheme: ChaosScheme, fidelity: RebuildFidelity, stress: bool) -> NvmTarget {
+        NvmTarget::prepare(&small_trace(), &small_cfg(), scheme, fidelity, stress)
+    }
+
+    pub(crate) fn explore_nvm(scheme: ChaosScheme, cfg: ChaosConfig) -> ChaosReport {
+        explore(&target(scheme, RebuildFidelity::Exact, false), &cfg, 1)
+    }
+
+    fn sites(sites: usize) -> ChaosConfig {
+        ChaosConfig {
+            sites,
+            ..ChaosConfig::default()
+        }
+    }
+
+    /// Asserts the report of `target` under `cfg` has the pinned
+    /// `(length, FNV-1a digest)` at one worker and at four.
+    pub(crate) fn assert_pinned(target: &dyn CrashTarget, cfg: &ChaosConfig, pin: (usize, u64)) {
+        for jobs in [1, 4] {
+            let json = explore(target, cfg, jobs).to_json();
+            let got = (json.len(), nvstore::fnv1a(json.as_bytes()));
+            assert_eq!(got, pin, "{} sites at {jobs} jobs:\n{json}", cfg.sites);
+        }
+    }
+
+    /// The report bytes of the NVM explorer before it shared the driver
+    /// with the store target, at one worker and at four.
+    #[test]
+    fn reports_match_their_pinned_digests() {
+        use ChaosScheme::{NvOverlay, SwUndo};
+        use RebuildFidelity::{BrokenNoEpochFilter, Exact};
+        for (scheme, fidelity, n, pin) in [
+            (NvOverlay, Exact, 60, (444, 0x30c5_699d_7604_bf33)),
+            (
+                NvOverlay,
+                BrokenNoEpochFilter,
+                60,
+                (26449, 0xba83_397c_07d8_e986),
+            ),
+            (SwUndo, Exact, 40, (439, 0xb3ce_3349_7351_655c)),
+        ] {
+            assert_pinned(&target(scheme, fidelity, false), &sites(n), pin);
+        }
+    }
+
     #[test]
     fn nvoverlay_sites_are_consistent_and_deterministic() {
-        let cfg = ChaosConfig {
-            sites: 60,
-            ..ChaosConfig::new(ChaosScheme::NvOverlay)
-        };
-        let trace = small_trace();
-        let a = explore(&trace, &small_cfg(), cfg.clone());
+        let a = explore_nvm(ChaosScheme::NvOverlay, sites(60));
         assert!(
             a.violations.is_empty(),
             "unexpected violations: {:#?}",
             a.violations
         );
-        assert!(a.sites_explored > 0);
-        assert!(a.max_recovered_epoch >= 2, "several epochs must commit");
+        assert!(a.num("sites_explored") > Some(0));
+        assert!(
+            a.num("max_recovered_epoch") >= Some(2),
+            "several epochs must commit"
+        );
         // The sample must include interior metadata and root sites.
-        let count = |name: &str| {
-            a.category_counts
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, c)| *c)
-                .unwrap()
-        };
-        assert!(count("omc-flush-meta") > 0, "{:?}", a.category_counts);
-        assert!(count("master-root") > 0, "{:?}", a.category_counts);
+        let by_category = a.counts("sites_by_category").unwrap();
+        let count = |name: &str| by_category.iter().find(|(n, _)| n == name).unwrap().1;
+        assert!(count("omc-flush-meta") > 0, "{by_category:?}");
+        assert!(count("master-root") > 0, "{by_category:?}");
         // Byte-identical on a second run.
-        let b = explore(&trace, &small_cfg(), cfg);
+        let b = explore_nvm(ChaosScheme::NvOverlay, sites(60));
         assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
     fn broken_recovery_is_caught() {
-        let cfg = ChaosConfig {
-            sites: 60,
-            fidelity: RebuildFidelity::BrokenNoEpochFilter,
-            ..ChaosConfig::new(ChaosScheme::NvOverlay)
-        };
-        let report = explore(&small_trace(), &small_cfg(), cfg);
+        let broken = target(
+            ChaosScheme::NvOverlay,
+            RebuildFidelity::BrokenNoEpochFilter,
+            false,
+        );
+        let report = explore(&broken, &sites(60), 1);
         assert!(
             !report.violations.is_empty(),
             "an epoch-filter-less recovery must violate the cut invariants"
@@ -587,23 +312,19 @@ mod tests {
 
     #[test]
     fn sw_undo_sites_are_consistent() {
-        let cfg = ChaosConfig {
-            sites: 40,
-            ..ChaosConfig::new(ChaosScheme::SwUndo)
-        };
-        let report = explore(&small_trace(), &small_cfg(), cfg);
+        let report = explore_nvm(ChaosScheme::SwUndo, sites(40));
         assert!(
             report.violations.is_empty(),
             "unexpected violations: {:#?}",
             report.violations
         );
-        assert!(report.sites_explored > 0);
+        assert!(report.num("sites_explored") > Some(0));
     }
 
     /// The SW-undo checker's self-test: at a crash in the middle of a
     /// real epoch flush, an image that skips the undo rollback must fail
-    /// the checks `check_sw_undo` applies, while the real rollback passes
-    /// them at the same cut.
+    /// the checks the SW-undo check applies, while the real rollback
+    /// passes them at the same cut.
     #[test]
     fn sw_undo_checker_catches_a_skipped_rollback() {
         // The trace and machine of `nvo chaos kmeans --scheme sw-undo
@@ -616,7 +337,13 @@ mod tests {
         };
         let trace = nvworkloads::generate(nvworkloads::Workload::Kmeans, &params);
         let simcfg = SimConfig::builder().epoch_size_stores(800).build().unwrap();
-        let run = prepare(&trace, &simcfg, ChaosConfig::new(ChaosScheme::SwUndo));
+        let run = NvmTarget::prepare(
+            &trace,
+            &simcfg,
+            ChaosScheme::SwUndo,
+            RebuildFidelity::Exact,
+            false,
+        );
         let records = run.plane().records();
         // The home writes of the first epoch flush after a commit, with
         // at least two writes: crash halfway through it, every write
@@ -650,7 +377,8 @@ mod tests {
             }
         }
         let mut violations = Vec::new();
-        crate::invariants::check_prefix_cut(&run.oracle, &broken, &mut violations);
+        let oracle = TraceOracle::new(&trace);
+        oracle.check_cut(&broken, &mut violations);
         assert!(
             broken != expected || !violations.is_empty(),
             "an image without the undo rollback must be caught"
@@ -659,28 +387,24 @@ mod tests {
 
     #[test]
     fn backpressure_deepens_the_inflight_window() {
-        let base = ChaosConfig {
+        let cfg = ChaosConfig {
             sites: 40,
             torn_p: 0.0,
             flip_p: 0.0,
-            ..ChaosConfig::new(ChaosScheme::NvOverlay)
+            ..ChaosConfig::default()
         };
-        let trace = small_trace();
-        let calm = explore(&trace, &small_cfg(), base.clone());
-        let stressed = explore(
-            &trace,
-            &small_cfg(),
-            ChaosConfig {
-                stress_backpressure: true,
-                ..base
-            },
-        );
+        let run = |stress| {
+            let t = target(ChaosScheme::NvOverlay, RebuildFidelity::Exact, stress);
+            explore(&t, &cfg, 1)
+        };
+        let (calm, stressed) = (run(false), run(true));
         assert!(calm.violations.is_empty() && stressed.violations.is_empty());
+        let dropped = |r: &ChaosReport| r.num("dropped_writes").unwrap();
         assert!(
-            stressed.dropped_writes >= calm.dropped_writes,
+            dropped(&stressed) >= dropped(&calm),
             "backpressure ({}) should keep at least as many writes in flight as calm ({})",
-            stressed.dropped_writes,
-            calm.dropped_writes
+            dropped(&stressed),
+            dropped(&calm)
         );
     }
 

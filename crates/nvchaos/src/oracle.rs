@@ -1,6 +1,11 @@
 //! The pre-crash oracle: ground truth about the workload derived from
 //! the trace alone (no simulator state), against which every recovered
 //! image is judged.
+//!
+//! Every crash target holds every recovered or restored image to the
+//! same two oracle-backed invariants, [`TraceOracle::check_cut`]. The
+//! third, image equality against a journal- or backup-derived
+//! expectation, each target computes from its own ground truth.
 
 use nvsim::addr::{LineAddr, ThreadId, Token};
 use nvsim::fastmap::{FastHashMap, FastHashSet};
@@ -67,11 +72,6 @@ impl TraceOracle {
             .is_some_and(|v| v.contains(&token))
     }
 
-    /// The `(thread, per-thread sequence)` of a store token.
-    pub fn order_of(&self, token: Token) -> Option<(u16, u64)> {
-        self.order.get(&token).copied()
-    }
-
     /// Every token stored to `line`, in program order (exact for private
     /// lines).
     pub fn writes_to(&self, line: LineAddr) -> &[Token] {
@@ -83,14 +83,53 @@ impl TraceOracle {
         &self.private
     }
 
-    /// Thread count of the underlying trace.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// Total distinct stored tokens.
-    pub fn token_count(&self) -> usize {
-        self.order.len()
+    /// Checks a recovered image against the two consistency-cut
+    /// invariants and appends each violation to `out`:
+    ///
+    /// 1. every recovered token was actually written to that line by the
+    ///    workload;
+    /// 2. per-thread prefix cut on private (single-writer) lines — if the
+    ///    image reflects thread `t`'s write number `s`, it cannot miss an
+    ///    earlier final write by the same thread.
+    pub fn check_cut(&self, img: &FastHashMap<LineAddr, Token>, out: &mut Vec<String>) {
+        for (l, t) in img {
+            if !self.written_to(*l, *t) {
+                out.push(format!(
+                    "line {:#x} recovered with token {t} never written there",
+                    l.raw()
+                ));
+            }
+        }
+        let mut cut_seq: Vec<Option<u64>> = vec![None; self.threads];
+        for (line, owner) in &self.private {
+            let Some(&tok) = img.get(line) else { continue };
+            let Some(&(t, s)) = self.order.get(&tok) else {
+                continue; // already reported by invariant 1
+            };
+            if t != *owner {
+                out.push(format!(
+                    "private line {:#x} of thread {owner} recovered with thread {t}'s token",
+                    line.raw()
+                ));
+                continue;
+            }
+            let c = &mut cut_seq[t as usize];
+            *c = Some(c.map_or(s, |p| p.max(s)));
+        }
+        for (line, owner) in &self.private {
+            let Some(cut) = cut_seq[*owner as usize] else {
+                continue;
+            };
+            let last = *self.writes_to(*line).last().expect("written line");
+            let &(_, s) = self.order.get(&last).expect("traced token");
+            if s <= cut && img.get(line) != Some(&last) {
+                out.push(format!(
+                    "thread {owner}'s cut reflects write #{cut} but private line {:#x} \
+                     is not at its final write #{s}",
+                    line.raw()
+                ));
+            }
+        }
     }
 }
 
@@ -109,9 +148,9 @@ mod tests {
         let t3 = b.store(ThreadId(0), Addr::new(128)); // shared line
         let t4 = b.store(ThreadId(1), Addr::new(128));
         let o = TraceOracle::new(&b.build());
-        assert_eq!(o.order_of(t0), Some((0, 0)));
-        assert_eq!(o.order_of(t1), Some((0, 1)));
-        assert_eq!(o.order_of(t2), Some((1, 0)));
+        assert_eq!(o.order.get(&t0), Some(&(0, 0)));
+        assert_eq!(o.order.get(&t1), Some(&(0, 1)));
+        assert_eq!(o.order.get(&t2), Some(&(1, 0)));
         assert!(o.written_to(LineAddr::new(0), t1));
         assert!(!o.written_to(LineAddr::new(0), t2));
         assert_eq!(o.writes_to(LineAddr::new(0)), &[t0, t1]);
@@ -121,6 +160,6 @@ mod tests {
             "line 2 (0x80) is written by both threads"
         );
         assert!(o.written_to(LineAddr::new(2), t3) && o.written_to(LineAddr::new(2), t4));
-        assert_eq!(o.token_count(), 5);
+        assert_eq!(o.order.len(), 5);
     }
 }

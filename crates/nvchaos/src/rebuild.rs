@@ -42,14 +42,11 @@ pub struct RebuiltState {
     versions: FastHashMap<LineAddr, Vec<(u64, u64, Token)>>,
     /// Master mapping words replayed from durable `MasterChunk` writes.
     words: FastHashMap<LineAddr, u64>,
-    /// Durable `rec-epoch` root writes as `(journal id, epoch)`, id
-    /// ascending. The live root is the last entry.
-    roots: Vec<(u64, u64)>,
+    /// The epoch of the last durable `rec-epoch` root write (0: none).
+    root: u64,
     /// Epoch named by a root write torn by the crash, if any. While set,
     /// `root()` reports a torn cell and recovery must fall back.
     torn_root: Option<u64>,
-    /// Durable per-VD context dumps seen (for reporting only).
-    context_dumps: usize,
     fidelity: RebuildFidelity,
 }
 
@@ -66,13 +63,12 @@ impl RebuiltState {
         let mut s = Self {
             versions: FastHashMap::default(),
             words: FastHashMap::default(),
-            roots: Vec::new(),
+            root: 0,
             torn_root: None,
-            context_dumps: 0,
             fidelity,
         };
         for r in plane.records() {
-            let torn = cut.is_torn(r.id);
+            let torn = cut.torn == Some(r.id);
             if !cut.survives(r.id) && !torn {
                 continue;
             }
@@ -97,14 +93,14 @@ impl RebuiltState {
                     }
                 }
                 (Some(PersistPayload::RecEpochRoot { epoch }), false) => {
-                    s.roots.push((r.id, *epoch));
+                    s.root = *epoch;
                 }
                 (Some(PersistPayload::RecEpochRoot { epoch }), true) => {
                     s.torn_root = Some(*epoch);
                 }
-                (Some(PersistPayload::Context { .. }), false) => s.context_dumps += 1,
-                // Torn data/context writes are line-atomic: simply lost.
-                // Undo-logging payloads don't belong to this scheme view.
+                // Context dumps carry nothing recovery reads; torn data
+                // writes are line-atomic: simply lost. Undo-logging
+                // payloads don't belong to this scheme view.
                 _ => {}
             }
         }
@@ -139,26 +135,6 @@ impl RebuiltState {
     pub fn heal(&mut self, line: LineAddr, word: u64) {
         self.words.insert(line, word);
     }
-
-    /// Durable versions across all lines.
-    pub fn version_count(&self) -> usize {
-        self.versions.values().map(Vec::len).sum()
-    }
-
-    /// Durable `rec-epoch` root writes (excluding a torn one).
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Durable master mapping words.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Durable per-VD context dumps.
-    pub fn context_dumps(&self) -> usize {
-        self.context_dumps
-    }
 }
 
 impl DurableState for RebuiltState {
@@ -167,7 +143,7 @@ impl DurableState for RebuiltState {
             return RootCell { epoch, torn: true };
         }
         RootCell {
-            epoch: self.roots.last().map_or(0, |(_, e)| *e),
+            epoch: self.root,
             torn: false,
         }
     }
@@ -279,7 +255,6 @@ mod tests {
     use super::*;
     use nvoverlay::mnm::{table::encode_loc, NvmLoc};
     use nvoverlay::recovery::{recover_durable, RecoveryError};
-    use nvsim::stats::NvmWriteKind;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -288,26 +263,26 @@ mod tests {
     /// A synthetic journal: three version writes across two epochs plus a
     /// root for epoch 1 only.
     fn synthetic_plane() -> FaultPlane {
-        let mut p = FaultPlane::new();
+        let mut p = FaultPlane::default();
         // id 0: line 1 @ epoch 1 (durable below).
-        p.record(1, NvmWriteKind::Data, 64, 0, 10);
+        p.record(0, 10);
         p.annotate_last(PersistPayload::Version {
             line: line(1),
             token: 11,
             epoch: 1,
         });
         // id 1: root -> epoch 1.
-        p.record(100, NvmWriteKind::MapMetadata, 8, 10, 20);
+        p.record(10, 20);
         p.annotate_last(PersistPayload::RecEpochRoot { epoch: 1 });
         // id 2: line 2 @ epoch 2 (will be lost in the cut).
-        p.record(2, NvmWriteKind::Data, 64, 20, 40);
+        p.record(20, 40);
         p.annotate_last(PersistPayload::Version {
             line: line(2),
             token: 22,
             epoch: 2,
         });
         // id 3: line 3 @ epoch 2 (durable past-root version).
-        p.record(3, NvmWriteKind::Data, 64, 20, 30);
+        p.record(20, 30);
         p.annotate_last(PersistPayload::Version {
             line: line(3),
             token: 33,
@@ -340,14 +315,14 @@ mod tests {
 
     #[test]
     fn torn_root_falls_back_to_the_previous_cell() {
-        let mut plane = FaultPlane::new();
-        plane.record(100, NvmWriteKind::MapMetadata, 8, 0, 10);
+        let mut plane = FaultPlane::default();
+        plane.record(0, 10);
         plane.annotate_last(PersistPayload::RecEpochRoot { epoch: 1 });
-        plane.record(100, NvmWriteKind::MapMetadata, 8, 10, 20);
+        plane.record(10, 20);
         plane.annotate_last(PersistPayload::RecEpochRoot { epoch: 2 });
         // Tear the epoch-2 root write (the only in-flight write).
         let cut = plane.cut_with_durable_prefix(2, 0, true);
-        assert!(cut.is_torn(1));
+        assert_eq!(cut.torn, Some(1));
         let mut s = RebuiltState::rebuild(&plane, &cut, RebuildFidelity::Exact);
         assert_eq!(
             recover_durable(&s).unwrap_err(),
@@ -365,7 +340,7 @@ mod tests {
 
     #[test]
     fn torn_master_chunk_keeps_a_prefix() {
-        let mut plane = FaultPlane::new();
+        let mut plane = FaultPlane::default();
         let entries: Vec<(LineAddr, u64)> = (0..4)
             .map(|i| {
                 (
@@ -377,28 +352,28 @@ mod tests {
                 )
             })
             .collect();
-        plane.record(50, NvmWriteKind::MapMetadata, 256, 0, 10);
+        plane.record(0, 10);
         plane.annotate_last(PersistPayload::MasterChunk { entries });
         let cut = plane.cut_with_durable_prefix(1, 0, true);
         let s = RebuiltState::rebuild(&plane, &cut, RebuildFidelity::Exact);
         // id 0, 4 entries → prefix of 0 % 5 = 0 words.
-        assert_eq!(s.word_count(), 0);
+        assert_eq!(s.mapping_words().count(), 0);
     }
 
     #[test]
     fn injected_flip_is_caught_by_recovery_and_heals() {
-        let mut plane = FaultPlane::new();
-        plane.record(1, NvmWriteKind::Data, 64, 0, 5);
+        let mut plane = FaultPlane::default();
+        plane.record(0, 5);
         plane.annotate_last(PersistPayload::Version {
             line: line(1),
             token: 7,
             epoch: 1,
         });
-        plane.record(60, NvmWriteKind::MapMetadata, 256, 5, 10);
+        plane.record(5, 10);
         plane.annotate_last(PersistPayload::MasterChunk {
             entries: vec![(line(1), encode_loc(NvmLoc { page: 9, slot: 3 }))],
         });
-        plane.record(100, NvmWriteKind::MapMetadata, 8, 10, 20);
+        plane.record(10, 20);
         plane.annotate_last(PersistPayload::RecEpochRoot { epoch: 1 });
         let cut = plane.cut_with_durable_prefix(3, 3, false);
         let mut s = RebuiltState::rebuild(&plane, &cut, RebuildFidelity::Exact);
@@ -415,31 +390,31 @@ mod tests {
 
     #[test]
     fn undo_rollback_matches_the_journal_expectation() {
-        let mut p = FaultPlane::new();
+        let mut p = FaultPlane::default();
         // Epoch 0: log + home for line 1, then the commit marker.
-        p.record(0x5555 ^ 1, NvmWriteKind::Log, 72, 0, 5);
+        p.record(0, 5);
         p.annotate_last(PersistPayload::UndoLog {
             line: line(1),
             prev: 0,
             epoch: 0,
         });
-        p.record(1, NvmWriteKind::Data, 64, 5, 10);
+        p.record(5, 10);
         p.annotate_last(PersistPayload::DataHome {
             line: line(1),
             token: 10,
             epoch: 0,
         });
-        p.record(0xC0_0417, NvmWriteKind::MapMetadata, 8, 10, 15);
+        p.record(10, 15);
         p.annotate_last(PersistPayload::EpochCommit { epoch: 0 });
         // Epoch 1: log for line 1 (prev = committed 10), home overwrite,
         // marker never durable.
-        p.record(0x5555 ^ 1, NvmWriteKind::Log, 72, 15, 20);
+        p.record(15, 20);
         p.annotate_last(PersistPayload::UndoLog {
             line: line(1),
             prev: 10,
             epoch: 1,
         });
-        p.record(1, NvmWriteKind::Data, 64, 20, 25);
+        p.record(20, 25);
         p.annotate_last(PersistPayload::DataHome {
             line: line(1),
             token: 99,
@@ -455,14 +430,14 @@ mod tests {
 
     #[test]
     fn undo_rollback_removes_lines_never_committed() {
-        let mut p = FaultPlane::new();
-        p.record(0x5555 ^ 4, NvmWriteKind::Log, 72, 0, 5);
+        let mut p = FaultPlane::default();
+        p.record(0, 5);
         p.annotate_last(PersistPayload::UndoLog {
             line: line(4),
             prev: 0,
             epoch: 0,
         });
-        p.record(4, NvmWriteKind::Data, 64, 5, 10);
+        p.record(5, 10);
         p.annotate_last(PersistPayload::DataHome {
             line: line(4),
             token: 40,

@@ -1,13 +1,14 @@
-//! The JSON exploration report.
+//! The JSON exploration report, one type for every crash target.
 //!
 //! Hand-rolled serialization (the workspace carries no serde): field
-//! order is fixed, maps are emitted in [`SiteCategory`] order, and
-//! violations ascend by site — so two runs with the same seed produce
-//! byte-identical reports, which CI exploits (`cmp` of two runs).
-//!
-//! [`SiteCategory`]: crate::explore::SiteCategory
+//! order is fixed, category counts follow the target's category order,
+//! and violations ascend by site — so two runs with the same seed
+//! produce byte-identical reports, which CI exploits (`cmp` of two
+//! runs). The driver's fields frame the target's own: its journal
+//! fields sit before `sites_by_category`, its tallies after
+//! `torn_sites`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use nvsim::json::{self, JsonValue};
 
@@ -21,42 +22,67 @@ pub const CHAOS_REPORT_SCHEMA: u64 = 1;
 pub struct Violation {
     /// Journal index of the crash site.
     pub site: usize,
-    /// Category of the site (see `SiteCategory::name`).
+    /// Category of the site (one of the target's category names).
     pub category: String,
     /// Human-readable description of the violated invariant.
     pub message: String,
 }
 
-/// Aggregated outcome of one chaos exploration.
-#[derive(Clone, Debug)]
+/// A report field's value: a number, or counts by name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Field {
+    /// A seed, a size, a sum or a maximum.
+    Num(u64),
+    /// Occurrences per name, in report order.
+    Counts(Vec<(String, u64)>),
+}
+
+/// Aggregated outcome of one crash exploration.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosReport {
-    /// Canonical scheme name.
-    pub scheme: String,
-    /// Master seed of the exploration.
-    pub seed: u64,
-    /// Sites asked for on the command line.
-    pub sites_requested: usize,
-    /// Sites actually explored (capped by the journal length).
-    pub sites_explored: usize,
-    /// NVM writes recorded by the oracle run.
-    pub journal_writes: usize,
-    /// Cycles the oracle run took.
-    pub run_cycles: u64,
-    /// Explored sites per category, in stable category order.
-    pub category_counts: Vec<(String, usize)>,
-    /// Sites whose cut tore a write on the durability boundary.
-    pub torn_sites: usize,
-    /// Total accepted writes dropped or torn across all cuts.
-    pub dropped_writes: usize,
-    /// Mapping-word bit flips injected.
-    pub flips_injected: usize,
-    /// Faults recovery correctly detected (torn roots, corrupt words).
-    pub faults_detected: usize,
-    /// Newest epoch any site recovered.
-    pub max_recovered_epoch: u64,
+    /// Canonical scheme name; the store target has none.
+    pub scheme: Option<String>,
+    /// Every field between the scheme and the violations, in report
+    /// order: `seed`, `sites_requested`, `sites_explored`, the target's
+    /// journal fields, `sites_by_category`, `torn_sites` and the
+    /// target's tallies.
+    pub fields: Vec<(String, Field)>,
     /// Every invariant violation found (empty = all sites consistent).
     pub violations: Vec<Violation>,
 }
+
+/// Why [`ChaosReport::from_json`] refused a text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReportError {
+    /// The text is not JSON.
+    Json(json::JsonError),
+    /// The report was written by a newer schema.
+    Schema {
+        /// The report's schema version.
+        found: u64,
+    },
+    /// A field is missing, out of place or of the wrong type.
+    Field(String),
+    /// The fields parse, but [`ChaosReport::to_json`] renders them
+    /// differently.
+    NotCanonical,
+}
+
+impl fmt::Display for ReportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReportError::Json(e) => write!(f, "malformed report JSON: {e}"),
+            ReportError::Schema { found } => write!(
+                f,
+                "report schema {found} is newer than supported {CHAOS_REPORT_SCHEMA}"
+            ),
+            ReportError::Field(key) => write!(f, "missing or misplaced field {key}"),
+            ReportError::NotCanonical => f.write_str("report is not in its rendered form"),
+        }
+    }
+}
+
+impl std::error::Error for ReportError {}
 
 impl ChaosReport {
     /// Whether every explored site upheld every invariant.
@@ -64,34 +90,40 @@ impl ChaosReport {
         self.violations.is_empty()
     }
 
+    /// The numeric field named `key`.
+    pub fn num(&self, key: &str) -> Option<u64> {
+        self.fields.iter().find_map(|(k, v)| match v {
+            Field::Num(n) if k == key => Some(*n),
+            _ => None,
+        })
+    }
+
+    /// The count field named `key`.
+    pub fn counts(&self, key: &str) -> Option<&[(String, u64)]> {
+        self.fields.iter().find_map(|(k, v)| match v {
+            Field::Counts(c) if k == key => Some(&c[..]),
+            _ => None,
+        })
+    }
+
     /// Deterministic JSON rendering (trailing newline included).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", CHAOS_REPORT_SCHEMA);
-        let _ = writeln!(s, "  \"scheme\": \"{}\",", json::escape(&self.scheme));
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"sites_requested\": {},", self.sites_requested);
-        let _ = writeln!(s, "  \"sites_explored\": {},", self.sites_explored);
-        let _ = writeln!(s, "  \"journal_writes\": {},", self.journal_writes);
-        let _ = writeln!(s, "  \"run_cycles\": {},", self.run_cycles);
-        s.push_str("  \"sites_by_category\": {");
-        for (i, (name, n)) in self.category_counts.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": {}", json::escape(name), n);
+        let mut s = format!("{{\n  \"schema\": {CHAOS_REPORT_SCHEMA},\n");
+        if let Some(scheme) = &self.scheme {
+            let _ = writeln!(s, "  \"scheme\": \"{}\",", json::escape(scheme));
         }
-        s.push_str("},\n");
-        let _ = writeln!(s, "  \"torn_sites\": {},", self.torn_sites);
-        let _ = writeln!(s, "  \"dropped_writes\": {},", self.dropped_writes);
-        let _ = writeln!(s, "  \"flips_injected\": {},", self.flips_injected);
-        let _ = writeln!(s, "  \"faults_detected\": {},", self.faults_detected);
-        let _ = writeln!(
-            s,
-            "  \"max_recovered_epoch\": {},",
-            self.max_recovered_epoch
-        );
+        for (key, v) in &self.fields {
+            let v = match v {
+                Field::Num(n) => n.to_string(),
+                Field::Counts(c) => {
+                    let items: Vec<String> = (c.iter())
+                        .map(|(name, n)| format!("\"{}\": {n}", json::escape(name)))
+                        .collect();
+                    format!("{{{}}}", items.join(", "))
+                }
+            };
+            let _ = writeln!(s, "  \"{}\": {v},", json::escape(key));
+        }
         let _ = writeln!(s, "  \"violation_count\": {},", self.violations.len());
         s.push_str("  \"violations\": [");
         for (i, v) in self.violations.iter().enumerate() {
@@ -113,104 +145,110 @@ impl ChaosReport {
         s
     }
 
-    /// Parses a report previously rendered by [`ChaosReport::to_json`].
+    /// Parses a report rendered by [`ChaosReport::to_json`], of either
+    /// target. Only that rendering is accepted: a text that parses
+    /// renders back to the same bytes.
     ///
     /// # Errors
-    /// A message naming the malformed field, or the unsupported schema
-    /// version for reports written by a future tool.
-    pub fn from_json(text: &str) -> Result<ChaosReport, String> {
-        let v = json::parse(text).map_err(|e| format!("malformed report JSON: {e}"))?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_u64)
-            .ok_or("report is missing the schema field")?;
-        if schema > CHAOS_REPORT_SCHEMA {
-            return Err(format!(
-                "report schema {schema} is newer than supported {CHAOS_REPORT_SCHEMA}"
-            ));
-        }
-        let str_field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key}"))
+    /// A [`ReportError`] for text that is not JSON, a report from a
+    /// future schema, a missing, misplaced or mistyped field, and any
+    /// text that is not the report's rendered form.
+    pub fn from_json(text: &str) -> Result<ChaosReport, ReportError> {
+        let doc = json::parse(text).map_err(ReportError::Json)?;
+        let mut fields = match &doc {
+            JsonValue::Object(pairs) => pairs.iter().peekable(),
+            _ => return Err(ReportError::Field("schema".into())),
         };
-        let num_field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing numeric field {key}"))
-        };
-        let mut category_counts = Vec::new();
-        match v.get("sites_by_category") {
-            Some(JsonValue::Object(pairs)) => {
-                for (name, n) in pairs {
-                    let n = n
-                        .as_u64()
-                        .ok_or_else(|| format!("non-numeric count for category {name}"))?;
-                    category_counts.push((name.clone(), n as usize));
-                }
-            }
-            _ => return Err("missing object field sites_by_category".to_string()),
+        let found = num(take(&mut fields, "schema")?, "schema")?;
+        if found > CHAOS_REPORT_SCHEMA {
+            return Err(ReportError::Schema { found });
         }
-        let mut violations = Vec::new();
-        for item in v
-            .get("violations")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing array field violations")?
-        {
-            violations.push(Violation {
-                site: item
-                    .get("site")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("violation missing site")? as usize,
-                category: item
-                    .get("category")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("violation missing category")?
-                    .to_string(),
-                message: item
-                    .get("message")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("violation missing message")?
-                    .to_string(),
+        let mut report = ChaosReport {
+            scheme: match fields.next_if(|(k, _)| k == "scheme") {
+                Some((_, v)) => Some(text_of(v, "scheme")?.into()),
+                None => None,
+            },
+            fields: Vec::new(),
+            violations: Vec::new(),
+        };
+        while let Some((key, v)) = fields.next_if(|(k, _)| k != "violation_count") {
+            let v = match v {
+                JsonValue::Object(items) => Field::Counts(
+                    (items.iter())
+                        .map(|(name, n)| Ok((name.clone(), num(n, key)?)))
+                        .collect::<Result<_, ReportError>>()?,
+                ),
+                _ => Field::Num(num(v, key)?),
+            };
+            report.fields.push((key.clone(), v));
+        }
+        take(&mut fields, "violation_count")?;
+        let items = take(&mut fields, "violations")?.as_array();
+        for item in items.ok_or(ReportError::Field("violations".into()))? {
+            let get = |key: &str| item.get(key).ok_or(ReportError::Field(key.into()));
+            report.violations.push(Violation {
+                site: num(get("site")?, "site")? as usize,
+                category: text_of(get("category")?, "category")?.into(),
+                message: text_of(get("message")?, "message")?.into(),
             });
         }
-        Ok(ChaosReport {
-            scheme: str_field("scheme")?,
-            seed: num_field("seed")?,
-            sites_requested: num_field("sites_requested")? as usize,
-            sites_explored: num_field("sites_explored")? as usize,
-            journal_writes: num_field("journal_writes")? as usize,
-            run_cycles: num_field("run_cycles")?,
-            category_counts,
-            torn_sites: num_field("torn_sites")? as usize,
-            dropped_writes: num_field("dropped_writes")? as usize,
-            flips_injected: num_field("flips_injected")? as usize,
-            faults_detected: num_field("faults_detected")? as usize,
-            max_recovered_epoch: num_field("max_recovered_epoch")?,
-            violations,
-        })
+        for key in ["seed", "sites_requested", "sites_explored", "torn_sites"] {
+            report.num(key).ok_or(ReportError::Field(key.into()))?;
+        }
+        let by_category = report.counts("sites_by_category");
+        by_category.ok_or(ReportError::Field("sites_by_category".into()))?;
+        if report.to_json() != text {
+            return Err(ReportError::NotCanonical);
+        }
+        Ok(report)
     }
+}
+
+/// The report's top-level fields, in document order.
+type Fields<'a> = std::iter::Peekable<std::slice::Iter<'a, (String, JsonValue)>>;
+
+/// The next field, which must be `key`.
+fn take<'a>(fields: &mut Fields<'a>, key: &str) -> Result<&'a JsonValue, ReportError> {
+    match fields.next_if(|(k, _)| k == key) {
+        Some((_, v)) => Ok(v),
+        None => Err(ReportError::Field(key.into())),
+    }
+}
+
+fn num(v: &JsonValue, key: &str) -> Result<u64, ReportError> {
+    v.as_u64().ok_or_else(|| ReportError::Field(key.into()))
+}
+
+fn text_of<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ReportError> {
+    v.as_str().ok_or_else(|| ReportError::Field(key.into()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, tests::explore_nvm, ChaosConfig};
+    use crate::nvm::ChaosScheme;
+    use crate::store_chaos::tests::explore_store;
+    use nvsim::rng::Rng64;
 
     fn sample() -> ChaosReport {
+        let num = |k: &str, n| (k.to_string(), Field::Num(n));
+        let by_category = vec![("data".into(), 100), ("master-root".into(), 20)];
         ChaosReport {
-            scheme: "nvoverlay".into(),
-            seed: 7,
-            sites_requested: 200,
-            sites_explored: 120,
-            journal_writes: 4096,
-            run_cycles: 999,
-            category_counts: vec![("data".into(), 100), ("master-root".into(), 20)],
-            torn_sites: 5,
-            dropped_writes: 40,
-            flips_injected: 11,
-            faults_detected: 16,
-            max_recovered_epoch: 9,
+            scheme: Some("nvoverlay".into()),
+            fields: vec![
+                num("seed", 7),
+                num("sites_requested", 200),
+                num("sites_explored", 120),
+                num("journal_writes", 4096),
+                num("run_cycles", 999),
+                ("sites_by_category".into(), Field::Counts(by_category)),
+                num("torn_sites", 5),
+                num("dropped_writes", 40),
+                num("flips_injected", 11),
+                num("faults_detected", 16),
+                num("max_recovered_epoch", 9),
+            ],
             violations: vec![],
         }
     }
@@ -235,7 +273,16 @@ mod tests {
         });
         let j = r.to_json();
         let back = ChaosReport::from_json(&j).unwrap();
-        assert_eq!(back.to_json(), j, "parse/render is a fixed point");
+        assert_eq!(back, r);
+        // A store report: no scheme, and a count tally.
+        r.scheme = None;
+        r.fields.push((
+            "typed_errors".into(),
+            Field::Counts(vec![("Checksum".into(), 3)]),
+        ));
+        let j = r.to_json();
+        assert!(j.contains("\"typed_errors\": {\"Checksum\": 3},"));
+        assert_eq!(ChaosReport::from_json(&j).unwrap(), r);
     }
 
     #[test]
@@ -244,7 +291,8 @@ mod tests {
             .to_json()
             .replace("\"schema\": 1,", "\"schema\": 99,");
         let err = ChaosReport::from_json(&j).unwrap_err();
-        assert!(err.contains("schema 99"), "got: {err}");
+        assert_eq!(err, ReportError::Schema { found: 99 });
+        assert!(err.to_string().contains("schema 99"), "got: {err}");
         assert!(ChaosReport::from_json("{").is_err());
         assert!(ChaosReport::from_json("{}").is_err());
     }
@@ -268,5 +316,67 @@ mod tests {
     fn control_chars_escape_to_unicode() {
         assert_eq!(json::escape("a\u{1}b"), "a\\u0001b");
         assert_eq!(json::escape("tab\there"), "tab\\there");
+    }
+
+    /// Seeded byte flips, truncations and field deletions of both
+    /// targets' reports: each mutation is refused with a typed error or
+    /// parses back to exactly its own bytes, and none panics.
+    #[test]
+    fn mutated_reports_are_refused_or_round_trip() {
+        let broken = crate::nvm::NvmTarget::prepare(
+            &crate::explore::tests::small_trace(),
+            &crate::explore::tests::small_cfg(),
+            ChaosScheme::NvOverlay,
+            crate::rebuild::RebuildFidelity::BrokenNoEpochFilter,
+            false,
+        );
+        let store = ChaosConfig {
+            sites: 80,
+            flip_p: 1.0,
+            ..ChaosConfig::default()
+        };
+        let reports = [
+            explore_nvm(ChaosScheme::NvOverlay, ChaosConfig::default()),
+            explore(&broken, &ChaosConfig::default(), 1),
+            explore_store(store, None),
+        ];
+        let mut rng = Rng64::seed_from_u64(26);
+        let (mut parsed, mut refused) = (0, 0);
+        for report in &reports {
+            let text = report.to_json();
+            assert_eq!(ChaosReport::from_json(&text).as_ref(), Ok(report));
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            for i in 0..900 {
+                let mut bytes = text.clone().into_bytes();
+                match i % 3 {
+                    0 => {
+                        let at = rng.gen_range(0..bytes.len());
+                        bytes[at] ^= 1 << rng.gen_range(0..8u8);
+                    }
+                    1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                    _ => {
+                        let drop = rng.gen_range(0..lines.len());
+                        bytes = lines
+                            .iter()
+                            .enumerate()
+                            .filter(|&(j, _)| j != drop)
+                            .flat_map(|(_, l)| l.bytes())
+                            .collect();
+                    }
+                }
+                let mutated = String::from_utf8_lossy(&bytes);
+                match ChaosReport::from_json(&mutated) {
+                    Ok(back) => {
+                        assert_eq!(back.to_json(), mutated, "parsed but renders otherwise");
+                        parsed += 1;
+                    }
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        assert!(
+            parsed > 0 && refused > 0,
+            "{parsed} parsed, {refused} refused"
+        );
     }
 }

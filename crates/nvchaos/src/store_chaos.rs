@@ -1,15 +1,13 @@
-//! Deterministic fault exploration of the on-disk snapshot store.
+//! The store crash target: crashes the on-disk snapshot store.
 //!
-//! The file-I/O sibling of [`crate::explore`]: where the NVM plane
-//! crashes the *simulated memory system*, this plane crashes the
-//! *backup machinery* around it. [`prepare_store`] runs the workload
-//! once, exports the exact snapshot image, records a full
-//! backup → incremental backup → remove → gc script against a
-//! journaling in-memory store, and selects a seeded sample of crash
-//! sites over the op journal. Each site check replays the prefix cut
-//! (optionally tearing the boundary write to a byte prefix, optionally
-//! flipping one bit in a surviving file — latent media corruption),
-//! reopens the store, and asserts the robustness contract:
+//! Where the NVM target crashes the *simulated memory system*, this one
+//! crashes the *backup machinery* around it. [`StoreTarget::prepare`]
+//! runs the workload once, exports the exact snapshot image, and records
+//! a full backup → incremental backup → remove → gc script against a
+//! journaling in-memory store. A check replays a prefix cut of the op
+//! journal (optionally tearing the boundary write to a byte prefix,
+//! optionally flipping one bit in a surviving file — latent media
+//! corruption), reopens the store, and asserts the robustness contract:
 //!
 //! * a **clean crash prefix** (no flip) must open to one of the
 //!   script's committed manifests, list exactly that version's backup
@@ -19,18 +17,14 @@
 //!   typed [`StoreError`] — but whatever *does* restore is held to the
 //!   same exactness;
 //! * every successful restore must also pass the consistency-cut
-//!   invariants ([`crate::invariants`]) against the trace oracle,
+//!   invariants ([`TraceOracle::check_cut`]) against the trace oracle,
 //!   rebuild a live backend whose `time_travel` agrees with the stored
 //!   master, and (when the caller injects a [`MountCheck`]) mount under
 //!   the query service.
-//!
-//! Determinism mirrors the NVM plane: one oracle run, pure per-site
-//! checks keyed by `(journal, master seed, check index)`, and a
-//! byte-stable JSON report — two runs of one seed `cmp` equal.
 
-use crate::explore::SEED_GOLDEN;
+use crate::explore::{sites_line, verdict, ChaosConfig, CrashTarget, Outcome, Tally};
 use crate::oracle::TraceOracle;
-use crate::report::Violation;
+use crate::report::ChaosReport;
 use nvoverlay::mnm::Mnm;
 use nvoverlay::system::NvOverlaySystem;
 use nvsim::addr::{LineAddr, Token};
@@ -39,11 +33,7 @@ use nvsim::fastmap::FastHashMap;
 use nvsim::memsys::Runner;
 use nvsim::rng::Rng64;
 use nvsim::trace::Trace;
-use nvstore::{MemIo, SnapshotExport, Store, StoreCut, StoreError, StoreFaultPlane, StoreOp};
-use std::fmt::Write as _;
-
-/// Schema version stamped into every store-chaos report.
-pub const STORE_CHAOS_REPORT_SCHEMA: u64 = 1;
+use nvstore::{fault, MemIo, SnapshotExport, Store, StoreError, StoreOp};
 
 /// A caller-injected mount probe: given the rebuilt live backend and
 /// the restored export, verify the snapshot actually serves (the `nvo`
@@ -51,36 +41,9 @@ pub const STORE_CHAOS_REPORT_SCHEMA: u64 = 1;
 /// dependency cycle on the query service).
 pub type MountCheck = dyn Fn(&Mnm, &SnapshotExport) -> Result<(), String> + Sync;
 
-/// Store-exploration parameters.
-#[derive(Clone, Debug)]
-pub struct StoreChaosConfig {
-    /// Number of fault sites (cut draws) to explore.
-    pub sites: usize,
-    /// Master seed: fixes the site sample and every per-site draw.
-    pub seed: u64,
-    /// Probability a cut tears its boundary write to a byte prefix
-    /// (only meaningful when the boundary op is a write; renames and
-    /// removes are atomic).
-    pub torn_p: f64,
-    /// Probability of flipping one bit in one surviving file after the
-    /// cut — latent media corruption the store must *detect*.
-    pub flip_p: f64,
-}
-
-impl Default for StoreChaosConfig {
-    fn default() -> Self {
-        StoreChaosConfig {
-            sites: 200,
-            seed: 7,
-            torn_p: 0.25,
-            flip_p: 0.10,
-        }
-    }
-}
-
 /// Where in the store's commit protocol a crash site sits, keyed by the
 /// op at the crash boundary. Stable kebab-case names, in report order.
-const SITE_CATEGORIES: [&str; 9] = [
+const CATEGORIES: [&str; 9] = [
     "shadow-write",
     "root-write",
     "data-write",
@@ -92,204 +55,82 @@ const SITE_CATEGORIES: [&str; 9] = [
     "end-of-script",
 ];
 
-fn categorize(op: Option<&StoreOp>) -> &'static str {
+/// The index in [`CATEGORIES`] of the op at a crash boundary.
+fn category_of(op: Option<&StoreOp>) -> usize {
     match op {
-        None => "end-of-script",
-        Some(StoreOp::Write { path, .. }) if path.starts_with("tmp/") => "shadow-write",
-        Some(StoreOp::Write { path, .. }) if path.starts_with("ROOT.") => "root-write",
-        Some(StoreOp::Write { .. }) => "data-write",
-        Some(StoreOp::Rename { to, .. }) if to.starts_with("layers/") => "layer-publish",
-        Some(StoreOp::Rename { to, .. }) if to.starts_with("manifests/") => "manifest-publish",
-        Some(StoreOp::Rename { to, .. }) if to.starts_with("quarantine/") => "quarantine-move",
-        Some(StoreOp::Rename { .. }) => "rename",
-        Some(StoreOp::Remove { .. }) => "remove",
+        Some(StoreOp::Write { path, .. }) if path.starts_with("tmp/") => 0,
+        Some(StoreOp::Write { path, .. }) if path.starts_with("ROOT.") => 1,
+        Some(StoreOp::Write { .. }) => 2,
+        Some(StoreOp::Rename { to, .. }) if to.starts_with("layers/") => 3,
+        Some(StoreOp::Rename { to, .. }) if to.starts_with("manifests/") => 4,
+        Some(StoreOp::Rename { to, .. }) if to.starts_with("quarantine/") => 5,
+        Some(StoreOp::Rename { .. }) => 6,
+        Some(StoreOp::Remove { .. }) => 7,
+        None => 8,
     }
 }
 
-/// The outcome of one store fault-site check.
-#[derive(Clone, Debug)]
-pub struct StoreSiteResult {
-    /// Journal index of the crash site (`plane.len()` = end of script).
-    pub site: usize,
-    /// Category of the op at the crash boundary.
-    pub category: &'static str,
-    /// The derived per-check seed.
-    pub seed: u64,
-    /// Whether the cut tore the boundary write.
-    pub torn: bool,
-    /// Bit flips injected into the surviving image.
-    pub flips: usize,
-    /// The file the flip landed in.
-    pub flipped_path: Option<String>,
-    /// Manifest version the store opened to (`None` = typed open error).
-    pub manifest_version: Option<u64>,
-    /// Variant names of every typed [`StoreError`] observed.
-    pub typed_errors: Vec<String>,
-    /// Restores that succeeded and were checked in full.
-    pub restores_checked: usize,
-    /// Restores additionally verified through the injected mount probe.
-    pub mounts_checked: usize,
-    /// Contract violations — empty means the site upheld the contract.
-    pub violations: Vec<String>,
-}
-
-/// One prepared store exploration: the op journal of the scripted
-/// session, the two committed snapshot images, and the trace oracle.
-/// Site checks borrow it immutably and are independent.
-pub struct StoreChaosRun {
-    plane: StoreFaultPlane,
+/// The op journal of the scripted session, the two snapshot images it
+/// committed, and the trace oracle. Checks borrow it immutably and are
+/// independent.
+pub struct StoreTarget<'a> {
+    journal: Vec<StoreOp>,
     oracle: TraceOracle,
-    cfg: StoreChaosConfig,
     /// The full snapshot image ("head" in the script).
     full: SnapshotExport,
     /// The truncated prefix image ("base" in the script).
     base: SnapshotExport,
-    /// Selected journal sites, one per check (sites repeat in later
-    /// rounds once every distinct site has been drawn).
-    sites: Vec<usize>,
+    mount_check: Option<&'a MountCheck>,
 }
 
-/// Runs the workload once, exports the snapshot, records the scripted
-/// store session, and selects the fault-site sample. Deterministic for
-/// a given `(trace, simcfg, cfg)`.
-///
-/// # Errors
-/// A typed [`StoreError`] when the export or the fault-free scripted
-/// session itself fails — a harness setup failure, not a chaos finding.
-pub fn prepare_store(
-    trace: &Trace,
-    simcfg: &SimConfig,
-    cfg: StoreChaosConfig,
-) -> Result<StoreChaosRun, StoreError> {
-    let mut sys = NvOverlaySystem::new(simcfg);
-    let _ = Runner::new().run(&mut sys, trace);
-    let full = SnapshotExport::from_mnm(sys.mnm())?;
-    let base = full.truncated((full.rec_epoch / 2).max(1));
+impl<'a> StoreTarget<'a> {
+    /// Runs the workload once, exports the snapshot, and records the
+    /// scripted store session. Every exact restore is also handed to
+    /// `mount_check`. Deterministic for a given `(trace, simcfg)`.
+    ///
+    /// # Errors
+    /// A typed [`StoreError`] when the export or the fault-free scripted
+    /// session itself fails — a harness setup failure, not a chaos
+    /// finding.
+    pub fn prepare(
+        trace: &Trace,
+        simcfg: &SimConfig,
+        mount_check: Option<&'a MountCheck>,
+    ) -> Result<StoreTarget<'a>, StoreError> {
+        let mut sys = NvOverlaySystem::new(simcfg);
+        let _ = Runner::new().run(&mut sys, trace);
+        let full = SnapshotExport::from_mnm(sys.mnm())?;
+        let base = full.truncated((full.rec_epoch / 2).max(1));
 
-    // The scripted session every crash cut is a prefix of: an initial
-    // backup, an incremental backup sharing its layer prefix, a remove,
-    // and a GC sweep — so cuts land inside layer publication, manifest
-    // publication, root flips, pruning, and quarantine moves.
-    let mut store = Store::open(MemIo::recording())?;
-    store.backup("base", &base)?;
-    store.backup("head", &full)?;
-    store.remove("head")?;
-    store.gc()?;
-    let plane = StoreFaultPlane::new(store.into_io().take_journal());
-
-    let sites = select_sites(plane.len(), &cfg);
-    Ok(StoreChaosRun {
-        plane,
-        oracle: TraceOracle::new(trace),
-        cfg,
-        full,
-        base,
-        sites,
-    })
-}
-
-/// Round-robin seeded sampling over `0..=len`: every distinct site is
-/// drawn once (in seeded shuffled order) before any site repeats, so a
-/// budget larger than the journal still covers every site while extra
-/// draws revisit sites with fresh torn/flip coin flips.
-fn select_sites(len: usize, cfg: &StoreChaosConfig) -> Vec<usize> {
-    let distinct = len + 1;
-    let mut out = Vec::with_capacity(cfg.sites);
-    let mut round = 0u64;
-    while out.len() < cfg.sites {
-        let mut pool: Vec<usize> = (0..distinct).collect();
-        let mut rng = Rng64::seed_from_u64(cfg.seed ^ 0x0057_07E5 ^ round);
-        for i in 0..pool.len() {
-            let j = i + rng.gen_range(0..(pool.len() - i) as u64) as usize;
-            pool.swap(i, j);
-        }
-        let take = (cfg.sites - out.len()).min(pool.len());
-        out.extend_from_slice(&pool[..take]);
-        round += 1;
-    }
-    out
-}
-
-impl StoreChaosRun {
-    /// Number of fault-site checks (= `cfg.sites`).
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
+        // The scripted session every crash cut is a prefix of: an initial
+        // backup, an incremental backup sharing its layer prefix, a remove,
+        // and a GC sweep — so cuts land inside layer publication, manifest
+        // publication, root flips, pruning, and quarantine moves.
+        let mut store = Store::open(MemIo::recording())?;
+        store.backup("base", &base)?;
+        store.backup("head", &full)?;
+        store.remove("head")?;
+        store.gc()?;
+        Ok(StoreTarget {
+            journal: store.into_io().take_journal(),
+            oracle: TraceOracle::new(trace),
+            full,
+            base,
+            mount_check,
+        })
     }
 
-    /// The op journal of the scripted session.
-    pub fn plane(&self) -> &StoreFaultPlane {
-        &self.plane
-    }
-
-    /// The exploration parameters.
-    pub fn config(&self) -> &StoreChaosConfig {
-        &self.cfg
-    }
-
-    /// Checks one fault site. Pure: depends only on the journal, the
-    /// committed images, and the check's derived seed — safe to fan out
-    /// across threads.
-    pub fn check_site(&self, i: usize, mount_check: Option<&MountCheck>) -> StoreSiteResult {
-        let site = self.sites[i];
-        let seed = self.cfg.seed ^ (i as u64).wrapping_mul(SEED_GOLDEN);
-        let mut rng = Rng64::seed_from_u64(seed);
-        let boundary = self.plane.ops().get(site);
-        let torn_keep = match boundary {
-            Some(StoreOp::Write { data, .. })
-                if !data.is_empty() && rng.gen_bool(self.cfg.torn_p) =>
-            {
-                Some(rng.gen_range(0..data.len() as u64) as usize)
-            }
-            _ => None,
-        };
-        let mut fs = self.plane.replay(&StoreCut { site, torn_keep });
-        let mut res = StoreSiteResult {
-            site,
-            category: categorize(boundary),
-            seed,
-            torn: torn_keep.is_some(),
-            flips: 0,
-            flipped_path: None,
-            manifest_version: None,
-            typed_errors: Vec::new(),
-            restores_checked: 0,
-            mounts_checked: 0,
-            violations: Vec::new(),
-        };
-        if rng.gen_bool(self.cfg.flip_p) {
-            let paths = fs.paths();
-            if !paths.is_empty() {
-                let path = paths[rng.gen_range(0..paths.len() as u64) as usize].clone();
-                if fs.flip_bit(&path, rng.next_u64()) {
-                    res.flips = 1;
-                    res.flipped_path = Some(path);
-                }
-            }
-        }
-        let corrupted = res.flips > 0;
-        match Store::open(fs) {
-            Err(e) => {
-                res.typed_errors.push(e.name().to_string());
-                if !corrupted {
-                    res.violations.push(format!(
-                        "clean crash prefix at site {site} failed to open: {e}"
-                    ));
-                }
-            }
-            Ok(store) => self.check_open_store(&store, corrupted, mount_check, &mut res),
-        }
-        res
-    }
-
+    /// Checks a store that opened after the cut: `[manifest version,
+    /// restores checked, mounts checked]`.
     fn check_open_store(
         &self,
         store: &Store<MemIo>,
         corrupted: bool,
-        mount_check: Option<&MountCheck>,
-        res: &mut StoreSiteResult,
-    ) {
+        errors: &mut Vec<&'static str>,
+        violations: &mut Vec<String>,
+    ) -> [u64; 3] {
         let version = store.manifest().version;
-        res.manifest_version = Some(version);
+        let mut checked = [version, 0, 0];
         // The script commits exactly five manifests; anything else is a
         // state no prefix of the script ever produced.
         let expect: &[(&str, &SnapshotExport)] = match version {
@@ -298,10 +139,10 @@ impl StoreChaosRun {
             2 => &[("base", &self.base), ("head", &self.full)],
             3 | 4 => &[("base", &self.base)],
             v => {
-                res.violations.push(format!(
+                violations.push(format!(
                     "opened to manifest version {v}, which no prefix of the script committed"
                 ));
-                return;
+                return checked;
             }
         };
         let names: Vec<&str> = store
@@ -312,25 +153,25 @@ impl StoreChaosRun {
             .collect();
         let want: Vec<&str> = expect.iter().map(|(n, _)| *n).collect();
         if names != want {
-            res.violations.push(format!(
+            violations.push(format!(
                 "hybrid backup set {names:?} at manifest version {version} (committed state has {want:?})"
             ));
-            return;
+            return checked;
         }
         for (name, image) in expect {
             match store.restore(name) {
                 Err(e) => {
-                    res.typed_errors.push(e.name().to_string());
+                    errors.push(e.name());
                     if !corrupted {
-                        res.violations.push(format!(
+                        violations.push(format!(
                             "restore of {name} failed on a clean crash prefix: {e}"
                         ));
                     }
                 }
                 Ok(got) => {
-                    res.restores_checked += 1;
+                    checked[1] += 1;
                     if got != **image {
-                        res.violations.push(format!(
+                        violations.push(format!(
                             "restored {name} diverges from the image its commit captured \
                              ({} vs {} master lines)",
                             got.master.len(),
@@ -338,238 +179,198 @@ impl StoreChaosRun {
                         ));
                         continue;
                     }
-                    self.check_restored(name, &got, mount_check, res);
+                    checked[2] += self.check_restored(name, &got, violations);
                 }
             }
         }
+        checked
     }
 
     /// The deep checks on an exact restore: the consistency-cut
     /// invariants against the trace oracle, a live-backend rebuild
     /// whose `time_travel` agrees with the stored master, and the
-    /// injected mount probe.
+    /// injected mount probe. Returns the mounts checked (0 or 1).
     fn check_restored(
         &self,
         name: &str,
         got: &SnapshotExport,
-        mount_check: Option<&MountCheck>,
-        res: &mut StoreSiteResult,
-    ) {
+        violations: &mut Vec<String>,
+    ) -> u64 {
         let map: FastHashMap<LineAddr, Token> = got
             .master
             .iter()
             .map(|&(l, t)| (LineAddr::new(l), t))
             .collect();
-        crate::invariants::check_token_validity(&self.oracle, &map, &mut res.violations);
-        crate::invariants::check_prefix_cut(&self.oracle, &map, &mut res.violations);
-        match got.rebuild() {
-            Err(e) => res.violations.push(format!(
-                "restored {name} failed to rebuild a live backend: {e}"
-            )),
-            Ok((mnm, _nvm)) => {
-                let stride = (got.master.len() / 16).max(1);
-                for &(l, t) in got.master.iter().step_by(stride) {
-                    if mnm.time_travel(LineAddr::new(l), got.rec_epoch) != Some(t) {
-                        res.violations.push(format!(
-                            "time_travel({l:#x}, {}) on the rebuilt backend diverges from \
-                             the restored master of {name}",
-                            got.rec_epoch
-                        ));
-                    }
-                }
-                if let Some(check) = mount_check {
-                    res.mounts_checked += 1;
-                    if let Err(msg) = check(&mnm, got) {
-                        res.violations
-                            .push(format!("mount check failed for {name}: {msg}"));
-                    }
-                }
+        self.oracle.check_cut(&map, violations);
+        let (mnm, _nvm) = match got.rebuild() {
+            Ok(live) => live,
+            Err(e) => {
+                violations.push(format!(
+                    "restored {name} failed to rebuild a live backend: {e}"
+                ));
+                return 0;
+            }
+        };
+        let stride = (got.master.len() / 16).max(1);
+        for &(l, t) in got.master.iter().step_by(stride) {
+            if mnm.time_travel(LineAddr::new(l), got.rec_epoch) != Some(t) {
+                violations.push(format!(
+                    "time_travel({l:#x}, {}) on the rebuilt backend diverges from \
+                     the restored master of {name}",
+                    got.rec_epoch
+                ));
             }
         }
+        let Some(check) = self.mount_check else {
+            return 0;
+        };
+        if let Err(msg) = check(&mnm, got) {
+            violations.push(format!("mount check failed for {name}: {msg}"));
+        }
+        1
+    }
+}
+
+impl CrashTarget for StoreTarget<'_> {
+    fn scheme(&self) -> Option<&'static str> {
+        None
     }
 
-    /// Aggregates site results into a report (deterministic field
-    /// order; violations ascend by site then message).
-    pub fn summarize(&self, results: &[StoreSiteResult]) -> StoreChaosReport {
-        let mut category_counts: Vec<(String, usize)> =
-            SITE_CATEGORIES.iter().map(|c| (c.to_string(), 0)).collect();
-        for r in results {
-            let slot = category_counts
-                .iter_mut()
-                .find(|(n, _)| n == r.category)
-                .expect("categorize returns a listed name");
-            slot.1 += 1;
+    fn journal(&self) -> Vec<(&'static str, u64)> {
+        let mut ops = [0u64; 3];
+        for op in &self.journal {
+            ops[match op {
+                StoreOp::Write { .. } => 0,
+                StoreOp::Rename { .. } => 1,
+                StoreOp::Remove { .. } => 2,
+            }] += 1;
         }
-        let mut typed_errors: Vec<(String, usize)> = Vec::new();
-        for r in results {
-            for e in &r.typed_errors {
-                match typed_errors.iter_mut().find(|(n, _)| n == e) {
-                    Some((_, n)) => *n += 1,
-                    None => typed_errors.push((e.clone(), 1)),
+        vec![
+            ("journal_writes", ops[0]),
+            ("journal_renames", ops[1]),
+            ("journal_removes", ops[2]),
+        ]
+    }
+
+    fn categories(&self) -> &'static [&'static str] {
+        &CATEGORIES
+    }
+
+    /// Shuffled rounds with repeats over `0..=len`: every distinct site
+    /// is drawn once (in seeded shuffled order) before any site repeats,
+    /// so a budget larger than the journal still covers every site while
+    /// extra draws revisit sites with fresh torn/flip coin flips: each
+    /// check is keyed by its index in the sample.
+    fn sample(&self, cfg: &ChaosConfig) -> Vec<(usize, usize, u64)> {
+        let distinct = self.journal.len() + 1;
+        let mut out = Vec::with_capacity(cfg.sites);
+        let mut round = 0u64;
+        while out.len() < cfg.sites {
+            let mut pool: Vec<usize> = (0..distinct).collect();
+            let mut rng = Rng64::seed_from_u64(cfg.seed ^ 0x0057_07E5 ^ round);
+            for i in 0..pool.len() {
+                let j = i + rng.gen_range(0..(pool.len() - i) as u64) as usize;
+                pool.swap(i, j);
+            }
+            let take = (cfg.sites - out.len()).min(pool.len());
+            for &s in &pool[..take] {
+                out.push((s, category_of(self.journal.get(s)), out.len() as u64));
+            }
+            round += 1;
+        }
+        out
+    }
+
+    fn check(&self, site: usize, rng: &mut Rng64, cfg: &ChaosConfig) -> Outcome {
+        let torn_keep = match self.journal.get(site) {
+            Some(StoreOp::Write { data, .. }) if !data.is_empty() && rng.gen_bool(cfg.torn_p) => {
+                Some(rng.gen_range(0..data.len() as u64) as usize)
+            }
+            _ => None,
+        };
+        let mut fs = fault::replay(&self.journal, site, torn_keep);
+        let mut flips = 0;
+        if rng.gen_bool(cfg.flip_p) {
+            let paths = fs.paths();
+            if !paths.is_empty() {
+                let path = &paths[rng.gen_range(0..paths.len() as u64) as usize];
+                flips = u64::from(fs.flip_bit(path, rng.next_u64()));
+            }
+        }
+        let corrupted = flips > 0;
+        let (mut names, mut violations) = (Vec::new(), Vec::new());
+        let [version, restores, mounts] = match Store::open(fs) {
+            Err(e) => {
+                names.push(e.name());
+                if !corrupted {
+                    violations.push(format!(
+                        "clean crash prefix at site {site} failed to open: {e}"
+                    ));
                 }
+                [0; 3]
             }
-        }
-        typed_errors.sort();
-        let mut violations: Vec<Violation> = Vec::new();
-        for r in results {
-            for m in &r.violations {
-                violations.push(Violation {
-                    site: r.site,
-                    category: r.category.to_string(),
-                    message: m.clone(),
-                });
-            }
-        }
-        violations.sort_by(|a, b| (a.site, &a.message).cmp(&(b.site, &b.message)));
-        let (mut writes, mut renames, mut removes) = (0usize, 0usize, 0usize);
-        for op in self.plane.ops() {
-            match op {
-                StoreOp::Write { .. } => writes += 1,
-                StoreOp::Rename { .. } => renames += 1,
-                StoreOp::Remove { .. } => removes += 1,
-            }
-        }
-        StoreChaosReport {
-            seed: self.cfg.seed,
-            sites_requested: self.cfg.sites,
-            sites_explored: results.len(),
-            journal_writes: writes,
-            journal_renames: renames,
-            journal_removes: removes,
-            category_counts,
-            torn_sites: results.iter().filter(|r| r.torn).count(),
-            flips_injected: results.iter().map(|r| r.flips).sum(),
-            typed_errors,
-            restores_checked: results.iter().map(|r| r.restores_checked).sum(),
-            mounts_checked: results.iter().map(|r| r.mounts_checked).sum(),
-            max_manifest_version: results
-                .iter()
-                .filter_map(|r| r.manifest_version)
-                .max()
-                .unwrap_or(0),
+            Ok(store) => self.check_open_store(&store, corrupted, &mut names, &mut violations),
+        };
+        Outcome {
+            torn: torn_keep.is_some(),
+            counts: vec![flips, restores, mounts, version],
+            names,
             violations,
         }
     }
-}
 
-/// Aggregated outcome of one store fault exploration.
-#[derive(Clone, Debug)]
-pub struct StoreChaosReport {
-    /// Master seed of the exploration.
-    pub seed: u64,
-    /// Fault sites asked for.
-    pub sites_requested: usize,
-    /// Fault sites actually checked.
-    pub sites_explored: usize,
-    /// File writes in the scripted session's journal.
-    pub journal_writes: usize,
-    /// Renames in the journal.
-    pub journal_renames: usize,
-    /// Removes in the journal.
-    pub journal_removes: usize,
-    /// Checked sites per boundary-op category, in stable order.
-    pub category_counts: Vec<(String, usize)>,
-    /// Cuts that tore their boundary write.
-    pub torn_sites: usize,
-    /// Bit flips injected.
-    pub flips_injected: usize,
-    /// Typed error variants observed, name-sorted with counts.
-    pub typed_errors: Vec<(String, usize)>,
-    /// Restores that succeeded and were verified byte-exact.
-    pub restores_checked: usize,
-    /// Restores additionally verified through the mount probe.
-    pub mounts_checked: usize,
-    /// Newest manifest version any site opened to.
-    pub max_manifest_version: u64,
-    /// Every contract violation found (empty = contract upheld).
-    pub violations: Vec<Violation>,
-}
-
-impl StoreChaosReport {
-    /// Whether every checked site upheld the robustness contract.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+    fn tallies(&self) -> &'static [(&'static str, Tally)] {
+        &[
+            ("flips_injected", Tally::Sum),
+            ("typed_errors", Tally::Names),
+            ("restores_checked", Tally::Sum),
+            ("mounts_checked", Tally::Sum),
+            ("max_manifest_version", Tally::Max),
+        ]
     }
 
-    /// Deterministic JSON rendering (trailing newline included): two
-    /// runs of one seed produce byte-identical output.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", STORE_CHAOS_REPORT_SCHEMA);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"sites_requested\": {},", self.sites_requested);
-        let _ = writeln!(s, "  \"sites_explored\": {},", self.sites_explored);
-        let _ = writeln!(s, "  \"journal_writes\": {},", self.journal_writes);
-        let _ = writeln!(s, "  \"journal_renames\": {},", self.journal_renames);
-        let _ = writeln!(s, "  \"journal_removes\": {},", self.journal_removes);
-        s.push_str("  \"sites_by_category\": {");
-        for (i, (name, n)) in self.category_counts.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{name}\": {n}");
-        }
-        s.push_str("},\n");
-        let _ = writeln!(s, "  \"torn_sites\": {},", self.torn_sites);
-        let _ = writeln!(s, "  \"flips_injected\": {},", self.flips_injected);
-        s.push_str("  \"typed_errors\": {");
-        for (i, (name, n)) in self.typed_errors.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{name}\": {n}");
-        }
-        s.push_str("},\n");
-        let _ = writeln!(s, "  \"restores_checked\": {},", self.restores_checked);
-        let _ = writeln!(s, "  \"mounts_checked\": {},", self.mounts_checked);
-        let _ = writeln!(
-            s,
-            "  \"max_manifest_version\": {},",
-            self.max_manifest_version
+    fn summary(&self, r: &ChaosReport) -> String {
+        let n = |key| r.num(key).unwrap_or_default();
+        let typed: Vec<String> = (r.counts("typed_errors").unwrap_or_default().iter())
+            .map(|(name, c)| format!("{name} {c}"))
+            .collect();
+        let (writes, renames, removes) = (
+            n("journal_writes"),
+            n("journal_renames"),
+            n("journal_removes"),
         );
-        let _ = writeln!(s, "  \"violation_count\": {},", self.violations.len());
-        s.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"site\": {}, \"category\": \"{}\", \"message\": \"{}\"}}",
-                v.site,
-                v.category,
-                nvsim::json::escape(&v.message)
-            );
-        }
-        if !self.violations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+        format!(
+            "store chaos: {} fault sites over a {}-op journal ({writes} writes, {renames} \
+             renames, {removes} removes; seed {})\n{}  faults: {} torn writes, {} bit flips; \
+             typed errors: {}\n  checked: {} exact restores, {} mounts; max manifest version \
+             {}\n{}",
+            n("sites_explored"),
+            writes + renames + removes,
+            n("seed"),
+            sites_line(r),
+            n("torn_sites"),
+            n("flips_injected"),
+            if typed.is_empty() {
+                "none".to_string()
+            } else {
+                typed.join(", ")
+            },
+            n("restores_checked"),
+            n("mounts_checked"),
+            n("max_manifest_version"),
+            verdict(
+                r,
+                "contract: every site restored a committed state or failed typed",
+                "CONTRACT VIOLATIONS"
+            )
+        )
     }
-}
-
-/// Serial convenience: prepare, check every site, summarize.
-///
-/// # Errors
-/// Propagates [`prepare_store`]'s setup failures.
-pub fn explore_store(
-    trace: &Trace,
-    simcfg: &SimConfig,
-    cfg: StoreChaosConfig,
-    mount_check: Option<&MountCheck>,
-) -> Result<StoreChaosReport, StoreError> {
-    let run = prepare_store(trace, simcfg, cfg)?;
-    let results: Vec<StoreSiteResult> = (0..run.site_count())
-        .map(|i| run.check_site(i, mount_check))
-        .collect();
-    Ok(run.summarize(&results))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::explore::{explore, tests::assert_pinned};
     use nvsim::addr::{Addr, ThreadId};
     use nvsim::trace::TraceBuilder;
 
@@ -601,13 +402,18 @@ mod tests {
         b.build()
     }
 
+    pub(crate) fn explore_store(cfg: ChaosConfig, mount_check: Option<&MountCheck>) -> ChaosReport {
+        let target = StoreTarget::prepare(&small_trace(), &small_cfg(), mount_check).unwrap();
+        explore(&target, &cfg, 1)
+    }
+
     #[test]
     fn every_site_upholds_the_store_contract() {
-        let cfg = StoreChaosConfig {
+        let cfg = ChaosConfig {
             sites: 120,
-            ..StoreChaosConfig::default()
+            ..ChaosConfig::default()
         };
-        let report = explore_store(&small_trace(), &small_cfg(), cfg, None).unwrap();
+        let report = explore_store(cfg, None);
         assert!(
             report.ok(),
             "store contract violations:\n{}",
@@ -618,19 +424,22 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert_eq!(report.sites_explored, 120);
-        assert!(report.restores_checked > 0, "no restore was ever checked");
-        assert_eq!(report.max_manifest_version, 4);
+        assert_eq!(report.num("sites_explored"), Some(120));
+        assert!(
+            report.num("restores_checked") > Some(0),
+            "no restore was ever checked"
+        );
+        assert_eq!(report.num("max_manifest_version"), Some(4));
     }
 
     #[test]
     fn exploration_is_deterministic() {
-        let cfg = StoreChaosConfig {
+        let cfg = ChaosConfig {
             sites: 40,
-            ..StoreChaosConfig::default()
+            ..ChaosConfig::default()
         };
-        let a = explore_store(&small_trace(), &small_cfg(), cfg.clone(), None).unwrap();
-        let b = explore_store(&small_trace(), &small_cfg(), cfg, None).unwrap();
+        let a = explore_store(cfg.clone(), None);
+        let b = explore_store(cfg, None);
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -638,13 +447,13 @@ mod tests {
     fn flips_surface_as_typed_errors_not_panics() {
         // Force corruption on every site: every typed failure must be a
         // named StoreError variant, and clean opens must still restore
-        // exact images (check_site flags anything else as a violation).
-        let cfg = StoreChaosConfig {
+        // exact images (the check flags anything else as a violation).
+        let cfg = ChaosConfig {
             sites: 80,
             flip_p: 1.0,
-            ..StoreChaosConfig::default()
+            ..ChaosConfig::default()
         };
-        let report = explore_store(&small_trace(), &small_cfg(), cfg, None).unwrap();
+        let report = explore_store(cfg, None);
         assert!(
             report.ok(),
             "corrupted sites broke the contract:\n{}",
@@ -655,22 +464,43 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert!(report.flips_injected > 0, "flip_p=1.0 never flipped");
+        assert!(
+            report.num("flips_injected") > Some(0),
+            "flip_p=1.0 never flipped"
+        );
     }
 
     #[test]
     fn mount_check_is_invoked_and_failures_are_violations() {
-        let cfg = StoreChaosConfig {
+        let cfg = ChaosConfig {
             sites: 12,
             flip_p: 0.0,
-            ..StoreChaosConfig::default()
+            ..ChaosConfig::default()
         };
         let fail: Box<MountCheck> = Box::new(|_, _| Err("synthetic mount failure".into()));
-        let report = explore_store(&small_trace(), &small_cfg(), cfg, Some(&*fail)).unwrap();
-        assert!(report.mounts_checked > 0);
+        let report = explore_store(cfg, Some(&*fail));
+        assert!(report.num("mounts_checked") > Some(0));
         assert!(report
             .violations
             .iter()
             .any(|v| v.message.contains("synthetic mount failure")));
+    }
+
+    /// The report bytes of the store explorer before it shared the
+    /// driver with the NVM target, at one worker and at four.
+    #[test]
+    fn reports_match_their_pinned_digests() {
+        let target = StoreTarget::prepare(&small_trace(), &small_cfg(), None).unwrap();
+        for (sites, flip_p, pin) in [
+            (120, 0.10, (550, 0x7bb7_9c5b_42a0_b984)),
+            (80, 1.0, (566, 0xdb3b_24ae_083d_2e9c)),
+        ] {
+            let cfg = ChaosConfig {
+                sites,
+                flip_p,
+                ..ChaosConfig::default()
+            };
+            assert_pinned(&target, &cfg, pin);
+        }
     }
 }

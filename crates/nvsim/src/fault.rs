@@ -26,7 +26,6 @@
 use crate::addr::{LineAddr, Token};
 use crate::clock::Cycle;
 use crate::rng::Rng64;
-use crate::stats::NvmWriteKind;
 
 /// The logical persistent effect carried by one NVM write, attached by
 /// the component that issued it. Reconstruction replays surviving
@@ -98,12 +97,6 @@ pub enum PersistPayload {
 pub struct WriteRecord {
     /// Issue-order id (index into the journal).
     pub id: u64,
-    /// The bank-selector key the write used.
-    pub key: u64,
-    /// Accounting kind.
-    pub kind: NvmWriteKind,
-    /// Bytes written.
-    pub bytes: u64,
     /// Time the write was enqueued.
     pub enqueue: Cycle,
     /// Time the write becomes durable.
@@ -120,26 +113,11 @@ pub struct FaultPlane {
 }
 
 impl FaultPlane {
-    /// An empty journal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one accepted write (called by the device).
-    pub fn record(
-        &mut self,
-        key: u64,
-        kind: NvmWriteKind,
-        bytes: u64,
-        enqueue: Cycle,
-        completion: Cycle,
-    ) {
+    pub fn record(&mut self, enqueue: Cycle, completion: Cycle) {
         let id = self.log.len() as u64;
         self.log.push(WriteRecord {
             id,
-            key,
-            kind,
-            bytes,
             enqueue,
             completion,
             payload: None,
@@ -177,7 +155,7 @@ impl FaultPlane {
     ///
     /// # Panics
     /// Panics if `site > len()`.
-    pub fn in_flight_at(&self, site: usize) -> Vec<u64> {
+    fn in_flight_at(&self, site: usize) -> Vec<u64> {
         assert!(site <= self.log.len(), "site beyond the journal");
         let crash_time = self.crash_time(site);
         let mut window: Vec<u64> = self.log[..site]
@@ -191,7 +169,7 @@ impl FaultPlane {
 
     /// The simulated instant of a crash at `site`: the enqueue time of
     /// the write being issued (or of the last write, for an end crash).
-    pub fn crash_time(&self, site: usize) -> Cycle {
+    fn crash_time(&self, site: usize) -> Cycle {
         if site < self.log.len() {
             self.log[site].enqueue
         } else {
@@ -206,43 +184,22 @@ impl FaultPlane {
     /// # Panics
     /// Panics if `site > len()`.
     pub fn crash_cut(&self, site: usize, rng: &mut Rng64, torn_p: f64) -> CrashCut {
-        let window = self.in_flight_at(site);
-        let durable = rng.gen_range(0..window.len() as u64 + 1) as usize;
-        let mut lost: Vec<u64> = window[durable..].to_vec();
-        let torn = if !lost.is_empty() && rng.gen_bool(torn_p) {
-            Some(lost.remove(0))
-        } else {
-            None
-        };
-        lost.sort_unstable();
-        CrashCut {
-            site,
-            crash_time: self.crash_time(site),
-            lost,
-            torn,
-        }
+        let in_flight = self.in_flight_at(site).len();
+        let durable = rng.gen_range(0..in_flight + 1);
+        let tear = durable < in_flight && rng.gen_bool(torn_p);
+        self.cut_with_durable_prefix(site, durable, tear)
     }
 
-    /// A deterministic cut: exactly the first `durable` in-flight writes
+    /// The one cut builder: exactly the first `durable` in-flight writes
     /// (completion order) survive, the rest are lost, optionally tearing
-    /// the first lost write. Used by tests and directed exploration.
+    /// the first lost write.
     ///
     /// # Panics
     /// Panics if `site > len()`.
-    pub fn cut_with_durable_prefix(
-        &self,
-        site: usize,
-        durable: usize,
-        tear_boundary: bool,
-    ) -> CrashCut {
+    pub fn cut_with_durable_prefix(&self, site: usize, durable: usize, tear: bool) -> CrashCut {
         let window = self.in_flight_at(site);
-        let durable = durable.min(window.len());
-        let mut lost: Vec<u64> = window[durable..].to_vec();
-        let torn = if tear_boundary && !lost.is_empty() {
-            Some(lost.remove(0))
-        } else {
-            None
-        };
+        let mut lost = window[durable.min(window.len())..].to_vec();
+        let torn = (tear && !lost.is_empty()).then(|| lost.remove(0));
         lost.sort_unstable();
         CrashCut {
             site,
@@ -273,22 +230,13 @@ impl CrashCut {
     pub fn survives(&self, id: u64) -> bool {
         id < self.site as u64 && self.torn != Some(id) && self.lost.binary_search(&id).is_err()
     }
-
-    /// Whether write `id` is the torn write.
-    pub fn is_torn(&self, id: u64) -> bool {
-        self.torn == Some(id)
-    }
-
-    /// Accepted writes that did not survive (lost + torn).
-    pub fn dropped_count(&self) -> usize {
-        self.lost.len() + usize::from(self.torn.is_some())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nvm::Nvm;
+    use crate::stats::NvmWriteKind;
 
     fn plane_with_writes(specs: &[(Cycle, u64)]) -> (Nvm, FaultPlane) {
         // 1 bank, 400-cycle occupancy: writes serialize on the bank.
@@ -377,14 +325,14 @@ mod tests {
 
     #[test]
     fn annotations_attach_to_the_latest_write() {
-        let mut p = FaultPlane::new();
-        p.record(1, NvmWriteKind::Data, 64, 0, 400);
+        let mut p = FaultPlane::default();
+        p.record(0, 400);
         p.annotate_last(PersistPayload::Version {
             line: LineAddr::new(7),
             token: 99,
             epoch: 3,
         });
-        p.record(2, NvmWriteKind::MapMetadata, 8, 0, 450);
+        p.record(0, 450);
         p.annotate_last(PersistPayload::RecEpochRoot { epoch: 3 });
         assert_eq!(
             p.records()[0].payload,

@@ -43,6 +43,8 @@
 //! * [`json`] — a minimal hand-rolled JSON parser/escaper shared by the
 //!   report exporters and the persistent snapshot store (zero external
 //!   dependencies).
+//! * [`par`] — an ordered fan-out of independent tasks over worker
+//!   threads, byte-identical to the serial loop.
 //! * [`rng`] — deterministic xoshiro256++ randomness (no external crates).
 //! * [`nvtrace`] — structured event tracing into a per-thread ring
 //!   buffer (flight recorder). Compiled out without the `trace` cargo
@@ -84,6 +86,7 @@ pub mod metrics;
 pub mod noc;
 pub mod nvm;
 pub mod nvtrace;
+pub mod par;
 pub mod prof;
 pub mod rng;
 pub mod shard;

@@ -112,7 +112,7 @@ impl Nvm {
     /// Attaches a fresh [`FaultPlane`]: from now on every accepted write
     /// is journaled for crash-cut reconstruction.
     pub fn enable_fault_plane(&mut self) {
-        self.plane = Some(Box::new(FaultPlane::new()));
+        self.plane = Some(Box::new(FaultPlane::default()));
     }
 
     /// The shadow journal, if fault exploration is on.
@@ -168,7 +168,7 @@ impl Nvm {
             *self.wear.or_default(key) += 1;
         }
         if let Some(p) = &mut self.plane {
-            p.record(key, kind, bytes, now, completion);
+            p.record(now, completion);
         }
         WriteTicket {
             accept_time,
@@ -383,7 +383,6 @@ mod tests {
         n.annotate_last(crate::fault::PersistPayload::EpochCommit { epoch: 3 });
         let p = n.take_fault_plane().expect("plane was enabled");
         assert_eq!(p.len(), 1);
-        assert_eq!(p.records()[0].kind, NvmWriteKind::Log);
         assert_eq!(
             p.records()[0].payload,
             Some(crate::fault::PersistPayload::EpochCommit { epoch: 3 })

@@ -1,76 +1,35 @@
 //! The store fault plane: deterministic crash/corruption replay for
 //! file I/O.
 //!
-//! This is `nvsim::fault` transplanted from NVM writes to store
-//! mutations. A recording [`MemIo`] journals every completed operation
-//! of a backup/restore/gc script; the fault plane then replays
-//! arbitrary *prefix cuts* of that journal — optionally tearing the
-//! write at the crash boundary to a byte prefix, and optionally
-//! flipping bits in surviving files — to produce the filesystem a crash
-//! (or latent media corruption) would have left behind. The chaos
-//! explorer (`nvchaos::store_chaos`) opens the store on each replayed
-//! image and asserts the robustness contract: a clean restore of a
+//! A recording [`MemIo`] journals every completed operation of a
+//! backup/restore/gc script; [`replay`] rebuilds any *prefix cut* of
+//! that journal, optionally tearing the write at the crash boundary
+//! to a byte prefix, to produce the filesystem a crash would have left
+//! behind. The store crash target (`nvchaos::store_chaos`), one of the two
+//! targets of the `nvchaos` crash explorer, opens the store on each
+//! replayed image (after flipping a bit in it, when its seeded draw
+//! says so) and asserts the robustness contract: a clean restore of a
 //! prior consistent manifest, or a typed [`crate::StoreError`] — never
 //! a panic or a hybrid image.
 
 use crate::io::{MemIo, StoreOp};
 
-/// One injected crash cut into the op journal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoreCut {
-    /// Number of journal ops that completed before the crash; ops
-    /// `0..site` are applied in full.
-    pub site: usize,
-    /// When the op at `site` is a write, persist only this many of its
-    /// bytes (a torn tail). `None` drops the boundary op entirely.
-    /// Renames and removes are atomic, so a torn boundary leaves them
-    /// unapplied.
-    pub torn_keep: Option<usize>,
-}
-
-/// A journal of completed store mutations plus deterministic replay.
-#[derive(Clone, Debug)]
-pub struct StoreFaultPlane {
-    journal: Vec<StoreOp>,
-}
-
-impl StoreFaultPlane {
-    /// Wraps a journal taken from [`MemIo::take_journal`].
-    pub fn new(journal: Vec<StoreOp>) -> StoreFaultPlane {
-        StoreFaultPlane { journal }
+/// Replays the first `site` ops of `journal` (a journal taken from
+/// [`MemIo::take_journal`]), returning the filesystem a crash at `site`
+/// leaves behind; valid sites are `0..=journal.len()`. When the op at
+/// `site` is a write, `torn_keep` persists that many of its bytes (a
+/// torn tail); `None` drops the boundary op entirely. Renames and
+/// removes are atomic, so a torn boundary leaves them unapplied.
+pub fn replay(journal: &[StoreOp], site: usize, torn_keep: Option<usize>) -> MemIo {
+    let mut fs = MemIo::new();
+    let site = site.min(journal.len());
+    for op in &journal[..site] {
+        fs.apply(op);
     }
-
-    /// The journaled operations, in completion order.
-    pub fn ops(&self) -> &[StoreOp] {
-        &self.journal
+    if let (Some(keep), Some(StoreOp::Write { path, data })) = (torn_keep, journal.get(site)) {
+        fs.apply_torn_write(path, data, keep);
     }
-
-    /// Number of journaled operations (valid cut sites are
-    /// `0..=len()`).
-    pub fn len(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// True when nothing was journaled.
-    pub fn is_empty(&self) -> bool {
-        self.journal.is_empty()
-    }
-
-    /// Replays the journal up to `cut`, returning the post-crash
-    /// filesystem image.
-    pub fn replay(&self, cut: &StoreCut) -> MemIo {
-        let mut fs = MemIo::new();
-        let site = cut.site.min(self.journal.len());
-        for op in &self.journal[..site] {
-            fs.apply(op);
-        }
-        if let (Some(keep), Some(StoreOp::Write { path, data })) =
-            (cut.torn_keep, self.journal.get(site))
-        {
-            fs.apply_torn_write(path, data, keep);
-        }
-        fs
-    }
+    fs
 }
 
 #[cfg(test)]
@@ -78,49 +37,34 @@ mod tests {
     use super::*;
     use crate::io::StoreIo;
 
-    fn plane() -> StoreFaultPlane {
+    fn plane() -> Vec<StoreOp> {
         let mut io = MemIo::recording();
         io.write("tmp/x", b"abcdef").unwrap();
         io.rename("tmp/x", "layers/x").unwrap();
         io.write("ROOT.0", b"root").unwrap();
-        StoreFaultPlane::new(io.take_journal())
+        io.take_journal()
     }
 
     #[test]
     fn prefix_cuts_are_prefix_closed() {
         let p = plane();
-        let at0 = p.replay(&StoreCut {
-            site: 0,
-            torn_keep: None,
-        });
+        let at0 = replay(&p, 0, None);
         assert!(at0.paths().is_empty());
-        let at2 = p.replay(&StoreCut {
-            site: 2,
-            torn_keep: None,
-        });
+        let at2 = replay(&p, 2, None);
         assert_eq!(at2.paths(), vec!["layers/x"]);
         assert!(!at2.exists("ROOT.0"));
-        let all = p.replay(&StoreCut {
-            site: 3,
-            torn_keep: None,
-        });
+        let all = replay(&p, 3, None);
         assert_eq!(all.read("ROOT.0").unwrap(), b"root");
     }
 
     #[test]
     fn torn_boundary_write_keeps_a_byte_prefix() {
         let p = plane();
-        let torn = p.replay(&StoreCut {
-            site: 0,
-            torn_keep: Some(3),
-        });
+        let torn = replay(&p, 0, Some(3));
         assert_eq!(torn.read("tmp/x").unwrap(), b"abc");
         // Boundary op 1 is a rename: atomic, so a torn cut leaves it
         // unapplied entirely.
-        let at_rename = p.replay(&StoreCut {
-            site: 1,
-            torn_keep: Some(2),
-        });
+        let at_rename = replay(&p, 1, Some(2));
         assert_eq!(at_rename.read("tmp/x").unwrap(), b"abcdef");
         assert!(!at_rename.exists("layers/x"));
     }

@@ -3,10 +3,9 @@
 //! All store logic runs against the [`StoreIo`] trait so the same code
 //! path serves three backends: the real filesystem ([`DiskIo`], used by
 //! the CLI), a deterministic in-memory filesystem ([`MemIo`], used by
-//! unit tests), and a *journaling* `MemIo` whose op log feeds the
-//! [`crate::fault::StoreFaultPlane`] — the file-I/O analogue of the
-//! NVM write journal `nvsim::fault` keeps for in-simulation crash
-//! exploration.
+//! unit tests), and a *journaling* `MemIo` whose op log feeds
+//! [`crate::fault::replay`] — the file-I/O analogue of the NVM write
+//! journal `nvsim::fault` keeps for in-simulation crash exploration.
 //!
 //! The crash model the store's commit protocol is proved against:
 //! operations complete in program order (each write/rename/remove is

@@ -26,8 +26,8 @@
 //!   `Mnm` and the store. A restored export rebuilds a real `Mnm` that
 //!   passes §V-E recovery and mounts under `nvserve`.
 //! * [`io`] / [`fault`] — the disk backend, plus the in-memory
-//!   journaling backend and [`fault::StoreFaultPlane`] that replays
-//!   seeded prefix cuts, torn tail writes, and bit flips for the
+//!   journaling backend and [`fault::replay`], which rebuilds the
+//!   filesystem after a prefix cut with a torn tail write for the
 //!   `nvo chaos --scheme store` explorer.
 //!
 //! Every failure is a typed [`StoreError`] — the store never panics on
@@ -45,7 +45,6 @@ pub mod store;
 
 pub use error::StoreError;
 pub use export::SnapshotExport;
-pub use fault::{StoreCut, StoreFaultPlane};
 pub use io::{DiskIo, MemIo, StoreIo, StoreOp};
 pub use layer::{fnv1a, Layer, LayerId, LayerKind, LayerPayload};
 pub use manifest::{BackupEntry, LayerMeta, Manifest, MANIFEST_SCHEMA};

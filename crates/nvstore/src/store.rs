@@ -642,7 +642,7 @@ impl<I: StoreIo> Store<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{StoreCut, StoreFaultPlane};
+    use crate::fault::replay;
     use crate::io::MemIo;
 
     fn snap(epochs: std::ops::RangeInclusive<u64>, rec: u64) -> SnapshotExport {
@@ -829,11 +829,11 @@ mod tests {
         store.remove("head").unwrap();
         store.gc().unwrap();
         let mut io = store.into_io();
-        let plane = StoreFaultPlane::new(io.take_journal());
-        assert!(plane.len() > 10);
-        for site in 0..=plane.len() {
+        let journal = io.take_journal();
+        assert!(journal.len() > 10);
+        for site in 0..=journal.len() {
             for torn_keep in [None, Some(0), Some(5)] {
-                let fs = plane.replay(&StoreCut { site, torn_keep });
+                let fs = replay(&journal, site, torn_keep);
                 let store = Store::open(fs).unwrap_or_else(|e| {
                     panic!("open failed at crash site {site} (torn {torn_keep:?}): {e}")
                 });

@@ -16,7 +16,7 @@
 //! ```
 
 use nvoverlay_suite::baselines::{CommitKind, EpochCommitSystem};
-use nvoverlay_suite::chaos::{prepare, ChaosConfig, ChaosScheme, RebuildFidelity, RebuiltState};
+use nvoverlay_suite::chaos::{ChaosScheme, NvmTarget, RebuildFidelity, RebuiltState};
 use nvoverlay_suite::overlay::recovery::{recover_durable, RecoveryError};
 use nvoverlay_suite::overlay::system::NvOverlaySystem;
 use nvoverlay_suite::sim::fault::{CrashCut, PersistPayload};
@@ -110,7 +110,13 @@ fn main() {
         .epoch_size_stores(400)
         .build()
         .expect("valid configuration");
-    let run = prepare(&trace, &chaos_cfg, ChaosConfig::new(ChaosScheme::NvOverlay));
+    let run = NvmTarget::prepare(
+        &trace,
+        &chaos_cfg,
+        ChaosScheme::NvOverlay,
+        RebuildFidelity::Exact,
+        false,
+    );
     let plane = run.plane();
 
     // A power cut exactly while the last `rec-epoch` root pointer is

@@ -14,7 +14,7 @@
 //!   dumps, with in-flight writes dropped or torn. The same three
 //!   invariants are checked per site against the trace oracle.
 
-use nvoverlay_suite::chaos::{prepare, ChaosConfig, ChaosScheme, RebuildFidelity, SiteCategory};
+use nvoverlay_suite::chaos::{explore, ChaosConfig, ChaosScheme, NvmTarget, RebuildFidelity};
 use nvoverlay_suite::overlay::system::NvOverlaySystem;
 use nvoverlay_suite::sim::addr::{Addr, CoreId, LineAddr, ThreadId, Token};
 use nvoverlay_suite::sim::memsys::{MemOp, MemorySystem};
@@ -163,11 +163,16 @@ fn boundary_crash_smoke() {
 fn interior_crash_sites_are_consistent_cuts() {
     let ccfg = ChaosConfig {
         sites: 160,
-        ..ChaosConfig::new(ChaosScheme::NvOverlay)
+        ..ChaosConfig::default()
     };
-    let run = prepare(&plan_trace(), &cfg(), ccfg);
-    let results: Vec<_> = (0..run.site_count()).map(|i| run.check_site(i)).collect();
-    let report = run.summarize(&results);
+    let target = NvmTarget::prepare(
+        &plan_trace(),
+        &cfg(),
+        ChaosScheme::NvOverlay,
+        RebuildFidelity::Exact,
+        false,
+    );
+    let report = explore(&target, &ccfg, 1);
 
     assert!(
         report.ok(),
@@ -176,20 +181,31 @@ fn interior_crash_sites_are_consistent_cuts() {
     );
     // The stratified sample must actually land inside the OMC flush and
     // the Mmaster update sequences, not just at data writes.
-    let inside_flush = results
-        .iter()
-        .filter(|r| r.category == SiteCategory::OmcFlushMeta)
-        .count();
-    let at_root = results
-        .iter()
-        .filter(|r| r.category == SiteCategory::MasterRoot)
-        .count();
-    assert!(inside_flush > 0, "no crash site inside an OMC flush");
-    assert!(at_root > 0, "no crash site at an Mmaster root update");
+    let sites_in = |category: &str| {
+        let mut counts = report
+            .counts("sites_by_category")
+            .unwrap_or_default()
+            .iter();
+        counts.find(|(c, _)| c == category).map_or(0, |(_, n)| *n)
+    };
+    assert!(
+        sites_in("omc-flush-meta") > 0,
+        "no crash site inside an OMC flush"
+    );
+    assert!(
+        sites_in("master-root") > 0,
+        "no crash site at an Mmaster root update"
+    );
     // The cuts must be doing real damage: in-flight writes dropped, and
     // several epochs still recovered underneath.
-    assert!(report.dropped_writes > 0, "cuts never dropped a write");
-    assert!(report.max_recovered_epoch >= 3, "too few epochs recovered");
+    assert!(
+        report.num("dropped_writes") > Some(0),
+        "cuts never dropped a write"
+    );
+    assert!(
+        report.num("max_recovered_epoch") >= Some(3),
+        "too few epochs recovered"
+    );
 }
 
 /// Harness self-test: a recovery implementation that ignores the
@@ -199,12 +215,16 @@ fn interior_crash_sites_are_consistent_cuts() {
 fn broken_recovery_is_demonstrably_caught() {
     let ccfg = ChaosConfig {
         sites: 120,
-        fidelity: RebuildFidelity::BrokenNoEpochFilter,
-        ..ChaosConfig::new(ChaosScheme::NvOverlay)
+        ..ChaosConfig::default()
     };
-    let run = prepare(&plan_trace(), &cfg(), ccfg);
-    let results: Vec<_> = (0..run.site_count()).map(|i| run.check_site(i)).collect();
-    let report = run.summarize(&results);
+    let target = NvmTarget::prepare(
+        &plan_trace(),
+        &cfg(),
+        ChaosScheme::NvOverlay,
+        RebuildFidelity::BrokenNoEpochFilter,
+        false,
+    );
+    let report = explore(&target, &ccfg, 1);
     assert!(
         !report.ok(),
         "an epoch-filter-less recovery slipped past the invariants"
