@@ -748,6 +748,18 @@ fn cmd_chaos(a: &Args) {
     if a.has("flip-p") && name == "sw-undo" {
         usage_error(a, "--flip-p does not apply to --scheme sw-undo");
     }
+    // The report stores the seed as a JSON number, which a larger seed
+    // would not survive: its own parser would refuse the file.
+    let seed: Option<u64> = a.get("seed");
+    if seed.is_some_and(|s| s > json::MAX_EXACT_INT) {
+        usage_error(
+            a,
+            &format!(
+                "--seed must be at most 2^53 ({}): the report stores it as a JSON number",
+                json::MAX_EXACT_INT
+            ),
+        );
+    }
     let scale: EnvScale = a.req("scale");
     let trace = load_workload(a, scale);
     let simcfg = scale.sim_config();

@@ -58,6 +58,34 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn a_chaos_seed_past_2_pow_53_exits_2() {
+    // The report stores the seed as a JSON number, exact only up to
+    // 2^53; a larger seed would write a report its parser refuses.
+    for scheme in ["nvoverlay", "store"] {
+        let args = format!(
+            "chaos kmeans --sites 4 --scale quick --scheme {scheme} --seed {}",
+            (1u64 << 53) + 1
+        );
+        let out = nvo(&args.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(2), "{scheme}: {}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).starts_with("--seed must be at most 2^53 (9007199254740992)"),
+            "{scheme}: {}",
+            stderr_of(&out)
+        );
+    }
+    // 2^53 itself still runs, and its report reads back.
+    let args = format!(
+        "chaos kmeans --sites 4 --scale quick --seed {} --json",
+        1u64 << 53
+    );
+    let out = nvo(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let report = nvchaos::ChaosReport::from_json(&String::from_utf8_lossy(&out.stdout));
+    assert_eq!(report.map(|r| r.num("seed")), Ok(Some(1 << 53)));
+}
+
+#[test]
 fn flags_outside_the_subcommand_table_exit_2() {
     for line in [
         "run --workload B+Tree --scheme NVOverlay --scale quick --shrads 4",

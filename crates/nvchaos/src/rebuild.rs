@@ -19,7 +19,8 @@ use nvsim::fastmap::FastHashMap;
 use nvsim::fault::{CrashCut, FaultPlane, PersistPayload};
 use nvsim::rng::Rng64;
 
-/// How faithfully the rebuilt state answers `version_at` queries.
+/// How faithfully the rebuilt state falls through to a line's version
+/// at the root epoch.
 ///
 /// `BrokenNoEpochFilter` is a deliberately wrong implementation kept for
 /// harness self-tests: it ignores the root epoch and always returns the
@@ -152,25 +153,19 @@ impl DurableState for RebuiltState {
         Box::new(self.words.iter().map(|(l, w)| (*l, *w)))
     }
 
-    fn lines(&self) -> Box<dyn Iterator<Item = LineAddr> + '_> {
-        Box::new(self.versions.keys().copied())
-    }
-
-    fn version_at(&self, line: LineAddr, epoch: u64) -> Option<Token> {
-        let vs = self.versions.get(&line)?;
-        match self.fidelity {
-            // Newest durable version at or below the root epoch; among
-            // equals the latest journal write wins (re-persisted slots).
-            RebuildFidelity::Exact => vs
-                .iter()
-                .filter(|(e, _, _)| *e <= epoch)
+    fn image(&self, epoch: u64) -> Box<dyn Iterator<Item = (LineAddr, Token)> + '_> {
+        let bound = match self.fidelity {
+            RebuildFidelity::Exact => epoch,
+            RebuildFidelity::BrokenNoEpochFilter => u64::MAX,
+        };
+        // Newest durable version at or below the bound; among equals the
+        // latest journal write wins (re-persisted slots).
+        Box::new(self.versions.iter().filter_map(move |(line, vs)| {
+            vs.iter()
+                .filter(|(e, _, _)| *e <= bound)
                 .max_by_key(|(e, id, _)| (*e, *id))
-                .map(|(_, _, t)| *t),
-            RebuildFidelity::BrokenNoEpochFilter => vs
-                .iter()
-                .max_by_key(|(e, id, _)| (*e, *id))
-                .map(|(_, _, t)| *t),
-        }
+                .map(|(_, _, t)| (*line, *t))
+        }))
     }
 }
 

@@ -310,11 +310,6 @@ impl Mnm {
         self.omcs.iter().map(|o| o.master().tree().len()).sum()
     }
 
-    /// Aggregate DRAM held by volatile per-epoch tables.
-    pub fn epoch_table_dram_bytes(&self) -> u64 {
-        self.omcs.iter().map(|o| o.epoch_table_dram_bytes()).sum()
-    }
-
     /// Aggregate buffer hit count (Fig 16).
     pub fn buffer_hits(&self) -> u64 {
         self.omcs.iter().map(|o| o.stats().buffer_hits).sum()

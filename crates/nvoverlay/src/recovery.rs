@@ -8,7 +8,6 @@
 
 use crate::mnm::{table, Mnm};
 use nvsim::addr::{LineAddr, Token};
-use nvsim::fastmap::FastHashMap;
 use nvsim::nvtrace::{EventKind, TraceScope, Track};
 use std::fmt;
 
@@ -78,13 +77,10 @@ pub trait DurableState {
     /// (see [`table::encode_loc`]), for integrity checking.
     fn mapping_words(&self) -> Box<dyn Iterator<Item = (LineAddr, u64)> + '_>;
 
-    /// Every line with any durable version.
-    fn lines(&self) -> Box<dyn Iterator<Item = LineAddr> + '_>;
-
-    /// The durable version of `line` as of `epoch` (fall-through to the
-    /// newest version at or below it), read from the overlay data pages'
-    /// epoch-tagged slots.
-    fn version_at(&self, line: LineAddr, epoch: u64) -> Option<Token>;
+    /// The durable image as of `epoch`: each line with a version at or
+    /// below it, once, with the newest such version. Any order; runs that
+    /// ascend by line make [`recover_durable`]'s sort a merge.
+    fn image(&self, epoch: u64) -> Box<dyn Iterator<Item = (LineAddr, Token)> + '_>;
 }
 
 impl DurableState for Mnm {
@@ -104,21 +100,18 @@ impl DurableState for Mnm {
         }))
     }
 
-    fn lines(&self) -> Box<dyn Iterator<Item = LineAddr> + '_> {
-        Box::new(self.master_image().map(|(l, _)| l))
-    }
-
-    fn version_at(&self, line: LineAddr, _epoch: u64) -> Option<Token> {
-        // The live master tables already map exactly the rec-epoch image.
-        self.read_master(line)
+    fn image(&self, _epoch: u64) -> Box<dyn Iterator<Item = (LineAddr, Token)> + '_> {
+        // The live master tables already map exactly the rec-epoch image,
+        // one address-ordered run per OMC.
+        Box::new(self.master_image())
     }
 }
 
-/// A reconstructed memory image.
+/// A reconstructed memory image: `(line, token)` pairs sorted by line.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveredImage {
     epoch: u64,
-    lines: FastHashMap<LineAddr, Token>,
+    lines: Vec<(LineAddr, Token)>,
 }
 
 impl RecoveredImage {
@@ -130,7 +123,10 @@ impl RecoveredImage {
     /// Reads one line of the image (None = never written as of the
     /// epoch, i.e. still zero-filled).
     pub fn read(&self, line: LineAddr) -> Option<Token> {
-        self.lines.get(&line).copied()
+        self.lines
+            .binary_search_by_key(&line, |&(l, _)| l)
+            .ok()
+            .map(|i| self.lines[i].1)
     }
 
     /// Number of mapped lines.
@@ -143,9 +139,10 @@ impl RecoveredImage {
         self.lines.is_empty()
     }
 
-    /// Iterates `(line, token)` pairs.
+    /// Iterates `(line, token)` pairs in ascending line order, each line
+    /// once.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, Token)> + '_ {
-        self.lines.iter().map(|(l, t)| (*l, *t))
+        self.lines.iter().copied()
     }
 }
 
@@ -161,7 +158,7 @@ pub fn recover(mnm: &Mnm) -> Result<RecoveredImage, RecoveryError> {
 /// Rebuilds the consistent image from any [`DurableState`] — the general
 /// §V-E procedure: read the `rec-epoch` root, validate every master
 /// mapping word, then load each mapped line's version as of the root
-/// epoch.
+/// epoch in one pass over [`DurableState::image`].
 ///
 /// # Errors
 /// * [`RecoveryError::TornMasterRoot`] when the root cell is torn;
@@ -186,10 +183,13 @@ pub fn recover_durable<S: DurableState + ?Sized>(
             return Err(RecoveryError::CorruptMapping { line, raw });
         }
     }
-    let lines: FastHashMap<LineAddr, Token> = state
-        .lines()
-        .filter_map(|l| state.version_at(l, root.epoch).map(|t| (l, t)))
-        .collect();
+    let mut lines: Vec<(LineAddr, Token)> = state.image(root.epoch).collect();
+    // Stable sort: each OMC's run is already ascending, so this merges.
+    lines.sort_by_key(|&(l, _)| l);
+    debug_assert!(
+        lines.windows(2).all(|w| w[0].0 < w[1].0),
+        "DurableState::image yielded a line twice"
+    );
     scope.emit(EventKind::RecoveryStep, 1, 1, lines.len() as u64);
     Ok(RecoveredImage {
         epoch: root.epoch,
@@ -206,16 +206,13 @@ pub fn snapshot_at(
     epoch: u64,
     lines: impl IntoIterator<Item = LineAddr>,
 ) -> RecoveredImage {
-    let mut img = RecoveredImage {
-        epoch,
-        lines: FastHashMap::default(),
-    };
-    for line in lines {
-        if let Some(t) = mnm.time_travel(line, epoch) {
-            img.lines.insert(line, t);
-        }
-    }
-    img
+    let mut lines: Vec<(LineAddr, Token)> = lines
+        .into_iter()
+        .filter_map(|l| mnm.time_travel(l, epoch).map(|t| (l, t)))
+        .collect();
+    lines.sort_unstable_by_key(|&(l, _)| l);
+    lines.dedup();
+    RecoveredImage { epoch, lines }
 }
 
 #[cfg(test)]
@@ -270,15 +267,15 @@ mod tests {
         fn mapping_words(&self) -> Box<dyn Iterator<Item = (LineAddr, u64)> + '_> {
             Box::new(self.words.iter().copied())
         }
-        fn lines(&self) -> Box<dyn Iterator<Item = LineAddr> + '_> {
-            Box::new(self.versions.iter().map(|(l, _, _)| *l))
-        }
-        fn version_at(&self, line: LineAddr, epoch: u64) -> Option<Token> {
-            self.versions
-                .iter()
-                .filter(|(l, e, _)| *l == line && *e <= epoch)
-                .max_by_key(|(_, e, _)| *e)
-                .map(|(_, _, t)| *t)
+        fn image(&self, epoch: u64) -> Box<dyn Iterator<Item = (LineAddr, Token)> + '_> {
+            let mut newest = std::collections::BTreeMap::new();
+            for &(l, e, t) in self.versions.iter().filter(|(_, e, _)| *e <= epoch) {
+                let n = newest.entry(l).or_insert((e, t));
+                if e > n.0 {
+                    *n = (e, t);
+                }
+            }
+            Box::new(newest.into_iter().map(|(l, (_, t))| (l, t)))
         }
     }
 

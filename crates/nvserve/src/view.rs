@@ -221,8 +221,7 @@ impl<'a> Mount<'a> {
             }
         }
         let img = recover_durable(mnm)?;
-        let mut keys: Vec<LineAddr> = img.iter().map(|(l, _)| l).collect();
-        keys.sort_unstable_by_key(|l| l.raw());
+        let keys: Vec<LineAddr> = img.iter().map(|(l, _)| l).collect();
         Ok(Mount {
             mnm,
             dir: EpochDirectory::new(mnm),
@@ -242,7 +241,7 @@ impl<'a> Mount<'a> {
         &self.dir
     }
 
-    /// Every line present in the recovered image (ascending).
+    /// Every line present in the recovered image, ascending, each once.
     pub fn keys(&self) -> &[LineAddr] {
         &self.keys
     }

@@ -10,6 +10,10 @@
 
 use std::fmt;
 
+/// The largest integer a [`JsonValue::Number`] holds exactly (2^53): a
+/// larger one reads back rounded.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// A parsed JSON value. Objects keep their key order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
@@ -17,7 +21,8 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`; exact for integers up to 2^53).
+    /// Any number (parsed as `f64`; exact for integers up to
+    /// [`MAX_EXACT_INT`]).
     Number(f64),
     /// A string, unescaped.
     String(String),
